@@ -34,111 +34,6 @@ K = 10
 # (see build._auto_parts)
 NUM_PARTS = max(64, CORPUS_DOCS // 12_500)
 
-PER_OP = ["bm25_topk", "overlap_topk", "term_stats", "doc_lengths",
-          "dedup_exact", "dedup_minhash", "dedup_simhash", "ann_topk",
-          "events_window", "user_sessions", "token_counts", "lang_id",
-          # round 2 additions
-          "simhash_pairs", "ngram_jaccard", "quality_score",
-          "ann_ivf", "event_quantiles", "clean_corpus",
-          # round 3 additions
-          "bigram_logprob", "event_quantiles_tdigest", "doc_chunks",
-          "asof_join", "range_join_events", "sample_split",
-          "revenue_by_nation", "pricing_summary",
-          # round 3, second wave
-          "pii_scrub", "normalize_text", "stratified_sample",
-          "distinct_users", "hll_distinct_users", "heavy_hitters",
-          "grouped_topk", "clean_pipeline", "rep_signals",
-          "dup_clusters", "decontaminate",
-          "winnow_fingerprints", "winnow_pairs", "phrase_topk",
-          "mix_weights", "dsir_weights", "top_unshipped_orders",
-          "rolling_active_users", "blocklist_docs", "pmi_top_bigrams",
-          "pack_offsets", "value_histogram", "doclen_histogram",
-          "session_funnel", "dsir_resample", "decontaminate_bloom",
-          "mix_sample", "event_anomalies", "cohort_retention",
-          "rep_ngram_signals", "gopher_filters", "para_dedup",
-          "lang_source_rollup", "semdedup", "bpe_merges",
-          "order_priority_counts", "hybrid_topk", "c4_filters",
-          "embedding_pc1", "export_by_lang", "bool_and_docs",
-          "running_user_value", "event_transitions", "lang_confusion",
-          "doclen_ntile", "more_like_this", "segment_stats",
-          "trigram_logprob",
-          # round 3, fifth wave
-          "local_supplier_volume", "big_orders", "promo_revenue",
-          "churned_customers", "knn_graph", "knn_label_eval",
-          "props_stats", "wildcard_docs", "term_suggest",
-          "fuzzy_name_pairs", "latest_events", "shuffle_positions",
-          "spellfix_topk", "cust_order_dist", "top_suppliers",
-          "bpe_encode",
-          # round 3, seventh wave
-          "returned_item_customers", "nation_trade_volume",
-          "small_qty_revenue", "pagerank_topk",
-          "perplexity_buckets", "dup_spans", "label_prop",
-          "triangle_stats", "qty_price_corr", "script_stats",
-          "emb_quantize", "winsor_stats", "user_paths",
-          "text_emb_consistency", "disjunct_revenue",
-          # round 4 additions
-          "knn_graph_ivf", "media_header", "dedup_keep_best",
-          "split_leakage", "doc_entropy", "zipf_slope",
-          "sole_late_supplier", "forecast_revenue",
-          "min_cost_supplier", "important_parts",
-          "label_centroids", "emb_norm_stats", "near_topk",
-          "hard_negatives", "emb_outliers", "fk_integrity",
-          # round 4, second wave: scoring mode + index lifecycle
-          "dirichlet_topk", "appended_topk", "deleted_topk",
-          "compacted_topk", "paged_topk", "facet_counts",
-          "highlight_topk", "market_share", "product_profit",
-          "synonym_topk", "ppm_stats", "wav_stats", "ppm_resize",
-          # round 4, third wave
-          "shipping_priority", "part_supplier_breadth",
-          "excess_suppliers", "slop_topk", "boosted_topk",
-          "nb_lang_eval", "heavy_hitters_ss", "user_daily_fill",
-          "kmeans_clusters", "mmr_topk", "ship_delay_priority",
-          # round 5: the 16 previously-untimed registry ops (round-4
-          # VERDICT item 4) — every queries() entry now has a per-op
-          # wall-time in the sidecar
-          "ann_lsh", "blob_meta", "chunk_dedup_stats",
-          "collection_stats", "embedding_dups", "embedding_dups_lsh",
-          "events_hopping", "fingerprint", "frame_sample",
-          "phrase_counts", "postings", "snippet_topk",
-          "snippet_lines_topk", "source_stats", "top_terms_tfidf",
-          "window_top_events", "hit_positions_topk", "msm_topk",
-          # round 5, second wave: filter/PRF/cascade retrieval,
-          # grouping, co-occurrence
-          "filtered_topk", "rm3_topk", "rescore_topk",
-          "collapse_topk", "query_hit_counts", "pmi_pairs", "pq_topk",
-          "explain_topk", "scorer_agreement", "jsonl_roundtrip",
-          # round 5, third wave: dismax/fuzzy/MaxP retrieval + nDCG eval
-          "dismax_topk", "fuzzy_topk", "maxp_topk", "ndcg_eval",
-          "negated_topk", "best_passage_topk", "regex_trigram_docs",
-          "spanfirst_topk", "ann_filtered_topk", "ltr_features",
-          "percolate_docs", "csv_roundtrip", "pmi_window_pairs",
-          # round 5, fourth wave: prefix retrieval + term significance
-          "prefix_topk", "sig_terms_topk", "source_vocab_overlap",
-          "source_term_kl", "impact_topk",
-          # round 5, session 5
-          "span_not_topk", "common_terms_topk", "map_mrr_eval",
-          "index_diff_stats", "subtoken_stats",
-          # round-5 session-5 additions
-          "range_facet_counts", "terms_agg_topk",
-          "classic_topk", "decay_topk",
-          "time_travel_topk", "qpp_stats", "multifield_topk",
-          "sorted_topk", "phrase_suggest", "jm_topk",
-          "dfr_topk", "boolean_topk", "dup_rate_by_source",
-          # round-5 session-7 additions
-          "federated_topk", "completion_suggest", "dsl_topk",
-          "sayt_topk", "trec_run_export", "dfi_topk", "interval_topk",
-          "cms_term_counts", "axiomatic_topk", "merged_topk",
-          # round-5 session-8 additions
-          "grep_lines", "term_vectors_topk", "matrix_stats",
-          "rare_bigrams", "demote_topk", "adjacency_matrix",
-          "events_pipeline_agg", "rank_feature_topk", "composite_agg",
-          "percentile_ranks", "ann_range", "value_ttest",
-          "string_stats", "blockjoin_topk", "phrase_prefix_topk",
-          "hybrid_minmax_topk", "top_metrics", "ipc_roundtrip",
-          "split_oov_rate", "pool_depth_k", "percolate_scored",
-          "generation_drift"]
-
-
 # exact-mode per-op results stashed for the ivf-consumer agreement
 # block (avoids re-running the O(N^2) exact path a second time)
 KEEP_FOR_QUALITY = ("pagerank_topk", "label_prop", "triangle_stats",
@@ -606,10 +501,7 @@ def run_bench() -> dict:
     if os.environ.get("RAY_GRAFT_SKIP_PEROP"):
         qmap = {}
     exact_results: dict = {}
-    for name in PER_OP:
-        fn = qmap.get(name)
-        if fn is None:
-            continue
+    for name, fn in qmap.items():  # every registry entry, timed
         t0 = time.perf_counter()
         qres = fn(sf_dir)
         per_query[name] = round(time.perf_counter() - t0, 3)
@@ -733,10 +625,9 @@ def _emit(result: dict) -> None:
     headline["n_queries_timed"] = len(per_op)
     if sidecar:
         headline["queries_full"] = os.path.basename(sidecar)
-    # keep PER_OP order (flagship ops first); drop from the tail until
-    # the compact line fits well inside the 2000-char window
-    names = [n for n in PER_OP if n in per_op] + \
-        [n for n in per_op if n not in PER_OP]
+    # keep registry order; drop from the tail until the compact line
+    # fits well inside the 2000-char window
+    names = list(per_op)
     keep = dict(per_op)
     while True:
         headline["queries"] = {n: keep[n] for n in names if n in keep}

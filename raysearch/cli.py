@@ -89,15 +89,13 @@ def cmd_query(args) -> None:
         queries = read_queries(args.queries_file)
     else:
         queries = [args.query]
-    if getattr(args, "dsl", False):
+    if args.dsl:
         # boolean query language (Lucene classic QueryParser surface):
         # AND/OR/NOT with grouping, BM25 over the positive terms,
         # restricted to the matching set. Own plan — the scoring-mode
         # and boost/decay/prune knobs apply to bag-of-words queries
         if (args.prune or args.mode != "bm25"
-                or getattr(args, "boost_term", None)
-                or getattr(args, "decay", None)
-                or getattr(args, "rank_feature", None)):
+                or args.boost_term or args.decay or args.rank_feature):
             raise SystemExit("--dsl implies --mode bm25 without "
                              "--prune/--boost-term/--decay/"
                              "--rank-feature")
@@ -111,20 +109,16 @@ def cmd_query(args) -> None:
         _emit_query_results(args, out)
         ray.shutdown()
         return
+    from raysearch.score import check_query_options
+
+    try:  # before the distributed boost-list derivation: fail fast
+        check_query_options(args.mode, args.prune, args.boost_term,
+                            args.decay, args.rank_feature)
+    except ValueError as e:  # name the flag the user typed
+        raise SystemExit(str(e).replace("rank_feature",
+                                        "--rank-feature")) from None
     boost = None
-    if getattr(args, "boost_term", None):
-        # validate the combination BEFORE the distributed boost-list
-        # derivation: a clean fast failure, not a wasted fan-out
-        # followed by a traceback from query_index
-        if args.prune:
-            raise SystemExit(
-                "--boost-term requires prune=False (MaxScore bounds "
-                "don't account for per-doc boost factors)")
-        if args.mode not in ("bm25", "overlap"):
-            raise SystemExit(
-                "--boost-term supports bm25/overlap only (other "
-                "modes are unmodeled or would invert the intended "
-                "promotion)")
+    if args.boost_term:
         if args.boost_factor <= 0:
             raise SystemExit(
                 "--boost-factor must be > 0 (0 zeroes boosted docs "
@@ -136,14 +130,8 @@ def cmd_query(args) -> None:
 
         boost = (static_boost_ids(args.index, args.boost_term),
                  args.boost_factor)
-    if args.prune and args.mode in ("classic", "jm", "dfr", "boolean", "dfi", "axiomatic"):
-        raise SystemExit(f"--mode {args.mode} requires prune=False "
-                         "(no MaxScore bounds for its tf curve)")
     decay = None
-    if getattr(args, "decay", None):
-        if args.prune or args.mode != "bm25":
-            raise SystemExit("--decay requires --mode bm25 and no "
-                             "--prune")
+    if args.decay:
         try:
             origin, scale = (float(x) for x in args.decay.split(","))
         except ValueError:
@@ -153,10 +141,7 @@ def cmd_query(args) -> None:
             raise SystemExit("--decay SCALE must be > 0")
         decay = (origin, scale)
     rank_feature = None
-    if getattr(args, "rank_feature", None):
-        if args.prune or args.mode != "bm25":
-            raise SystemExit("--rank-feature requires --mode bm25 "
-                             "and no --prune")
+    if args.rank_feature:
         try:
             w, pivot = (float(x) for x in args.rank_feature.split(","))
         except ValueError:
@@ -455,6 +440,9 @@ def cmd_suggest(args) -> None:
 
 
 def main(argv=None) -> None:
+    from raysearch.score import SIMILARITIES
+
+    modes = sorted(SIMILARITIES)
     p = argparse.ArgumentParser(prog="raysearch")
     sub = p.add_subparsers(dest="cmd", required=True)
 
@@ -487,10 +475,7 @@ def main(argv=None) -> None:
                    help="file of queries, one per line (reference "
                         "queries.txt format)")
     q.add_argument("--k", type=int, default=10)
-    q.add_argument("--mode",
-                   choices=["bm25", "overlap", "dirichlet", "classic",
-                            "jm", "dfr", "boolean", "dfi", "axiomatic"],
-                   default="bm25")
+    q.add_argument("--mode", choices=modes, default="bm25")
     q.add_argument("--prune", action="store_true")
     q.add_argument("--dsl", action="store_true",
                    help="parse queries as the boolean DSL "
@@ -513,17 +498,14 @@ def main(argv=None) -> None:
     s = sub.add_parser("serve")
     s.add_argument("--index", required=True)
     s.add_argument("--k", type=int, default=10)
-    s.add_argument("--mode",
-                   choices=["bm25", "overlap", "dirichlet", "classic",
-                            "jm", "dfr", "boolean", "dfi", "axiomatic"],
-                   default="bm25")
+    s.add_argument("--mode", choices=modes, default="bm25")
     s.add_argument("--actors", type=int, default=None)
     s.set_defaults(fn=cmd_serve)
 
     st = sub.add_parser("serve-tcp")
     st.add_argument("--index", required=True)
     st.add_argument("--k", type=int, default=10)
-    st.add_argument("--mode", default="bm25")
+    st.add_argument("--mode", choices=modes, default="bm25")
     st.add_argument("--actors", type=int, default=None)
     st.add_argument("--submit-port", type=int, default=8080)
     st.add_argument("--poll-port", type=int, default=8081)
@@ -542,8 +524,7 @@ def main(argv=None) -> None:
                    help="index dir (default: fresh temp dir)")
     e.add_argument("--parts", type=int, default=4)
     e.add_argument("--k", type=int, default=10)
-    e.add_argument("--mode", choices=["bm25", "overlap", "dirichlet"],
-                   default="bm25")
+    e.add_argument("--mode", choices=modes, default="bm25")
     e.set_defaults(fn=cmd_evaluate)
 
     mo = sub.add_parser("monitor")

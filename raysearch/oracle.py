@@ -16,7 +16,8 @@ import numpy as np
 import pyarrow as pa
 
 from raysearch.config import IndexConfig
-from raysearch.score import query_term_weights, score_postings, topk
+from raysearch.score import (check_query_options, dirichlet_scores,
+                             query_term_weights, score_postings, topk)
 from raysearch.tokenize import tokenize_doc
 
 
@@ -51,12 +52,13 @@ class Oracle:
         self.total_tokens = int(sum(self.doc_lens.values()))
         self.avgdl = self.total_tokens / self.n_docs if self.n_docs else 0.0
         self.df = {t: len(p[0]) for t, p in self.postings.items()}
-        self._cf: dict[str, int] | None = None  # lazy (dirichlet only)
+        self._cf: dict[str, int] | None = None  # lazy (needs_cf modes)
 
     @property
     def cf(self) -> dict[str, int]:
-        """Collection frequencies, computed on first dirichlet use —
-        the common bm25/overlap paths never pay the O(vocab) pass."""
+        """Collection frequencies, computed on first use by a mode
+        that needs them — the common bm25/overlap paths never pay the
+        O(vocab) pass."""
         if self._cf is None:
             self._cf = {t: int(p[1].sum())
                         for t, p in self._np_postings.items()}
@@ -65,16 +67,16 @@ class Oracle:
     def search(self, query: str, k: int = 10, mode: str = "bm25",
                mu: float = 2000.0) -> list[tuple[int, float]]:
         qw = query_term_weights(query)
-        if mode == "dirichlet":
-            from raysearch.score import dirichlet_scores
-
+        sim = check_query_options(mode)
+        cf = self.cf if sim.needs_cf else None
+        if sim.contrib is None:
             docs, scores = dirichlet_scores(
-                qw, self._np_postings.get, self.cf,
-                self.total_tokens, mu)
+                qw, self._np_postings.get, cf, self.total_tokens, mu)
         else:
             docs, scores = score_postings(
                 qw, self._np_postings.get, self.df, self.n_docs,
-                self.avgdl, self.config.k1, self.config.b, mode)
+                self.avgdl, self.config.k1, self.config.b, mode,
+                cf, self.total_tokens)
         d, s = topk(docs, scores, k)
         return list(zip(d.tolist(), s.tolist()))
 

@@ -7,9 +7,10 @@ barriers (src/processor.rs:146-369). Here queries are a small broadcast
 side and the INDEX is the distributed dimension:
 
     from_items([{part: p} for parts])            # one row per segment
-      -> map_batches(SegmentScorer, concurrency=A)  # actor pool
+      -> map_batches(SegmentScorer)              # stateless tasks
       -> P * Q * k candidate rows (tiny)
-      -> final top-k merge per query (driver-side heap over <= P*k rows)
+      -> final top-k merge per query (one driver-side lexsort over
+         <= P*Q*k rows)
 
 Because segments partition by DOCUMENT hash, each segment computes the
 FINAL BM25 score of its docs (global df/N/avgdl are broadcast), so
@@ -19,10 +20,15 @@ safe. (The reference's term-range sharding — where partial scores must
 be sum-merged, src/lib.rs:190-226 — is what forced its lock+condvar
 dance; doc partitioning dissolves it.)
 
-The scorer is an actor pool: query-term weights, global df, and
-collection stats are computed once per actor in __init__; each __call__
-reads only its part's postings for the query terms (parquet row-group
-pruning on the sorted term column) and scores vectorized.
+The scorer is a callable shipped once to stateless tasks: query-term
+weights, global df, and collection stats are bound driver-side; each
+call reads only its parts' postings for the query terms (parquet
+row-group pruning on the sorted term column) and scores vectorized.
+Resident serving with a postings cache is raysearch/serve.py.
+
+Every scoring mode and the knobs it supports come from one table,
+raysearch.score.SIMILARITIES; check_query_options validates a query's
+knobs once, at the entry.
 
 Within a segment, scoring is exact full evaluation of the query's
 posting lists (vectorized term-at-a-time accumulation in sorted term
@@ -39,18 +45,12 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-
 from raysearch.score import (
-    accumulate_scores,
+    SIMILARITIES,
     as_qweights,
-    bm25_contrib,
-    bm25_idf,
-    axiomatic_contrib,
-    classic_contrib,
-    classic_idf,
-    dfi_contrib,
-    dfr_contrib,
-    jm_contrib,
+    check_query_options,
+    dirichlet_scores,
+    score_postings,
     topk,
 )
 from raysearch.segments import (SCORER_COLUMNS, SCORER_COLUMNS_BMW,
@@ -215,135 +215,67 @@ def score_queries_over_postings(
     postings — the shared kernel behind both the one-shot SegmentScorer
     and the resident SegmentServer actors (raysearch/serve.py).
     Doc-hash partitioning makes these per-segment scores FINAL, so
-    per-segment top-k is exact (see module docstring)."""
-    if boost is not None and prune:
-        # MaxScore bounds don't account for per-doc boost factors; the
-        # boosted path uses the exhaustive (still df-bounded) scorer
-        raise ValueError("boost requires prune=False")
-    if boost is not None and mode not in ("bm25", "overlap"):
-        # the documented contract: dirichlet/jm scores are NEGATIVE
-        # log-likelihood sums (a factor > 1 would DEMOTE boosted
-        # docs) and the other modes' boosted rankings have no oracle;
-        # refuse rather than silently widen the contract
-        raise ValueError("boost supports bm25/overlap only "
-                         "(other modes are unmodeled or would invert "
-                         "the intended promotion)")
-    if prune and mode in ("classic", "jm", "dfr", "boolean", "dfi", "axiomatic"):
-        # the MaxScore/block-max upper bounds are derived for the
-        # bm25/overlap tf curves; the other modes score exhaustively
-        # (still df-bounded per query term)
-        raise ValueError(f"{mode} mode requires prune=False")
-    if decay is not None and (prune or mode != "bm25"):
-        # the decay multiplier rescales FINAL per-doc scores by a
-        # dl-dependent factor in (0, 1]; MaxScore bounds don't model
-        # it, and non-bm25 modes (negative or integer scores) would
-        # invert/break the intended demotion
-        raise ValueError("decay requires mode='bm25' and prune=False")
-    if rank_feature is not None and (prune or mode != "bm25"):
-        # the additive prior shifts FINAL per-doc scores; MaxScore
-        # bounds don't model it, and on negative-log-likelihood modes
-        # the blend has no modeled contract
-        raise ValueError("rank_feature requires mode='bm25' and "
-                         "prune=False")
-    qids, ranks, dids, scores = [], [], [], []
-    for qid, qw in enumerate(qweights):
-        if mode == "dirichlet":
-            from raysearch.score import dirichlet_scores
-
+    per-segment top-k is exact (see module docstring). The knobs are
+    validated once at the entry (check_query_options), not here."""
+    whole_query = SIMILARITIES[mode].contrib is None
+    per_query = []
+    for qw in qweights:
+        if whole_query:  # dirichlet
             docs, sc = dirichlet_scores(qw, postings.get, cf or {},
                                         total_tokens, mu)
-            d, s = topk(docs, sc, k)
-            qids.extend([qid] * len(d))
-            ranks.extend(range(1, len(d) + 1))
-            dids.extend(d.tolist())
-            scores.extend(float(x) for x in s)
-            continue
-        if prune:
+        elif prune:
             from raysearch.wand import pruned_topk
 
-            d, s = pruned_topk(qw, postings, max_tfs, df, n_docs,
-                               avgdl, k1, b, k, mode)
-            qids.extend([qid] * len(d))
-            ranks.extend(range(1, len(d) + 1))
-            dids.extend(d.tolist())
-            scores.extend(float(x) for x in s)
+            per_query.append(pruned_topk(qw, postings, max_tfs, df,
+                                         n_docs, avgdl, k1, b, k, mode))
             continue
-        per_term = []
-        dl_parts = []
-        for term, w in qw:  # ascending term order = accumulation contract
-            got = postings.get(term)
-            if got is None:
-                continue
-            docs, tfs, dls = got
-            if mode == "overlap":
-                contrib = (w * tfs).astype(np.int64)
-            elif mode == "classic":
-                idf = classic_idf(df.get(term, 0), n_docs)
-                contrib = classic_contrib(tfs, dls, idf, w)
-            elif mode == "jm":
-                contrib = jm_contrib(tfs, dls, (cf or {}).get(term, 0),
-                                     total_tokens, w)
-            elif mode == "dfi":
-                contrib = dfi_contrib(tfs, dls, (cf or {}).get(term, 0),
-                                      total_tokens, w)
-            elif mode == "axiomatic":
-                contrib = axiomatic_contrib(tfs, dls, df.get(term, 0),
-                                            n_docs, avgdl, w)
-            elif mode == "dfr":
-                contrib = dfr_contrib(tfs, dls, df.get(term, 0),
-                                      n_docs, avgdl, w)
-            elif mode == "boolean":
-                contrib = np.full(len(docs), int(w), np.int64)
-            else:
-                idf = bm25_idf(df.get(term, 0), n_docs)
-                contrib = bm25_contrib(tfs, dls, idf, w, k1, b, avgdl)
-            per_term.append((docs, contrib))
-            if decay is not None or rank_feature is not None:
-                dl_parts.append((docs, dls))
-        docs, sc = accumulate_scores(per_term)
-        sc = _apply_boost(docs, sc, boost)
-        if dl_parts and len(docs) and (decay is not None
-                                       or rank_feature is not None):
-            dlv = _gather_dl(docs, dl_parts)
-            sc = _apply_decay(docs, sc, dlv, decay)
-            sc = _apply_rank_feature(docs, sc, dlv, rank_feature)
-        d, s = topk(docs, sc, k)
-        qids.extend([qid] * len(d))
-        ranks.extend(range(1, len(d) + 1))
-        dids.extend(d.tolist())
-        scores.extend(float(x) for x in s)
+        else:
+            docs, sc = score_postings(qw, postings.get, df, n_docs, avgdl,
+                                      k1, b, mode, cf, total_tokens)
+            sc = _apply_boost(docs, sc, boost)
+            if len(docs) and (decay is not None
+                              or rank_feature is not None):
+                got = (postings.get(t) for t, _ in qw)
+                dlv = _gather_dl(docs, [(p[0], p[2]) for p in got
+                                        if p is not None])
+                sc = _apply_decay(docs, sc, dlv, decay)
+                sc = _apply_rank_feature(docs, sc, dlv, rank_feature)
+        per_query.append(topk(docs, sc, k))
+    return topk_table(per_query)
+
+
+def topk_table(per_query) -> pa.Table:
+    """(query_id, rank, doc_id, score) rows from each query's ranked
+    (doc_ids, scores) pair, query_id being the pair's position."""
+    lens = np.array([len(d) for d, _ in per_query], np.int64)
+    if not lens.sum():
+        return RESULT_SCHEMA.empty_table()
+    starts = np.repeat(np.cumsum(lens) - lens, lens)
     return pa.table({
-        "query_id": pa.array(qids, pa.int64()),
-        "rank": pa.array(ranks, pa.int32()),
-        "doc_id": pa.array(dids, pa.int64()),
-        "score": pa.array(scores, pa.float64()),
-    })
+        "query_id": np.repeat(np.arange(len(lens), dtype=np.int64), lens),
+        "rank": (np.arange(lens.sum()) - starts + 1).astype(np.int32),
+        "doc_id": np.concatenate([d for d, _ in per_query]).astype(np.int64),
+        "score": np.concatenate([s for _, s in per_query]).astype(np.float64),
+    }, schema=RESULT_SCHEMA)
 
 
 def merge_candidates(cand: pd.DataFrame, n_queries: int, k: int) -> pa.Table:
     """Final top-k per query from the P*Q*k candidate rows (k-bounded
-    by construction — a driver-side selection, not a shuffle)."""
-    if cand.empty:
-        cand = pd.DataFrame({"query_id": pd.Series([], dtype="int64"),
-                             "rank": pd.Series([], dtype="int32"),
-                             "doc_id": pd.Series([], dtype="int64"),
-                             "score": pd.Series([], dtype="float64")})
-    out_frames = []
-    for qid in range(n_queries):
-        sub = cand[cand.query_id == qid]
-        sub = sub.sort_values(["score", "doc_id"],
-                              ascending=[False, True]).head(k)
-        sub = sub.assign(rank=np.arange(1, len(sub) + 1, dtype=np.int32))
-        out_frames.append(sub)
-    if not out_frames:
+    by construction — a driver-side selection, not a shuffle): one
+    lexsort by (query_id, -score, doc_id), then a per-query rank cut."""
+    if cand.empty:  # Ray's to_pandas() of zero rows has no columns
         return RESULT_SCHEMA.empty_table()
-    merged = pd.concat(out_frames, ignore_index=True)
-    return pa.table({
-        "query_id": pa.array(merged.query_id.to_numpy(np.int64), pa.int64()),
-        "rank": pa.array(merged["rank"].to_numpy(np.int32), pa.int32()),
-        "doc_id": pa.array(merged.doc_id.to_numpy(np.int64), pa.int64()),
-        "score": pa.array(merged.score.to_numpy(np.float64), pa.float64()),
-    })
+    qid = cand["query_id"].to_numpy(np.int64)
+    did = cand["doc_id"].to_numpy(np.int64)
+    sc = cand["score"].to_numpy(np.float64)
+    order = np.lexsort((did, -sc, qid))
+    qid, did, sc = qid[order], did[order], sc[order]
+    rank = np.arange(len(qid)) - np.searchsorted(qid, qid) + 1
+    keep = rank <= k
+    return pa.table({"query_id": qid[keep],
+                     "rank": rank[keep].astype(np.int32),
+                     "doc_id": did[keep], "score": sc[keep]},
+                    schema=RESULT_SCHEMA)
 
 
 def keep_postings(decoded: tuple, keep: np.ndarray) -> tuple:
@@ -363,8 +295,9 @@ def keep_postings(decoded: tuple, keep: np.ndarray) -> tuple:
 
 
 class SegmentScorer:
-    """Actor-pool stage: one actor scores many segments, state
-    (queries, global df, stats) loaded once per actor."""
+    """Per-segment scoring callable, shipped once to the stateless
+    Ray Data tasks: queries, global df and stats are bound here; each
+    call reads and scores only its parts' postings."""
 
     def __init__(self, index_dir: str, queries: list[str], k: int,
                  mode: str, df: dict[str, int], n_docs: int, avgdl: float,
@@ -386,7 +319,7 @@ class SegmentScorer:
         self.decay = decay
         self.rank_feature = rank_feature
         # sorted unique tombstoned doc_ids (maintenance.delete_docs),
-        # broadcast once per actor. Stats stay build-time — the
+        # broadcast with the scorer. Stats stay build-time — the
         # standard stale-stats-until-compaction semantics — but
         # tombstoned docs are filtered from every posting list before
         # scoring, so top-k back-fills from live docs.
@@ -396,7 +329,7 @@ class SegmentScorer:
         # semantics: df/N/avgdl stay whole-corpus, only eligible docs
         # are scored — the mirror image of the tombstone path). None
         # means no filter; an EMPTY array legitimately matches nothing.
-        # Broadcast once per actor like `deleted`; at 100 TB a
+        # Broadcast with the scorer like `deleted`; at 100 TB a
         # high-cardinality filter should instead be stored as a
         # per-segment attribute bitmap at build time (same layout as
         # the tombstone files) — this array form is for query-time
@@ -412,7 +345,6 @@ class SegmentScorer:
         if not os.path.isdir(part_dir):
             return RESULT_SCHEMA.empty_table()
         if (self.prune and self.deleted is None and self.keep is None
-                and self.mode in ("bm25", "overlap")
                 and has_block_meta(part_dir)):
             # stored block-max skip path: posting rows stay ENCODED;
             # wand.pruned_topk_blockmax decodes only the blocks its
@@ -422,21 +354,9 @@ class SegmentScorer:
 
             lazy = LazyPostings(read_postings(part_dir, self.all_terms,
                                               columns=SCORER_COLUMNS_BMW))
-            qids, ranks, dids, scores = [], [], [], []
-            for qid, qw in enumerate(self.qweights):
-                d, s = pruned_topk_blockmax(
-                    qw, lazy, self.df, self.n_docs, self.avgdl,
-                    self.k1, self.b, self.k, self.mode)
-                qids.extend([qid] * len(d))
-                ranks.extend(range(1, len(d) + 1))
-                dids.extend(d.tolist())
-                scores.extend(float(x) for x in s)
-            return pa.table({
-                "query_id": pa.array(qids, pa.int64()),
-                "rank": pa.array(ranks, pa.int32()),
-                "doc_id": pa.array(dids, pa.int64()),
-                "score": pa.array(scores, pa.float64()),
-            })
+            return topk_table([pruned_topk_blockmax(
+                qw, lazy, self.df, self.n_docs, self.avgdl, self.k1,
+                self.b, self.k, self.mode) for qw in self.qweights])
         tbl = read_postings(part_dir, self.all_terms,
                             columns=SCORER_COLUMNS)
         postings = {}
@@ -470,8 +390,6 @@ def query_index(
     queries: list[str],
     k: int = 10,
     mode: str = "bm25",
-    concurrency: int | None = None,
-    use_actors: bool = False,
     prune: bool = False,
     mu: float = 2000.0,
     boost=None,
@@ -483,14 +401,13 @@ def query_index(
     """Top-k for each query: (query_id, rank, doc_id, score), ranked by
     the deterministic total order (-score, doc_id).
 
-    use_actors=False (default) scores with stateless tasks — right for
-    one-shot batch jobs (no pool spin-up latency; the scorer holds no
-    heavy state because global df/stats are tiny and postings reads are
-    term-filtered). use_actors=True runs the SegmentScorer actor pool —
-    right for a long-lived session issuing many query batches, where
-    actors amortize state across calls."""
+    Scoring runs in stateless tasks: the scorer holds no heavy state
+    (global df/stats are tiny and postings reads are term-filtered), so
+    a one-shot batch pays no pool spin-up. Long-lived sessions that
+    want postings kept hot use raysearch.serve.QuerySession."""
     import ray.data
 
+    sim = check_query_options(mode, prune, boost, decay, rank_feature)
     stats = load_stats(index_dir)
     cfg = stats["config"]
     parts = stats.get("parts")
@@ -500,6 +417,7 @@ def query_index(
         parts = list_segment_parts(index_dir)
     all_terms = sorted({t for q in queries
                         for t, _ in as_qweights(q)})
+    n_docs, avgdl = stats["n_docs"], stats["avgdl"]
     if asof is not None:
         # time-travel (snapshot) query: segments are immutable and
         # append-only (maintenance.append_index numbers new parts
@@ -510,8 +428,8 @@ def query_index(
         # snapshot parts (one tiny fan-out, terms x parts rows) —
         # never the post-append global lexicon, whose df/N/avgdl
         # would leak future documents into the scores.
-        if mode in ("dirichlet", "jm", "dfi"):
-            raise ValueError("asof supports bm25/overlap/classic "
+        if sim.needs_cf:
+            raise ValueError(f"asof does not support {mode} "
                              "(per-generation cf is not reconstructed)")
         parts = sorted(asof["parts"])
         if not set(parts) <= set(stats.get("parts") or parts):
@@ -519,74 +437,28 @@ def query_index(
         df = asof.get("df")
         if df is None:
             df = asof_df(index_dir, parts, all_terms)
+        n_docs, avgdl = asof["n_docs"], asof["avgdl"]
     else:
         df = lexicon_df(index_dir, all_terms)
-    if concurrency is None:
-        concurrency = max(1, min(len(parts), 16))
-    parts_ds = ray.data.from_items([{"part": p} for p in parts])
-    scorer_kwargs = dict(
-        index_dir=index_dir, queries=queries, k=k, mode=mode, df=df,
-        n_docs=(asof["n_docs"] if asof is not None else stats["n_docs"]),
-        avgdl=(asof["avgdl"] if asof is not None else stats["avgdl"]),
-        k1=cfg["k1"], b=cfg["b"], prune=prune)
-    if boost is not None:
-        if prune:
-            raise ValueError(
-                "boost requires prune=False (MaxScore bounds don't "
-                "account for per-doc boost factors)")
-        if mode not in ("bm25", "overlap"):
-            raise ValueError(
-                f"boost supports bm25/overlap only, not {mode} "
-                "(dirichlet/jm scores are negative log sums — a "
-                "factor would invert the intended promotion — and "
-                "the other modes' boosted rankings are unmodeled)")
-        scorer_kwargs["boost"] = boost
-    if prune and mode in ("classic", "jm", "dfr", "boolean", "dfi", "axiomatic"):
-        raise ValueError(f"{mode} mode requires prune=False (no "
-                         "MaxScore bounds for its tf curve)")
-    if decay is not None:
-        if prune or mode != "bm25":
-            raise ValueError(
-                "decay requires mode='bm25' and prune=False (the "
-                "dl-dependent multiplier isn't modeled by MaxScore "
-                "bounds and would invert non-positive score scales)")
-        scorer_kwargs["decay"] = decay
-    if rank_feature is not None:
-        if prune or mode != "bm25":
-            raise ValueError(
-                "rank_feature requires mode='bm25' and prune=False "
-                "(the additive dl prior isn't modeled by MaxScore "
-                "bounds and has no contract on other score scales)")
-        scorer_kwargs["rank_feature"] = rank_feature
-    if keep is not None:
-        # normalize once driver-side so every scorer shares the sorted
-        # unique form keep_postings' searchsorted requires
-        scorer_kwargs["keep"] = np.unique(
-            np.asarray(keep, dtype=np.int64))
-    if mode in ("dirichlet", "jm", "dfi"):
-        scorer_kwargs["cf"] = lexicon_cf(index_dir, all_terms)
-        scorer_kwargs["total_tokens"] = stats["total_tokens"]
-        scorer_kwargs["mu"] = mu
     from raysearch.maintenance import load_deletes
 
-    deleted = load_deletes(index_dir)
-    if len(deleted):
-        scorer_kwargs["deleted"] = deleted
+    scorer = SegmentScorer(
+        index_dir, queries, k, mode, df, n_docs, avgdl, cfg["k1"],
+        cfg["b"], prune=prune,
+        cf=lexicon_cf(index_dir, all_terms) if sim.needs_cf else None,
+        total_tokens=stats.get("total_tokens", 0), mu=mu,
+        deleted=load_deletes(index_dir), boost=boost,
+        # normalized once driver-side so every scorer shares the
+        # sorted unique form keep_postings' searchsorted requires
+        keep=(None if keep is None
+              else np.unique(np.asarray(keep, dtype=np.int64))),
+        decay=decay, rank_feature=rank_feature)
     # several segments per task: per-part work is a filtered parquet
     # read + vectorized scoring (~tens of ms), so one task per part
     # would be pure scheduling overhead at high P
-    per_task = max(1, len(parts) // (2 * concurrency))
-    if use_actors:
-        candidates = parts_ds.map_batches(
-            SegmentScorer, fn_constructor_kwargs=scorer_kwargs,
-            batch_format="pyarrow", batch_size=per_task,
-            concurrency=(1, min(concurrency, max(1, len(parts)))),
-            num_cpus=1)
-    else:
-        scorer = SegmentScorer(**scorer_kwargs)
-        candidates = parts_ds.map_batches(
-            scorer, batch_format="pyarrow", batch_size=per_task, num_cpus=1)
+    candidates = ray.data.from_items([{"part": p} for p in parts]) \
+        .map_batches(scorer, batch_format="pyarrow",
+                     batch_size=max(1, len(parts) // 32), num_cpus=1)
     # P * Q * k candidate rows — k-bounded and tiny by construction, so
     # the final merge is a driver-side selection, not a shuffle
-    cand = candidates.to_pandas()
-    return merge_candidates(cand, len(queries), k)
+    return merge_candidates(candidates.to_pandas(), len(queries), k)

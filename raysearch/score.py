@@ -48,6 +48,10 @@ Scoring modes:
   Lucene defaults). Needs only df/N/avgdl — the bm25 plumbing.
 - "dirichlet": see dirichlet_scores below.
 
+SIMILARITIES is the one table of these modes: each entry's per-posting
+contribution and the knobs (prune, boost, decay, rank_feature) its
+score scale supports, checked once by check_query_options.
+
 Tie-break is the deterministic total order (-score, doc_id); the
 reference's own tie order is HashMap-iteration nondeterminism
 (src/lib.rs:401-404), fixed here per SURVEY §7.5.
@@ -56,6 +60,8 @@ reference's own tie order is HashMap-iteration nondeterminism
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -184,6 +190,97 @@ def accumulate_scores(
     return uniq.astype(np.int64), scores
 
 
+class TermStats(NamedTuple):
+    """The global statistics one term's contribution may read."""
+    df: int
+    cf: int
+    n_docs: int
+    avgdl: float
+    total_tokens: int
+    k1: float
+    b: float
+
+
+class Similarity(NamedTuple):
+    """One scoring mode's contract. ``contrib(tf, dl, w, TermStats)``
+    is the vectorized per-posting contribution (None for a
+    whole-query scorer); the flags say which query knobs the mode's
+    score scale supports."""
+    contrib: Callable | None
+    needs_cf: bool    # global cf and total_tokens broadcast beside df
+    prunable: bool    # MaxScore/block-max bounds exist (raysearch/wand.py)
+    boostable: bool   # a static multiplicative boost promotes
+    reshapable: bool  # decay / rank_feature have an oracle contract
+
+
+SIMILARITIES: dict[str, Similarity] = {
+    "bm25": Similarity(
+        lambda tf, dl, w, s: bm25_contrib(tf, dl, bm25_idf(s.df, s.n_docs),
+                                          w, s.k1, s.b, s.avgdl),
+        needs_cf=False, prunable=True, boostable=True, reshapable=True),
+    "overlap": Similarity(
+        lambda tf, dl, w, s: (w * tf).astype(np.int64),
+        needs_cf=False, prunable=True, boostable=True, reshapable=False),
+    "classic": Similarity(
+        lambda tf, dl, w, s: classic_contrib(
+            tf, dl, classic_idf(s.df, s.n_docs), w),
+        needs_cf=False, prunable=False, boostable=False, reshapable=False),
+    "jm": Similarity(
+        lambda tf, dl, w, s: jm_contrib(tf, dl, s.cf, s.total_tokens, w),
+        needs_cf=True, prunable=False, boostable=False, reshapable=False),
+    "dfr": Similarity(
+        lambda tf, dl, w, s: dfr_contrib(tf, dl, s.df, s.n_docs, s.avgdl,
+                                         w),
+        needs_cf=False, prunable=False, boostable=False, reshapable=False),
+    "boolean": Similarity(
+        lambda tf, dl, w, s: np.full(len(tf), int(w), np.int64),
+        needs_cf=False, prunable=False, boostable=False, reshapable=False),
+    "dfi": Similarity(
+        lambda tf, dl, w, s: dfi_contrib(tf, dl, s.cf, s.total_tokens, w),
+        needs_cf=True, prunable=False, boostable=False, reshapable=False),
+    "axiomatic": Similarity(
+        lambda tf, dl, w, s: axiomatic_contrib(tf, dl, s.df, s.n_docs,
+                                               s.avgdl, w),
+        needs_cf=False, prunable=False, boostable=False, reshapable=False),
+    "dirichlet": Similarity(  # whole-query scorer: dirichlet_scores
+        None, needs_cf=True, prunable=False, boostable=False,
+        reshapable=False),
+}
+
+
+def check_query_options(mode: str, prune: bool = False, boost=None,
+                        decay=None, rank_feature=None) -> Similarity:
+    """The one validation of a query's mode and knobs, run at each
+    entry point before any distributed work. MaxScore bounds model
+    neither per-doc boost factors nor decay / rank_feature reshaping,
+    and a multiplicative boost on a negative log-likelihood scale
+    would demote, so each knob is refused where it has no contract.
+    An unknown mode is an error, never a fallback to another scorer."""
+    sim = SIMILARITIES.get(mode)
+    if sim is None:
+        raise ValueError(f"unknown mode {mode!r}: expected one of "
+                         f"{sorted(SIMILARITIES)}")
+
+    def allowed(flag: str) -> str:
+        return "/".join(m for m, s in SIMILARITIES.items()
+                        if getattr(s, flag))
+
+    if boost is not None and prune:
+        raise ValueError("boost requires prune=False (MaxScore bounds "
+                         "don't account for per-doc boost factors)")
+    if boost is not None and not sim.boostable:
+        raise ValueError(f"boost supports {allowed('boostable')} only, "
+                         f"not {mode}")
+    if prune and not sim.prunable:
+        raise ValueError(f"{mode} mode requires prune=False (no "
+                         "MaxScore bounds for its score curve)")
+    for name, knob in (("decay", decay), ("rank_feature", rank_feature)):
+        if knob is not None and (prune or not sim.reshapable):
+            raise ValueError(f"{name} requires mode="
+                             f"{allowed('reshapable')} and prune=False")
+    return sim
+
+
 def score_postings(
     qweights: list[tuple[str, int]],
     lookup,  # term -> (doc_ids, tfs, dls) or None
@@ -193,14 +290,23 @@ def score_postings(
     k1: float,
     b: float,
     mode: str = "bm25",
+    cf: dict[str, int] | None = None,
+    total_tokens: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Score every candidate doc for one query over one posting source.
+    """Score every candidate doc for one query over one posting source
+    — the one per-term loop behind the engine and the oracle.
 
     ``lookup(term)`` returns this source's (doc_ids, tfs, dls) arrays —
     either the whole index (oracle) or one doc-partition segment
-    (engine). ``df`` is always the GLOBAL document frequency, so scores
-    are final regardless of partitioning.
+    (engine). ``df`` (and ``cf`` for the modes that need it) is always
+    GLOBAL, so scores are final regardless of partitioning.
     """
+    sim = check_query_options(mode)
+    if sim.contrib is None:
+        raise ValueError(f"{mode} scores whole queries: use "
+                         "dirichlet_scores")
+    if sim.needs_cf and cf is None:
+        raise ValueError(f"{mode} mode needs cf and total_tokens")
     per_term: list[tuple[np.ndarray, np.ndarray]] = []
     for term, w in qweights:
         got = lookup(term)
@@ -209,15 +315,9 @@ def score_postings(
         docs, tfs, dls = got
         if len(docs) == 0:
             continue
-        if mode == "overlap":
-            contrib = (w * tfs).astype(np.int64)
-        elif mode == "classic":
-            idf = classic_idf(df.get(term, 0), n_docs)
-            contrib = classic_contrib(tfs, dls, idf, w)
-        else:
-            idf = bm25_idf(df.get(term, 0), n_docs)
-            contrib = bm25_contrib(tfs, dls, idf, w, k1, b, avgdl)
-        per_term.append((docs, contrib))
+        s = TermStats(df.get(term, 0), (cf or {}).get(term, 0), n_docs,
+                      avgdl, total_tokens, k1, b)
+        per_term.append((docs, sim.contrib(tfs, dls, w, s)))
     return accumulate_scores(per_term)
 
 

@@ -34,14 +34,16 @@ import os
 from collections import OrderedDict
 
 import pandas as pd
+import pyarrow as pa
 
 from raysearch.query import (
+    RESULT_SCHEMA,
     lexicon_cf,
     lexicon_df,
     merge_candidates,
-    as_qweights,
     score_queries_over_postings,
 )
+from raysearch.score import as_qweights, check_query_options
 from raysearch.stats import load_stats
 
 DEFAULT_CACHE_TERMS = 65536  # (part, term) LRU entries per actor
@@ -124,23 +126,17 @@ class _SegmentServerImpl:
     def query_batch(self, queries: list[str], k: int, mode: str,
                     df: dict[str, int], prune: bool = False,
                     cf: dict[str, int] | None = None,
-                    mu: float = 2000.0) -> pd.DataFrame:
+                    mu: float = 2000.0) -> pa.Table:
         qweights = [as_qweights(q) for q in queries]
         all_terms = sorted({t for qw in qweights for t, _ in qw})
-        frames = []
+        outs = []
         for part in self.parts:
             postings, max_tfs = self._ensure_terms(part, all_terms)
-            tbl = score_queries_over_postings(
+            outs.append(score_queries_over_postings(
                 qweights, postings, max_tfs, df, self.n_docs,
                 self.avgdl, self.k1, self.b, k, mode, prune,
-                cf=cf, total_tokens=self.total_tokens, mu=mu)
-            frames.append(tbl.to_pandas())
-        if not frames:
-            return pd.DataFrame({"query_id": pd.Series([], dtype="int64"),
-                                 "rank": pd.Series([], dtype="int32"),
-                                 "doc_id": pd.Series([], dtype="int64"),
-                                 "score": pd.Series([], dtype="float64")})
-        return pd.concat(frames, ignore_index=True)
+                cf=cf, total_tokens=self.total_tokens, mu=mu))
+        return pa.concat_tables(outs) if outs else RESULT_SCHEMA.empty_table()
 
     def cache_stats(self) -> dict:
         return {"hits": self.hits, "misses": self.misses,
@@ -205,21 +201,15 @@ class QuerySession:
         """Top-k per query: (query_id, rank, doc_id, score) pa.Table."""
         import ray
 
+        sim = check_query_options(mode, prune)
         qweights = [as_qweights(q) for q in queries]
         all_terms = sorted({t for qw in qweights for t, _ in qw})
         df = lexicon_df(self.index_dir, all_terms)
-        cf = (lexicon_cf(self.index_dir, all_terms)
-              if mode in ("dirichlet", "jm", "dfi") else None)
+        cf = lexicon_cf(self.index_dir, all_terms) if sim.needs_cf else None
         refs = [a.query_batch.remote(queries, k, mode, df, prune, cf, mu)
                 for a in self._actors]
-        if refs:
-            cand = pd.concat(ray.get(refs), ignore_index=True)
-        else:  # index with zero segments: typed-empty candidate frame
-            cand = pd.DataFrame(
-                {"query_id": pd.Series([], dtype="int64"),
-                 "rank": pd.Series([], dtype="int32"),
-                 "doc_id": pd.Series([], dtype="int64"),
-                 "score": pd.Series([], dtype="float64")})
+        cand = (pa.concat_tables(ray.get(refs)).to_pandas() if refs
+                else pd.DataFrame())  # an index with zero segments
         return merge_candidates(cand, len(queries), k)
 
     def cache_stats(self) -> list[dict]:

@@ -16,6 +16,7 @@ from raysearch.config import IndexConfig
 from raysearch.corpus import QUERIES
 from raysearch.oracle import Oracle
 from raysearch.query import query_index
+from raysearch.score import SIMILARITIES
 from raysearch.segments import (
     decode_posting_row,
     part_dirname,
@@ -43,7 +44,7 @@ def test_stats_match_oracle(built_t2, medium_corpus):
     assert res.stats["vocab_size"] == len(o.postings)
 
 
-@pytest.mark.parametrize("mode", ["bm25", "overlap"])
+@pytest.mark.parametrize("mode", sorted(SIMILARITIES))
 def test_rank_identity(built_t2, medium_corpus, mode):
     idx, _ = built_t2
     out = query_index(idx, QUERIES, k=10, mode=mode)
@@ -130,15 +131,6 @@ def test_precision_at_10_engine(ray_session, small_corpus, tmp_path):
         assert label == qid + 1
 
 
-def test_actor_pool_path_identical(built_t2):
-    """use_actors=True (long-lived serving pool) must return exactly
-    what the stateless-task path returns."""
-    idx, _ = built_t2
-    a = query_index(idx, QUERIES, k=10, mode="bm25", use_actors=False)
-    b = query_index(idx, QUERIES, k=10, mode="bm25", use_actors=True)
-    assert a.equals(b)
-
-
 def test_lexicon_global_df(built_t2, medium_corpus):
     import pyarrow.dataset as pads
     import os
@@ -148,3 +140,28 @@ def test_lexicon_global_df(built_t2, medium_corpus):
     lex = pads.dataset(os.path.join(idx, "lexicon")).to_table()
     got = dict(zip(lex["term"].to_pylist(), lex["df"].to_pylist()))
     assert got == o.df
+
+
+def test_merge_candidates_matches_per_query_sort():
+    """The one-lexsort merge equals the plain per-query reference:
+    sort each query's candidates by (-score, doc_id), keep k."""
+    import pandas as pd
+
+    from raysearch.query import merge_candidates
+
+    rng = np.random.default_rng(7)
+    n_q, k = 5, 4
+    cand = pd.DataFrame({
+        "query_id": rng.integers(0, n_q, 300),
+        "rank": np.ones(300, np.int32),
+        "doc_id": rng.permutation(300),
+        "score": rng.integers(0, 6, 300) / 2.0,  # many ties
+    })
+    want = []
+    for q in range(n_q):
+        rows = sorted((-s, d) for d, s in zip(
+            cand.doc_id[cand.query_id == q], cand.score[cand.query_id == q]))
+        want += [(q, r, d, -s) for r, (s, d) in enumerate(rows[:k], 1)]
+    got = merge_candidates(cand, n_q, k)
+    assert list(zip(*got.to_pydict().values())) == want
+    assert merge_candidates(pd.DataFrame(), n_q, k).num_rows == 0

@@ -189,3 +189,8 @@ def test_mode_guards(ray_session, tmp_path):
     with pytest.raises(ValueError, match="decay"):
         query_index(idx, ["hash join"], mode="bm25", prune=True,
                     decay=(50.0, 40.0))
+    # dirichlet has no MaxScore bounds: prune is refused, not ignored
+    with pytest.raises(ValueError, match="dirichlet"):
+        query_index(idx, ["hash join"], mode="dirichlet", prune=True)
+    with pytest.raises(ValueError, match="unknown mode 'bm52'"):
+        query_index(idx, ["hash join"], mode="bm52")

@@ -172,3 +172,15 @@ def test_cli_query_rank_feature(tmp_path):
     fails(["--rank-feature", "0,50"], "must be > 0")
     fails(["--rank-feature", "2,-1"], "must be > 0")
     fails(["--rank-feature", "2,50", "--dsl"], "--dsl implies")
+
+
+@pytest.mark.parametrize("cmd", ["query", "serve", "serve-tcp"])
+def test_cli_mode_choices(cmd, capsys):
+    """Every query-serving command takes --mode from the similarity
+    table: an unknown mode is an argparse usage error (exit 2)."""
+    from raysearch.cli import main
+
+    with pytest.raises(SystemExit) as e:
+        main([cmd, "--index", "unused", "--mode", "bogus"])
+    assert e.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err

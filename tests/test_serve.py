@@ -9,6 +9,7 @@ import pytest
 from raysearch.build import build_index
 from raysearch.config import IndexConfig
 from raysearch.query import query_index
+from raysearch.score import SIMILARITIES
 from raysearch.serve import QuerySession, _SegmentServerImpl
 
 QUERIES_A = ["fast hash join", "merge sort stream", "window agg"]
@@ -25,11 +26,25 @@ def idx(ray_session, medium_corpus, tmp_path_factory):
     return d
 
 
-def test_session_matches_query_index(ray_session, idx):
+@pytest.mark.parametrize("mode", sorted(SIMILARITIES))
+def test_session_matches_query_index(ray_session, idx, mode):
     with QuerySession(idx, num_actors=3) as s:
-        got = s.query_batch(QUERIES_A, k=10)
-    want = query_index(idx, QUERIES_A, k=10)
-    assert got.equals(want)
+        got = s.query_batch(QUERIES_A, k=10, mode=mode)
+    want = query_index(idx, QUERIES_A, k=10, mode=mode)
+    assert got.num_rows and got.equals(want)
+
+
+def test_session_option_check_is_driver_side(ray_session, idx):
+    """Bad knob combinations fail once, in the driver, before any
+    actor call — not as a RayTaskError from every actor."""
+    with QuerySession(idx, num_actors=2) as s:
+        with pytest.raises(ValueError, match="classic") as e:
+            s.query_batch(QUERIES_A, k=10, mode="classic", prune=True)
+        assert type(e.value) is ValueError
+        with pytest.raises(ValueError, match="bm25") as e:
+            s.query_batch(QUERIES_A, k=10, mode="bm52")
+        assert type(e.value) is ValueError
+        assert sum(a["misses"] for a in s.cache_stats()) == 0
 
 
 def test_overlap_mode_matches(ray_session, idx):
