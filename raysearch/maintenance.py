@@ -45,6 +45,7 @@ import pyarrow.parquet as pq
 from raysearch import checkpoint
 from raysearch import stats as statsmod
 from raysearch.config import IndexConfig
+from raysearch.fanout import map_parts
 from raysearch.segments import (
     part_dirname,
     postings_from_sorted_triples,
@@ -146,10 +147,11 @@ def filter_postings(decoded: tuple, deleted: np.ndarray) -> tuple:
 
 
 class _CompactWorker:
-    """Actor-pool stage: rewrite segments without tombstoned docs.
-    The tombstone array is loaded once per actor; each __call__
-    handles a batch of part numbers (decode -> filter -> re-encode,
-    all vectorized on the concatenated posting arrays)."""
+    """Compaction kernel: rewrite segments without tombstoned docs.
+    Built inside each map_parts task (the constructor only stores its
+    arguments); each __call__ handles a batch of part numbers (decode
+    -> filter -> re-encode, all vectorized on the concatenated posting
+    arrays)."""
 
     def __init__(self, index_dir: str, deleted: np.ndarray,
                  config_hash: str, input_id: str):
@@ -240,13 +242,11 @@ class _CompactWorker:
         })
 
 
-def compact_index(index_dir: str, concurrency: int | None = None) -> dict:
+def compact_index(index_dir: str) -> dict:
     """Rewrite all segments dropping tombstoned docs; recompute exact
     global stats + lexicon; clear tombstones. One Ray task per batch
     of segments, no shuffle. Returns the new stats dict. No-op (stats
     returned unchanged) when there are no tombstones."""
-    import ray.data
-
     from raysearch.build import _write_lexicon
 
     stats = statsmod.load_stats(index_dir)
@@ -260,18 +260,12 @@ def compact_index(index_dir: str, concurrency: int | None = None) -> dict:
 
     input_id = (f"{base_input}#compact="
                 f"{_hl.sha256(deleted.tobytes()).hexdigest()[:12]}")
-    if concurrency is None:
-        concurrency = max(1, min(len(parts), 16))
-    parts_ds = ray.data.from_items([{"part": p} for p in parts])
-    per_task = max(1, len(parts) // (2 * concurrency))
-    rows = parts_ds.map_batches(
-        _CompactWorker,
-        fn_constructor_kwargs=dict(index_dir=index_dir, deleted=deleted,
-                                   config_hash=config_hash,
-                                   input_id=input_id),
-        batch_format="pyarrow", batch_size=per_task,
-        concurrency=(1, max(1, min(concurrency, len(parts)))),
-        num_cpus=1).take_all()
+
+    def kern(batch: pa.Table) -> pa.Table:
+        return _CompactWorker(index_dir, deleted, config_hash,
+                              input_id)(batch)
+
+    rows = map_parts(parts, kern, pa.table({})).to_pylist()
 
     partials = [{k: int(r[k]) for k in
                  ("n_docs", "sum_dl", "total_tf", "n_postings", "n_terms")}

@@ -25,6 +25,7 @@ import pyarrow as pa
 from raysearch import checkpoint
 from raysearch import stats as statsmod
 from raysearch.config import IndexConfig
+from raysearch.fanout import map_parts
 from raysearch.segments import (
     decode_posting_row,
     part_dirname,
@@ -113,9 +114,7 @@ def _merge_one_part(part: int, srcs: list[str], out_dir: str,
 
 def merge_indexes(index_dirs: list[str], out_dir: str) -> dict:
     """Merge indexes built with identical configs over disjoint corpora.
-    Parallelized as one Ray task per partition; returns merged stats."""
-    import ray.data
-
+    Parallelized over partitions with map_parts; returns merged stats."""
     from raysearch.build import _write_lexicon
 
     stats_in = [statsmod.load_stats(d) for d in index_dirs]
@@ -142,11 +141,7 @@ def merge_indexes(index_dirs: list[str], out_dir: str) -> dict:
         return pa.table({k: pa.array([r[k] for r in rows])
                          for k in rows[0]})
 
-    parts_ds = ray.data.from_items([{"part": p} for p in all_parts])
-    out_rows = pa.concat_tables(
-        b for b in parts_ds.map_batches(
-            merge_batch, batch_format="pyarrow", batch_size=1)
-        .iter_batches(batch_format="pyarrow")).to_pylist()
+    out_rows = map_parts(all_parts, merge_batch, pa.table({})).to_pylist()
     merged = statsmod.tree_merge([
         {"n_docs": r["n_docs"], "sum_dl": r["sum_dl"],
          "total_tf": r["total_tf"], "n_postings": r["n_postings"],

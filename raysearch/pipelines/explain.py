@@ -18,6 +18,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from raysearch.fanout import map_parts
+
 
 def explain_topk(sf_dir: str) -> pa.Table:
     """Score explanation: for every (query, doc) in the BM25 top-10,
@@ -31,11 +33,8 @@ def explain_topk(sf_dir: str) -> pa.Table:
     query-term postings with the candidates (searchsorted) and emits
     (query, doc, term, tf, contrib) rows — work bounded by the query
     terms' df, output bounded by k x |terms|."""
-    import ray.data
-
     from raysearch.numutil import round6
     from raysearch.pipelines.search_queries import (DOC_QUERIES,
-                                                    _concat_ds,
                                                     bm25_topk,
                                                     cached_index)
     from raysearch.query import lexicon_df
@@ -110,10 +109,7 @@ def explain_topk(sf_dir: str) -> pa.Table:
             "contrib": pa.array(np.asarray(out_c, np.float64),
                                 pa.float64())})
 
-    parts_ds = ray.data.from_items([{"part": p} for p in parts])
-    out = _concat_ds(parts_ds.map_batches(
-        kern, batch_format="pyarrow",
-        batch_size=max(1, len(parts) // 16)), empty).to_pandas()
+    out = map_parts(parts, kern, empty).to_pandas()
     out = out.sort_values(["query_id", "doc_id", "term"],
                           ignore_index=True)
     return pa.table({

@@ -20,6 +20,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from raysearch.fanout import map_parts
+
 
 COLLAPSE_FIELD = "source"   # the collapse key (documents metadata)
 
@@ -79,11 +81,9 @@ def collapse_topk(sf_dir: str) -> pa.Table:
     attribute column at build time (the tombstone layout) instead of
     read from the corpus table per batch."""
     import pyarrow.parquet as pq
-    import ray.data
 
     from raysearch.numutil import round6
     from raysearch.pipelines.search_queries import (DOC_QUERIES, TOPK,
-                                                    _concat_ds,
                                                     _docs_path,
                                                     cached_index)
     from raysearch.query import lexicon_df
@@ -144,10 +144,7 @@ def collapse_topk(sf_dir: str) -> pa.Table:
             "score": pa.array(g.score.to_numpy(np.float64),
                               pa.float64())})
 
-    parts_ds = ray.data.from_items([{"part": p} for p in parts])
-    champ = _concat_ds(parts_ds.map_batches(
-        kern, batch_format="pyarrow",
-        batch_size=max(1, len(parts) // 16)), empty).to_pandas()
+    champ = map_parts(parts, kern, empty).to_pandas()
     # associative finish: re-champion per (query, group), then rank
     champ = champ.sort_values(["query_id", COLLAPSE_FIELD, "score",
                                "doc_id"],
@@ -232,10 +229,7 @@ def query_hit_counts(sf_dir: str) -> pa.Table:
     leave the workers. (With stored block metadata a lower/upper
     bound version could skip decoding entirely; exact counting must
     decode doc gaps, which is still a fraction of scoring cost.)"""
-    import ray.data
-
     from raysearch.pipelines.search_queries import (DOC_QUERIES,
-                                                    _concat_ds,
                                                     cached_index)
     from raysearch.score import query_term_weights
     from raysearch.segments import (decode_posting_row, part_dirname,
@@ -272,10 +266,7 @@ def query_hit_counts(sf_dir: str) -> pa.Table:
                                  pa.int64()),
             "n_hits": pa.array(counts, pa.int64())})
 
-    parts_ds = ray.data.from_items([{"part": p} for p in parts])
-    got = _concat_ds(parts_ds.map_batches(
-        kern, batch_format="pyarrow",
-        batch_size=max(1, len(parts) // 16)), empty).to_pandas()
+    got = map_parts(parts, kern, empty).to_pandas()
     tot = got.groupby("query_id", as_index=False)["n_hits"].sum()
     return pa.table({
         "query_id": pa.array(tot.query_id.to_numpy(np.int64),

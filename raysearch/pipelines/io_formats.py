@@ -12,6 +12,7 @@ write->read path breaks parity byte-exactly.
 
 from __future__ import annotations
 
+import glob
 import hashlib
 import os
 import shutil
@@ -290,8 +291,11 @@ def ipc_roundtrip(sf_dir: str) -> pa.Table:
 
     empty = pa.table({"doc_id": pa.array([], pa.int64()),
                       "text_md5": pa.array([], pa.string())})
+    # committed shards only: a task killed mid-write leaves a
+    # part-*.arrow.tmp-<pid> orphan that must never be decoded
+    shards = sorted(glob.glob(os.path.join(shard_dir, "part-*.arrow")))
     got = _concat_ds(
-        ray.data.read_binary_files(shard_dir)
+        ray.data.read_binary_files(shards)
         .map_batches(decode, batch_format="pyarrow"),
         empty).to_pandas()
     got = got.sort_values("doc_id", ignore_index=True)

@@ -21,6 +21,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from raysearch.fanout import map_parts
 from raysearch.numutil import fmt_doc
 
 # dismax tiebreaker (Lucene DisjunctionMaxQuery's tieBreakerMultiplier;
@@ -82,17 +83,11 @@ def _parts_candidates(idx: str, kern,
     and concatenate the k-bounded rows. ``empty`` supplies the typed
     schema for the zero-batches case (defaults to the candidate
     schema)."""
-    import ray.data
-
-    from raysearch.pipelines.search_queries import _concat_ds
     from raysearch.stats import load_stats
 
     parts = load_stats(idx)["parts"]
-    parts_ds = ray.data.from_items([{"part": p} for p in parts])
-    return _concat_ds(
-        parts_ds.map_batches(kern, batch_format="pyarrow",
-                             batch_size=max(1, len(parts) // 16)),
-        empty if empty is not None else _EMPTY_CAND).to_pandas()
+    return map_parts(parts, kern,
+                     empty if empty is not None else _EMPTY_CAND).to_pandas()
 
 
 # ---- dismax ----

@@ -27,6 +27,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from raysearch.config import IndexConfig
+from raysearch.fanout import map_parts
 from raysearch.numutil import fmt_doc, round6
 from raysearch.score import query_term_weights
 
@@ -412,17 +413,6 @@ def _gpos(entry, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (ranks << np.int64(32)) | pos[val_sel], ranks
 
 
-def _parts_fanout(idx: str, parts, kern, empty: pa.Table) -> pd.DataFrame:
-    """Map ``kern`` over segment parts (the candidates-stage shape)."""
-    import ray.data
-
-    parts_ds = ray.data.from_items([{"part": p} for p in parts])
-    return _concat_ds(
-        parts_ds.map_batches(kern, batch_format="pyarrow",
-                             batch_size=max(1, len(parts) // 16)),
-        empty).to_pandas()
-
-
 def _phrase_rows_positional(idx: str, parts) -> pd.DataFrame:
     all_terms = sorted({t for ph in PHRASE_QUERIES for t in ph})
     empty = pa.table({"phrase_id": pa.array([], pa.int64()),
@@ -469,7 +459,7 @@ def _phrase_rows_positional(idx: str, parts) -> pd.DataFrame:
             "doc_id": pa.array(np.concatenate(dids), pa.int64()),
             "tf": pa.array(np.concatenate(tfs_out), pa.int64())})
 
-    return _parts_fanout(idx, parts, kern, empty)
+    return map_parts(parts, kern, empty).to_pandas()
 
 
 def _pair_rows_positional(idx: str, parts, ordered: bool) -> pd.DataFrame:
@@ -554,7 +544,7 @@ def _pair_rows_positional(idx: str, parts, ordered: bool) -> pd.DataFrame:
             c3: pa.array(np.concatenate(out_m), pa.int64()),
             c4: pa.array(np.concatenate(out_w), pa.int64())})
 
-    return _parts_fanout(idx, parts, kern, empty)
+    return map_parts(parts, kern, empty).to_pandas()
 
 
 def phrase_topk(sf_dir: str, positions: bool = True) -> pa.Table:
@@ -617,12 +607,9 @@ def phrase_topk(sf_dir: str, positions: bool = True) -> pa.Table:
             "phrase_id": pa.array(np.concatenate(pids), pa.int64()),
             "doc_id": pa.array(np.concatenate(dids), pa.int64())})
 
-    parts_ds = ray.data.from_items([{"part": p} for p in parts])
-    cand = _concat_ds(
-        parts_ds.map_batches(candidates, batch_format="pyarrow",
-                             batch_size=max(1, len(parts) // 16)),
-        pa.table({"phrase_id": pa.array([], pa.int64()),
-                  "doc_id": pa.array([], pa.int64())}))
+    cand = map_parts(parts, candidates,
+                     pa.table({"phrase_id": pa.array([], pa.int64()),
+                               "doc_id": pa.array([], pa.int64())}))
     empty = pa.table({"phrase_id": pa.array([], pa.int64()),
                       "doc_id": pa.array([], pa.int64()),
                       "rank": pa.array([], pa.int64()),
@@ -782,7 +769,7 @@ def phrase_prefix_topk(sf_dir: str) -> pa.Table:
             "doc_id": pa.array(np.concatenate(dids), pa.int64()),
             "tf": pa.array(np.concatenate(tfs_out), pa.int64())})
 
-    counts = _parts_fanout(idx, load_stats(idx)["parts"], kern, empty)
+    counts = map_parts(load_stats(idx)["parts"], kern, empty).to_pandas()
     return _rank_phrase_counts(counts, out_empty)
 
 
@@ -997,7 +984,7 @@ def hit_positions_topk(sf_dir: str) -> pa.Table:
             "first_pos": pa.array(np.concatenate(out_p), pa.int64()),
             "n_hits": pa.array(np.concatenate(out_n), pa.int64())})
 
-    rows = _parts_fanout(idx, parts, kern, empty)
+    rows = map_parts(parts, kern, empty).to_pandas()
     merged = res.merge(rows, on=["query_id", "doc_id"], how="inner") \
         .sort_values(["query_id", "rank"], ignore_index=True)
     return pa.table({
@@ -1764,8 +1751,6 @@ def blocklist_docs(sf_dir: str) -> pa.Table:
     exchanges, the result streams straight out of the parts fan-out.
     The blocklist itself rides the task closure (tiny); a large
     blocklist would ray.put once like the snippet candidate set."""
-    import ray.data
-
     from raysearch.segments import (decode_posting_row, part_dirname,
                                     read_postings)
     from raysearch.stats import load_stats
@@ -1790,12 +1775,9 @@ def blocklist_docs(sf_dir: str) -> pa.Table:
                          "n_blocked": pa.array(c.astype(np.int64),
                                                pa.int64())})
 
-    parts_ds = ray.data.from_items([{"part": p} for p in parts])
-    out = _concat_ds(
-        parts_ds.map_batches(hits, batch_format="pyarrow",
-                             batch_size=max(1, len(parts) // 16)),
-        pa.table({"doc_id": pa.array([], pa.int64()),
-                  "n_blocked": pa.array([], pa.int64())}))
+    out = map_parts(parts, hits,
+                    pa.table({"doc_id": pa.array([], pa.int64()),
+                              "n_blocked": pa.array([], pa.int64())}))
     return out.sort_by("doc_id")
 
 
@@ -1820,8 +1802,6 @@ def segment_stats(sf_dir: str) -> pa.Table:
     engine-internal, so this is a rows-only entry; pytest asserts the
     cross-partition invariants (doc/token totals match the corpus,
     bytes match the files)."""
-    import ray.data
-
     from raysearch.checkpoint import load_manifest
     from raysearch.segments import part_dirname
     from raysearch.stats import load_stats
@@ -1850,11 +1830,8 @@ def segment_stats(sf_dir: str) -> pa.Table:
         return pa.table({k: pa.array(v, pa.int64())
                          for k, v in cols.items()})
 
-    parts_ds = ray.data.from_items([{"part": p} for p in parts])
-    out = pa.concat_tables(
-        parts_ds.map_batches(rows, batch_format="pyarrow",
-                             batch_size=max(1, len(parts) // 16))
-        .iter_batches(batch_format="pyarrow"))
+    out = map_parts(parts, rows,
+                    rows(pa.table({"part": pa.array([], pa.int64())})))
     return out.sort_by("part")
 
 
@@ -1999,8 +1976,6 @@ def msm_topk(sf_dir: str) -> pa.Table:
     this is one fan-out + a k-bounded merge, zero exchanges — work is
     bounded by the query terms' df, never a corpus scan.
     """
-    import ray.data
-
     from raysearch.query import lexicon_df
     from raysearch.score import (accumulate_scores, bm25_contrib,
                                  bm25_idf, query_term_weights, topk)
@@ -2061,11 +2036,7 @@ def msm_topk(sf_dir: str) -> pa.Table:
             "doc_id": pa.array(out_d, pa.int64()),
             "score": pa.array(out_s, pa.float64())})
 
-    parts_ds = ray.data.from_items([{"part": p} for p in parts])
-    cand = _concat_ds(
-        parts_ds.map_batches(kern, batch_format="pyarrow",
-                             batch_size=max(1, len(parts) // 16)),
-        empty).to_pandas()
+    cand = map_parts(parts, kern, empty).to_pandas()
     cand["score"] = round6(cand["score"].to_numpy(np.float64))
     cand = cand.sort_values(["query_id", "score", "doc_id"],
                             ascending=[True, False, True])
@@ -2090,8 +2061,6 @@ def bool_and_docs(sf_dir: str) -> pa.Table:
     empty); segments partition documents disjointly, so per-part
     intersections are FINAL — zero exchanges, results stream from the
     parts fan-out exactly like ``blocklist_docs``."""
-    import ray.data
-
     from raysearch.score import query_term_weights
     from raysearch.segments import (decode_posting_row, part_dirname,
                                     read_postings)
@@ -2126,12 +2095,9 @@ def bool_and_docs(sf_dir: str) -> pa.Table:
             "doc_id": pa.array(out_d, pa.int64()),
         })
 
-    parts_ds = ray.data.from_items([{"part": p} for p in parts])
-    out = _concat_ds(
-        parts_ds.map_batches(hits, batch_format="pyarrow",
-                             batch_size=max(1, len(parts) // 16)),
-        pa.table({"query_id": pa.array([], pa.int64()),
-                  "doc_id": pa.array([], pa.int64())}))
+    out = map_parts(parts, hits,
+                    pa.table({"query_id": pa.array([], pa.int64()),
+                              "doc_id": pa.array([], pa.int64())}))
     return out.sort_by([("query_id", "ascending"),
                         ("doc_id", "ascending")])
 
@@ -2352,7 +2318,6 @@ def _and_candidate_ids(idx: str, parts, queries) -> np.ndarray:
     per segment, AND-intersect the two terms' posting lists for every
     2-term query — work proportional to min(df), never a corpus scan —
     and return the distinct candidate doc ids."""
-    import ray.data
     from raysearch.segments import (decode_posting_row, part_dirname,
                                     read_postings)
 
@@ -2376,11 +2341,8 @@ def _and_candidate_ids(idx: str, parts, queries) -> np.ndarray:
         return pa.table({
             "doc_id": pa.array(np.concatenate(dids), pa.int64())})
 
-    parts_ds = ray.data.from_items([{"part": p} for p in parts])
-    cand = _concat_ds(
-        parts_ds.map_batches(candidates, batch_format="pyarrow",
-                             batch_size=max(1, len(parts) // 16)),
-        pa.table({"doc_id": pa.array([], pa.int64())}))
+    cand = map_parts(parts, candidates,
+                     pa.table({"doc_id": pa.array([], pa.int64())}))
     return np.unique(cand["doc_id"].to_numpy()) \
         if cand.num_rows else np.array([], np.int64)
 
@@ -2987,8 +2949,6 @@ def rescore_topk(sf_dir: str) -> pa.Table:
     in their home part) via searchsorted intersection of the decoded
     query-term postings — work is bounded by the candidate count and
     the query terms' df, never the corpus."""
-    import ray.data
-
     from raysearch.query import lexicon_df, query_index
     from raysearch.score import (accumulate_scores, bm25_contrib,
                                  bm25_idf)
@@ -3052,10 +3012,7 @@ def rescore_topk(sf_dir: str) -> pa.Table:
             "score": pa.array(np.asarray(out_s, np.float64),
                               pa.float64())})
 
-    parts_ds = ray.data.from_items([{"part": p} for p in parts])
-    raw = _concat_ds(parts_ds.map_batches(
-        kern, batch_format="pyarrow",
-        batch_size=max(1, len(parts) // 16)), empty).to_pandas()
+    raw = map_parts(parts, kern, empty).to_pandas()
     raw["score"] = round6(raw["score"].to_numpy(np.float64))
     raw = raw.sort_values(["query_id", "score", "doc_id"],
                           ascending=[True, False, True])

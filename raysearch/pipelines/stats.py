@@ -36,30 +36,6 @@ from raysearch.pipelines.joins import _cents, _half_away, _read
 _BATCH_FLOOR = 1024            # below this, raise instead of crawling
 
 
-def _col_max(sf_dir: str, table: str, col: str) -> float:
-    """Column max straight from parquet footer row-group statistics —
-    file OR directory of shards; no data pages are read."""
-    import pyarrow.parquet as pq
-
-    path = os.path.join(sf_dir, table)
-    files = ([os.path.join(path, f) for f in os.listdir(path)
-              if f.endswith(".parquet")] if os.path.isdir(path)
-             else [path])
-    mx = None
-    for f in files:
-        md = pq.read_metadata(f)
-        for g in range(md.num_row_groups):
-            rg = md.row_group(g)
-            for i in range(rg.num_columns):
-                c = rg.column(i)
-                if c.path_in_schema == col and c.statistics is not None:
-                    v = c.statistics.max
-                    mx = v if mx is None else max(mx, v)
-    if mx is None:
-        raise ValueError(f"no footer statistics for {table}.{col}")
-    return float(mx)
-
-
 def _col_absmax(sf_dir: str, table: str, col: str) -> float:
     """Column max |value| from footer min/max statistics — the bound
     the int64-overflow batch caps actually need (a negative-dominated
@@ -86,21 +62,31 @@ def _col_absmax(sf_dir: str, table: str, col: str) -> float:
     return float(mx)
 
 
+def _int64_batch_cap(sf_dir: str, table: str,
+                     scaled: dict[str, float]) -> int:
+    """Rows per batch so that every per-batch int64 sum of pair
+    products provably fits: the cap comes from the largest footer
+    |value| over ALL the summed columns in their integer units
+    (``scaled`` maps column -> unit scale, x100 for cents)."""
+    max_abs = int(_half_away(np.array(
+        [_col_absmax(sf_dir, table, c) * s for c, s in scaled.items()]
+    )).max())
+    safe_batch = (1 << 62) // max(max_abs * max_abs, 1)
+    if safe_batch < _BATCH_FLOOR:
+        raise ValueError(
+            f"max |value| {max_abs} in {table} forces batches under "
+            f"{_BATCH_FLOOR} rows; rescale the value columns or shard "
+            "the moment sums")
+    return min(safe_batch, 65536)
+
+
 def qty_price_corr(sf_dir: str) -> pa.Table:
     """Per l_returnflag: row count, exact Σqty / Σcents, and the
     Pearson correlation of (quantity, extended price) — the standard
     profiling probe for 'does order size track line value'."""
-    max_cents = int(_half_away(np.array(
-        [_col_max(sf_dir, "lineitem.parquet", "l_extendedprice")]
-    ) * 100.0)[0])
-    max_prod = max(max_cents * max_cents, 1)
-    safe_batch = (1 << 62) // max_prod
-    if safe_batch < _BATCH_FLOOR:
-        raise ValueError(
-            f"max |cents| {max_cents} forces batches under "
-            f"{_BATCH_FLOOR} rows; rescale the value column or shard "
-            "the moment sums")
-    safe_batch = min(safe_batch, 65536)
+    safe_batch = _int64_batch_cap(
+        sf_dir, "lineitem.parquet",
+        {"l_quantity": 1.0, "l_extendedprice": 100.0})
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         q = _half_away(df["l_quantity"].to_numpy(np.float64))
@@ -297,6 +283,9 @@ FROM h
 # qty in integer units, extendedprice in cents, discount in
 # hundredths (x100) — the same exact-integer units the money ops use
 MS_COLS = ["cents", "disc", "qty"]
+# their source columns -> integer unit scale (the batch-cap input)
+MS_SCALES = {"l_quantity": 1.0, "l_extendedprice": 100.0,
+             "l_discount": 100.0}
 
 
 def matrix_stats(sf_dir: str) -> pa.Table:
@@ -314,17 +303,7 @@ def matrix_stats(sf_dir: str) -> pa.Table:
     int->double->IEEE finish on both engine and oracle. ONE corpus
     pass, one 10-int row per batch to the driver, exact at any
     scale."""
-    max_cents = int(_half_away(np.array(
-        [_col_absmax(sf_dir, "lineitem.parquet", "l_extendedprice")]
-    ) * 100.0)[0])
-    max_prod = max(max_cents * max_cents, 1)
-    safe_batch = (1 << 62) // max_prod
-    if safe_batch < _BATCH_FLOOR:
-        raise ValueError(
-            f"max |cents| {max_cents} forces batches under "
-            f"{_BATCH_FLOOR} rows; rescale the value column or shard "
-            "the moment sums")
-    safe_batch = min(safe_batch, 65536)
+    safe_batch = _int64_batch_cap(sf_dir, "lineitem.parquet", MS_SCALES)
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         cols = {
@@ -444,15 +423,8 @@ def value_ttest(sf_dir: str) -> pa.Table:
     expression tree for mean/variance/t/dof on engine and oracle;
     zero float accumulation anywhere. One corpus pass, one 6-int row
     per (batch, group) to the driver."""
-    max_cents = int(_half_away(np.array(
-        [_col_absmax(sf_dir, "events.parquet", "value")]) * 100.0)[0])
-    max_prod = max(max_cents * max_cents, 1)
-    safe_batch = (1 << 62) // max_prod
-    if safe_batch < _BATCH_FLOOR:
-        raise ValueError(
-            f"max |value cents| {max_cents} forces batches under "
-            f"{_BATCH_FLOOR} rows; rescale or shard the moment sums")
-    safe_batch = min(safe_batch, 65536)
+    safe_batch = _int64_batch_cap(sf_dir, "events.parquet",
+                                  {"value": 100.0})
 
     _empty_partial = pd.DataFrame({
         "g": pd.Series([], dtype=str),

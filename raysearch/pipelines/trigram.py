@@ -30,6 +30,8 @@ import re
 import numpy as np
 import pyarrow as pa
 
+from raysearch.fanout import map_parts
+
 _DOCS = "documents.parquet"
 
 # (pattern, required-literal alternatives): the regex matches only if
@@ -189,10 +191,7 @@ def regex_trigram_docs(sf_dir: str) -> pa.Table:
         return pa.table({"query_id": pa.array(out_q, pa.int64()),
                          "doc_id": pa.array(out_d, pa.int64())})
 
-    parts_ds = ray.data.from_items([{"part": p} for p in parts])
-    cand = _concat_ds(parts_ds.map_batches(
-        cand_kern, batch_format="pyarrow",
-        batch_size=max(1, len(parts) // 16)), empty).to_pandas()
+    cand = map_parts(parts, cand_kern, empty).to_pandas()
     if cand.empty:
         return empty
 

@@ -26,6 +26,7 @@ import os
 import numpy as np
 import pyarrow as pa
 
+from raysearch.fanout import map_parts
 from raysearch.numutil import fmt_doc
 
 # multi-term ("s" -> scan/slow/small/sort/spark/stream), single-term
@@ -61,8 +62,6 @@ def wildcard_docs(sf_dir: str) -> pa.Table:
     """Prefix retrieval: for every prefix in PREFIXES, each document
     containing >= 1 term with that prefix and its DISTINCT matching-
     term count — posting lists only, no corpus scan."""
-    import ray.data
-
     from raysearch.pipelines.search_queries import cached_index
     from raysearch.segments import (decode_posting_row, part_dirname,
                                     read_postings)
@@ -106,18 +105,10 @@ def wildcard_docs(sf_dir: str) -> pa.Table:
             "n_terms": pa.array(np.asarray(out_n, np.int64),
                                 pa.int64())})
 
-    parts_ds = ray.data.from_items([{"part": p} for p in parts])
-    # guard the all-prefixes-miss case: iter_batches yields zero
-    # batches when every block is empty, and concat_tables(()) raises
-    batches = [t for t in parts_ds.map_batches(
-        hits, batch_format="pyarrow",
-        batch_size=max(1, len(parts) // 16))
-        .iter_batches(batch_format="pyarrow") if t.num_rows]
-    if not batches:
-        return pa.table({"prefix": pa.array([], pa.string()),
-                         "doc_id": pa.array([], pa.int64()),
-                         "n_terms": pa.array([], pa.int64())})
-    return pa.concat_tables(batches).sort_by(
+    empty = pa.table({"prefix": pa.array([], pa.string()),
+                      "doc_id": pa.array([], pa.int64()),
+                      "n_terms": pa.array([], pa.int64())})
+    return map_parts(parts, hits, empty).sort_by(
         [("prefix", "ascending"), ("doc_id", "ascending")])
 
 

@@ -6,8 +6,8 @@ sharded mode partial-aggregates per-shard scores under locks and
 barriers (src/processor.rs:146-369). Here queries are a small broadcast
 side and the INDEX is the distributed dimension:
 
-    from_items([{part: p} for parts])            # one row per segment
-      -> map_batches(SegmentScorer)              # stateless tasks
+    map_parts(parts, SegmentScorer)              # plain Ray tasks,
+                                                 # max(1, P // 32) parts each
       -> P * Q * k candidate rows (tiny)
       -> final top-k merge per query (one driver-side lexsort over
          <= P*Q*k rows)
@@ -20,10 +20,13 @@ safe. (The reference's term-range sharding — where partial scores must
 be sum-merged, src/lib.rs:190-226 — is what forced its lock+condvar
 dance; doc partitioning dissolves it.)
 
-The scorer is a callable shipped once to stateless tasks: query-term
-weights, global df, and collection stats are bound driver-side; each
-call reads only its parts' postings for the query terms (parquet
-row-group pruning on the sorted term column) and scores vectorized.
+The scorer is a callable put in the object store once and shared by
+the stateless tasks (raysearch/fanout.py): query-term weights, global
+df, and collection stats are bound driver-side; each call reads only
+its parts' postings for the query terms (segments.read_term_rows:
+row groups picked from the footer's term min/max, then an exact
+is_in filter) and scores vectorized. The driver's df/cf come from the
+same term read of the lexicon files.
 Resident serving with a postings cache is raysearch/serve.py.
 
 Every scoring mode and the knobs it supports come from one table,
@@ -45,6 +48,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from raysearch.fanout import map_parts
 from raysearch.score import (
     SIMILARITIES,
     as_qweights,
@@ -55,7 +59,8 @@ from raysearch.score import (
 )
 from raysearch.segments import (SCORER_COLUMNS, SCORER_COLUMNS_BMW,
                                 decode_posting_row, has_block_meta,
-                                part_dirname, read_postings)
+                                part_dirname, read_postings,
+                                read_term_rows)
 from raysearch.stats import load_stats
 
 RESULT_SCHEMA = pa.schema([
@@ -74,32 +79,31 @@ def read_queries(path: str) -> list[str]:
         return [ln.strip() for ln in f if ln.strip()]
 
 
-def lexicon_df(index_dir: str, terms: list[str]) -> dict[str, int]:
-    """Global df for the query terms (filtered read of the lexicon)."""
-    import pyarrow.dataset as pads
-
+def lexicon_lookup(index_dir: str, terms: list[str]
+                   ) -> tuple[dict[str, int], dict[str, int]]:
+    """Global (df, cf) for the query terms: one footer-pruned term read
+    of every lexicon file (the distributed lexicon build writes
+    several). cf is the smoothing denominator of the needs_cf modes."""
     if not terms:
-        # isin([]) builds a null-typed value set -> ArrowTypeError; a
-        # token-less query (pure punctuation) legitimately has no terms
-        return {}
-    lex = pads.dataset(os.path.join(index_dir, "lexicon"))
-    tbl = lex.to_table(columns=["term", "df"],
-                       filter=pads.field("term").isin(terms))
-    return dict(zip(tbl["term"].to_pylist(), tbl["df"].to_pylist()))
+        return {}, {}
+    lex_dir = os.path.join(index_dir, "lexicon")
+    tbls = [read_term_rows(os.path.join(lex_dir, f), terms,
+                           ["term", "df", "cf"])
+            for f in sorted(os.listdir(lex_dir)) if f.endswith(".parquet")]
+    tbl = pa.concat_tables(tbls)
+    got = tbl["term"].to_pylist()
+    return (dict(zip(got, tbl["df"].to_pylist())),
+            dict(zip(got, tbl["cf"].to_pylist())))
+
+
+def lexicon_df(index_dir: str, terms: list[str]) -> dict[str, int]:
+    """Global df for the query terms."""
+    return lexicon_lookup(index_dir, terms)[0]
 
 
 def lexicon_cf(index_dir: str, terms: list[str]) -> dict[str, int]:
-    """Global collection frequency for the query terms (filtered
-    lexicon read) — the smoothing denominator for Dirichlet
-    query-likelihood scoring."""
-    import pyarrow.dataset as pads
-
-    if not terms:
-        return {}
-    lex = pads.dataset(os.path.join(index_dir, "lexicon"))
-    tbl = lex.to_table(columns=["term", "cf"],
-                       filter=pads.field("term").isin(terms))
-    return dict(zip(tbl["term"].to_pylist(), tbl["cf"].to_pylist()))
+    """Global collection frequency for the query terms."""
+    return lexicon_lookup(index_dir, terms)[1]
 
 
 def asof_df(index_dir: str, parts, terms: list[str]) -> dict[str, int]:
@@ -110,12 +114,10 @@ def asof_df(index_dir: str, parts, terms: list[str]) -> dict[str, int]:
     (term-filtered reads of the posting files' narrow (term, df)
     columns — terms x parts rows), never the current global lexicon,
     which already includes later generations."""
-    import ray.data
-
-    from raysearch.segments import read_postings
-
     if not terms:
         return {}
+    empty = pa.table({"term": pa.array([], pa.large_string()),
+                      "df": pa.array([], pa.int64())})
 
     def kern(batch: pa.Table) -> pa.Table:
         outs = []
@@ -124,15 +126,9 @@ def asof_df(index_dir: str, parts, terms: list[str]) -> dict[str, int]:
             if os.path.isdir(pdir):
                 outs.append(read_postings(pdir, terms,
                                           columns=["term", "df"]))
-        if not outs:
-            return pa.table({"term": pa.array([], pa.large_string()),
-                             "df": pa.array([], pa.int64())})
-        return pa.concat_tables(outs)
+        return pa.concat_tables(outs) if outs else empty
 
-    parts_ds = ray.data.from_items([{"part": int(p)} for p in parts])
-    tbl = pa.concat_tables(
-        parts_ds.map_batches(kern, batch_format="pyarrow")
-        .iter_batches(batch_format="pyarrow"))
+    tbl = map_parts(parts, kern, empty)
     if len(tbl) == 0:
         return {}
     agg = tbl.group_by("term").aggregate([("df", "sum")])
@@ -296,7 +292,7 @@ def keep_postings(decoded: tuple, keep: np.ndarray) -> tuple:
 
 class SegmentScorer:
     """Per-segment scoring callable, shipped once to the stateless
-    Ray Data tasks: queries, global df and stats are bound here; each
+    map_parts tasks: queries, global df and stats are bound here; each
     call reads and scores only its parts' postings."""
 
     def __init__(self, index_dir: str, queries: list[str], k: int,
@@ -405,8 +401,6 @@ def query_index(
     (global df/stats are tiny and postings reads are term-filtered), so
     a one-shot batch pays no pool spin-up. Long-lived sessions that
     want postings kept hot use raysearch.serve.QuerySession."""
-    import ray.data
-
     sim = check_query_options(mode, prune, boost, decay, rank_feature)
     stats = load_stats(index_dir)
     cfg = stats["config"]
@@ -438,14 +432,15 @@ def query_index(
         if df is None:
             df = asof_df(index_dir, parts, all_terms)
         n_docs, avgdl = asof["n_docs"], asof["avgdl"]
+        cf = None
     else:
-        df = lexicon_df(index_dir, all_terms)
+        df, cf = lexicon_lookup(index_dir, all_terms)
     from raysearch.maintenance import load_deletes
 
     scorer = SegmentScorer(
         index_dir, queries, k, mode, df, n_docs, avgdl, cfg["k1"],
         cfg["b"], prune=prune,
-        cf=lexicon_cf(index_dir, all_terms) if sim.needs_cf else None,
+        cf=cf if sim.needs_cf else None,
         total_tokens=stats.get("total_tokens", 0), mu=mu,
         deleted=load_deletes(index_dir), boost=boost,
         # normalized once driver-side so every scorer shares the
@@ -453,12 +448,7 @@ def query_index(
         keep=(None if keep is None
               else np.unique(np.asarray(keep, dtype=np.int64))),
         decay=decay, rank_feature=rank_feature)
-    # several segments per task: per-part work is a filtered parquet
-    # read + vectorized scoring (~tens of ms), so one task per part
-    # would be pure scheduling overhead at high P
-    candidates = ray.data.from_items([{"part": p} for p in parts]) \
-        .map_batches(scorer, batch_format="pyarrow",
-                     batch_size=max(1, len(parts) // 32), num_cpus=1)
+    candidates = map_parts(parts, scorer, RESULT_SCHEMA.empty_table())
     # P * Q * k candidate rows — k-bounded and tiny by construction, so
     # the final merge is a driver-side selection, not a shuffle
     return merge_candidates(candidates.to_pandas(), len(queries), k)

@@ -27,6 +27,7 @@ path.
 
 from __future__ import annotations
 
+import bisect
 import os
 import re
 
@@ -408,6 +409,36 @@ SCORER_COLUMNS = ["term", "max_tf", "docs_enc", "tfs_enc", "dls_enc"]
 SCORER_COLUMNS_BMW = SCORER_COLUMNS + ["df", "bfirst_enc", "bmax_enc"]
 
 
+def read_term_rows(path: str, terms: list[str],
+                   columns: list[str] | None = None) -> pa.Table:
+    """Rows of a parquet file whose ``term`` is in ``terms`` — the same
+    table as ``pq.read_table(path, columns=columns,
+    filters=field("term").isin(terms))``, without dataset discovery or
+    filter planning. Row groups are picked from the footer's ``term``
+    min/max (one bisect over the sorted terms; a group without
+    statistics is always read), then an exact ``is_in`` filter keeps
+    the matching rows. Nothing is cached between calls, so a segment
+    replaced by an atomic rename is read fresh."""
+    want = sorted(set(terms))
+    pf = pq.ParquetFile(path)
+    md = pf.metadata
+    ti = md.schema.names.index("term")
+    groups = []
+    for g in range(md.num_row_groups):
+        st = md.row_group(g).column(ti).statistics
+        if st is not None and st.has_min_max:
+            i = bisect.bisect_left(want, st.min)
+            if i == len(want) or want[i] > st.max:
+                continue
+        groups.append(g)
+    read_cols = (columns if columns is None or "term" in columns
+                 else [*columns, "term"])
+    tbl = pf.read_row_groups(groups, columns=read_cols)
+    tbl = tbl.filter(pc.is_in(tbl["term"], value_set=pa.array(
+        want, tbl.schema.field("term").type)))
+    return tbl if columns is None else tbl.select(columns)
+
+
 def read_postings(part_dir: str, terms: list[str] | None = None,
                   columns: list[str] | None = None) -> pa.Table:
     """``columns`` prunes at the read — pass it on positional indexes
@@ -415,9 +446,7 @@ def read_postings(part_dir: str, terms: list[str] | None = None,
     path = os.path.join(part_dir, "postings.parquet")
     if terms is None:
         return pq.read_table(path, columns=columns)
-    import pyarrow.dataset as pads
-    return pq.read_table(path, columns=columns,
-                         filters=pads.field("term").isin(terms))
+    return read_term_rows(path, terms, columns)
 
 
 def read_doclens(part_dir: str, columns: list[str] | None = None) -> pa.Table:

@@ -24,8 +24,9 @@ part->actor assignment:
 
 At cluster scale: actors are placed by Ray across nodes; each holds
 O(parts/actors) segments; adding actors splits the part sets (cache
-shards stay disjoint). A 100-query batch costs one lexicon-filtered
-read on the driver + one RPC per actor.
+shards stay disjoint). A 100-query batch costs one footer-pruned
+lexicon term read on the driver (df and cf together) + one RPC per
+actor.
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ import pyarrow as pa
 
 from raysearch.query import (
     RESULT_SCHEMA,
-    lexicon_cf,
-    lexicon_df,
+    lexicon_lookup,
     merge_candidates,
     score_queries_over_postings,
 )
@@ -204,8 +204,8 @@ class QuerySession:
         sim = check_query_options(mode, prune)
         qweights = [as_qweights(q) for q in queries]
         all_terms = sorted({t for qw in qweights for t, _ in qw})
-        df = lexicon_df(self.index_dir, all_terms)
-        cf = lexicon_cf(self.index_dir, all_terms) if sim.needs_cf else None
+        df, cf = lexicon_lookup(self.index_dir, all_terms)
+        cf = cf if sim.needs_cf else None
         refs = [a.query_batch.remote(queries, k, mode, df, prune, cf, mu)
                 for a in self._actors]
         cand = (pa.concat_tables(ray.get(refs)).to_pandas() if refs

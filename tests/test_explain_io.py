@@ -48,3 +48,43 @@ def test_jsonl_roundtrip_cached_and_stable(ray_session):
     b = jsonl_roundtrip(SF).to_pandas()  # second call serves the cache
     assert a.equals(b)
     assert a.doc_id.is_unique and len(a) > 0
+
+
+def test_ipc_roundtrip_ignores_tmp_orphans(ray_session, tmp_path):
+    # a task killed mid-write leaves part-*.arrow.tmp-<pid>; the cached
+    # read-back must decode committed shards only
+    import glob
+    import shutil
+
+    import duckdb
+    import pandas as pd
+
+    from raysearch.pipelines import io_formats
+    from raysearch.pipelines.search_queries import _source_fingerprint
+
+    sf = str(tmp_path)
+    src = os.path.join(sf, "documents.parquet")
+    shutil.copy(os.path.join(SF, "documents.parquet"), src)
+    shard_dir = os.path.join("/tmp/raysearch_cache",
+                             f"ipc-{_source_fingerprint(src)}")
+    try:
+        first = io_formats.ipc_roundtrip(sf).to_pandas()
+        shards = sorted(glob.glob(os.path.join(shard_dir, "part-*.arrow")))
+        assert shards
+        # one complete (would duplicate rows) and one truncated orphan
+        shutil.copy(shards[0], shards[0] + ".tmp-999999")
+        with open(shards[-1], "rb") as f:
+            head = f.read(40)
+        with open(shards[-1] + ".tmp-999998", "wb") as f:
+            f.write(head)
+        got = io_formats.ipc_roundtrip(sf).to_pandas()
+        ora = duckdb.connect().execute(
+            io_formats.sql_ipc_roundtrip().replace(
+                "FROM documents", f"FROM read_parquet('{src}')")).df()
+        ora = ora.sort_values("doc_id", ignore_index=True)
+        pd.testing.assert_frame_equal(got, ora, check_dtype=False)
+        assert got.equals(first)
+    finally:
+        shutil.rmtree(shard_dir, ignore_errors=True)
+        if os.path.exists(shard_dir + ".done"):
+            os.remove(shard_dir + ".done")

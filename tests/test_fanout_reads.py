@@ -1,0 +1,154 @@
+"""The one part fan-out (raysearch.fanout.map_parts) and the one term
+read (raysearch.segments.read_term_rows): read_term_rows must return
+exactly what a dataset-filtered ``pq.read_table`` returns, map_parts
+must keep part order and surface kernel errors, and the lexicon
+lookup must agree with a dataset scan when the lexicon spans several
+files."""
+
+import os
+
+import pyarrow as pa
+import pyarrow.dataset as pads
+import pyarrow.parquet as pq
+import pytest
+
+from raysearch.fanout import map_parts
+from raysearch.segments import read_term_rows
+
+# 26 * 26 two-letter terms, sorted, 100 rows per row group: group
+# boundaries fall at terms[0], terms[99], terms[100], ...
+TERMS = sorted(a + b for a in "abcdefghijklmnopqrstuvwxyz"
+               for b in "abcdefghijklmnopqrstuvwxyz")
+RG = 100
+
+
+def _write(path, term_type=pa.string(), **kw):
+    n = len(TERMS)
+    tbl = pa.table({
+        "term": pa.array(TERMS, term_type),
+        "df": pa.array(range(n), pa.int64()),
+        "blob": pa.array([t.encode() * 3 for t in TERMS], pa.binary()),
+    })
+    pq.write_table(tbl, path, row_group_size=RG, **kw)
+    return path
+
+
+def _reference(path, terms, columns=None):
+    typ = pq.read_schema(path).field("term").type
+    return pq.read_table(path, columns=columns,
+                         filters=pads.field("term").isin(
+                             pa.array(terms, typ)))
+
+
+CASES = {
+    "group_first_last": [TERMS[0], TERMS[RG - 1], TERMS[RG],
+                         TERMS[2 * RG - 1], TERMS[-1]],
+    "absent": ["", "a", "aaa", "zzz", "zz0", "m"],
+    "mixed_absent_present": ["ab", "ab0", "mm", "zz"],
+    "duplicated": ["cd", "cd", "qq", "cd", "qq"],
+    "empty": [],
+    "every_term": TERMS,
+    "unsorted": ["zz", "aa", "mm"],
+}
+
+
+@pytest.mark.parametrize("term_type", [pa.string(), pa.large_string()],
+                         ids=["string", "large_string"])
+@pytest.mark.parametrize("stats", [True, False], ids=["stats", "nostats"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_read_term_rows_equals_filtered_read(tmp_path, term_type, stats,
+                                             case):
+    path = _write(str(tmp_path / "t.parquet"), term_type,
+                  write_statistics=stats)
+    terms = CASES[case]
+    for columns in (None, ["term", "df"], ["blob", "df"], ["df"]):
+        got = read_term_rows(path, terms, columns)
+        want = _reference(path, terms, columns)
+        assert got.equals(want), (case, columns)
+        assert got.schema.names == want.schema.names
+
+
+def test_read_term_rows_prunes_row_groups(tmp_path, monkeypatch):
+    path = _write(str(tmp_path / "t.parquet"))
+    seen = []
+    orig = pq.ParquetFile.read_row_groups
+
+    def spy(self, groups, *a, **kw):
+        seen.append(list(groups))
+        return orig(self, groups, *a, **kw)
+
+    monkeypatch.setattr(pq.ParquetFile, "read_row_groups", spy)
+    read_term_rows(path, [TERMS[RG], TERMS[5 * RG + 3]], ["df"])
+    assert seen == [[1, 5]]
+
+
+EMPTY = pa.table({"part": pa.array([], pa.int64()),
+                  "twice": pa.array([], pa.int64())})
+
+
+def _double_kernel(fail_on=None):
+    # built inside the test so the closure ships by value to the tasks
+    def kern(batch: pa.Table) -> pa.Table:
+        parts = batch["part"].to_pylist()
+        if fail_on in parts:
+            raise ValueError(f"part {fail_on} is corrupt")
+        return pa.table({"part": pa.array(parts, pa.int64()),
+                         "twice": pa.array([2 * p for p in parts],
+                                           pa.int64())})
+    return kern
+
+
+def test_map_parts_zero_parts_returns_empty():
+    # no task is launched for an empty part list
+    assert map_parts([], _double_kernel(), EMPTY) is EMPTY
+
+
+def test_map_parts_keeps_part_order(ray_session):
+    parts = [7, 3, 11, 0, 5] + list(range(100, 170))
+    out = map_parts(parts, _double_kernel(), EMPTY)
+    assert out["part"].to_pylist() == parts
+    assert out["twice"].to_pylist() == [2 * p for p in parts]
+
+
+def test_map_parts_all_empty_results_give_empty(ray_session):
+    def nothing(batch):
+        return pa.table({"x": pa.array([], pa.float64())})
+
+    assert map_parts(list(range(5)), nothing, EMPTY) is EMPTY
+
+
+def test_map_parts_raises_kernel_error(ray_session):
+    with pytest.raises(ValueError, match="part 3 is corrupt"):
+        map_parts(list(range(8)), _double_kernel(fail_on=3), EMPTY)
+
+
+def test_lexicon_lookup_over_distributed_lexicon(ray_session, small_corpus,
+                                                 tmp_path, monkeypatch):
+    import ray.data
+
+    from raysearch.build import build_index
+    from raysearch.config import IndexConfig
+    from raysearch.query import lexicon_cf, lexicon_df, lexicon_lookup
+
+    monkeypatch.setenv("RAYSEARCH_LEXICON_DISTRIBUTED", "1")
+    idx = str(tmp_path / "idx")
+    build_index(ray.data.from_arrow(small_corpus), idx,
+                IndexConfig(num_parts=4), input_id="lexdist")
+    lex_dir = os.path.join(idx, "lexicon")
+    files = [f for f in os.listdir(lex_dir) if f.endswith(".parquet")]
+    assert len(files) > 1  # the distributed write is multi-file
+
+    full = pads.dataset(lex_dir).to_table(columns=["term"])
+    vocab = sorted(full["term"].to_pylist())
+    terms = vocab[::7] + vocab[:3] + vocab[-3:] + ["no-such-term", "zzzz"]
+    ref = pads.dataset(lex_dir).to_table(
+        columns=["term", "df", "cf"],
+        filter=pads.field("term").isin(terms))
+    want_df = dict(zip(ref["term"].to_pylist(), ref["df"].to_pylist()))
+    want_cf = dict(zip(ref["term"].to_pylist(), ref["cf"].to_pylist()))
+    assert len(want_df) == len(set(vocab[::7] + vocab[:3] + vocab[-3:]))
+
+    assert lexicon_lookup(idx, terms) == (want_df, want_cf)
+    assert lexicon_df(idx, terms) == want_df
+    assert lexicon_cf(idx, terms) == want_cf
+    assert lexicon_lookup(idx, []) == ({}, {})

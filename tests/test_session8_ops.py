@@ -890,3 +890,21 @@ def test_generation_drift_consistent(ray_session):
         assert r.jaccard == round(len(c & o) / un, 6)
     # the append genuinely reshapes some ranking (new docs entered)
     assert (gd.n_entered > 0).any()
+
+
+def test_matrix_stats_cap_covers_quantity(ray_session, tmp_path):
+    # |l_quantity| dominates |cents|: the batch cap must come from qty,
+    # or 20k rows of qty^2 ~ 9e14 would wrap one int64 batch sum
+    from raysearch.pipelines import stats as ST
+
+    n = 20_000
+    qty = 30_000_000 - np.arange(n)
+    sf = _write_lineitem(tmp_path, qty, np.full(n, 1.5) + np.arange(n) % 7,
+                         (np.arange(n) % 10) / 100.0)
+    cap = ST._int64_batch_cap(sf, "lineitem.parquet", ST.MS_SCALES)
+    assert cap == (1 << 62) // (30_000_000 ** 2) < 65536
+    con = _duck(sf, "lineitem")
+    eng = ST.matrix_stats(sf).to_pandas()
+    ora = con.execute(ST.sql_matrix_stats()).df()
+    pd.testing.assert_frame_equal(_norm(eng), _norm(ora),
+                                  check_dtype=False)
