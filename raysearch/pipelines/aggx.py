@@ -25,8 +25,6 @@ mirrors data placement rather than vocabulary size.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -60,15 +58,13 @@ def range_facet_counts(sf_dir: str) -> pa.Table:
     fan-out (a hit by definition matches >= 1 query term, and dl
     rides the posting rows), so the op reads ZERO documents.parquet
     bytes and the driver sees k x Q narrow rows."""
-    import ray.data  # noqa: F401  (fan-out lives in _parts_candidates)
-
-    from raysearch.pipelines.rankex import _parts_candidates
+    from raysearch.fanout import map_parts
     from raysearch.pipelines.search_queries import (DOC_QUERIES,
                                                     bm25_topk,
                                                     cached_index)
     from raysearch.score import query_term_weights
-    from raysearch.segments import (SCORER_COLUMNS, decode_posting_row,
-                                    part_dirname, read_postings)
+    from raysearch.segments import part_postings
+    from raysearch.stats import load_stats
 
     base = bm25_topk(sf_dir).to_pandas()
     idx = cached_index(sf_dir)
@@ -81,13 +77,8 @@ def range_facet_counts(sf_dir: str) -> pa.Table:
     def kern(batch: pa.Table) -> pa.Table:
         out_d, out_l = [], []
         for part in batch["part"].to_pylist():
-            part_dir = part_dirname(idx, int(part))
-            if not os.path.isdir(part_dir):
-                continue
-            tbl = read_postings(part_dir, all_terms,
-                                columns=SCORER_COLUMNS)
-            for i in range(tbl.num_rows):
-                docs, tfs, dls = decode_posting_row(tbl, i)
+            post = part_postings(idx, int(part), all_terms)
+            for docs, _, dls in post.values():
                 if not len(docs):
                     continue
                 p = np.clip(np.searchsorted(docs, wanted), 0,
@@ -99,7 +90,7 @@ def range_facet_counts(sf_dir: str) -> pa.Table:
         return pa.table({"doc_id": pa.array(out_d, pa.int64()),
                          "dl": pa.array(out_l, pa.int64())})
 
-    dlmap = (_parts_candidates(idx, kern, empty=empty)
+    dlmap = (map_parts(load_stats(idx)["parts"], kern, empty).to_pandas()
              .drop_duplicates("doc_id"))
     merged = base.merge(dlmap, on="doc_id", how="left")
     lab = np.asarray(FACET_LABELS, dtype=object)[
@@ -297,7 +288,6 @@ def rare_bigrams(sf_dir: str) -> pa.Table:
     never the bigram vocabulary. ES needs a second pass or a bloom
     filter for exactly this cut; the bucketed exchange gives exact
     counts in one."""
-    import ray.data
     from ray.data.aggregate import Sum
 
     from raysearch.pipelines.search_queries import _concat_ds
@@ -470,7 +460,6 @@ def composite_agg(sf_dir: str) -> pa.Table:
     can never reach the global first 2x{S}), the driver merges
     <= blocks x 2{S} rows and windows out the page. The driver never
     holds the bucket space — exactly the composite contract."""
-    import ray.data
     from ray.data.aggregate import Sum
 
     from raysearch.pipelines.search_queries import _concat_ds
@@ -548,8 +537,6 @@ def string_stats(sf_dir: str) -> pa.Table:
     batch's concatenated values); the driver merges batches x
     alphabet narrow rows and finishes entropy from the exact global
     counts, summing in sorted-char order."""
-    import ray.data
-
     from raysearch.pipelines.search_queries import _concat_ds
     from raysearch.pipelines.textops import _read_docs
 

@@ -148,7 +148,6 @@ def chunk_dedup_stats(sf_dir: str) -> pa.Table:
     """Corpus-level CDC dedup summary: total chunks/bytes vs distinct
     chunks/bytes — the 'how much would chunk-level dedup save' number.
     Shuffle carries (sha16, n_bytes) pairs only."""
-    import ray.data
     from ray.data.aggregate import Count, Max, Sum
 
     chunks = _read_docs(sf_dir).map_batches(

@@ -35,7 +35,6 @@ docs. Neither ever scans the corpus text.
 
 from __future__ import annotations
 
-import os
 import re
 
 import numpy as np
@@ -95,12 +94,12 @@ def grep_lines(sf_dir: str) -> pa.Table:
     the <= candidate-docs x lines rows to the first {K} per term."""
     import ray.data
 
-    from raysearch.pipelines.rankex import _parts_candidates
+    from raysearch.fanout import map_parts
     from raysearch.pipelines.search_queries import (_concat_ds,
                                                     _docs_path,
                                                     cached_index)
-    from raysearch.segments import (SCORER_COLUMNS, decode_posting_row,
-                                    part_dirname, read_postings)
+    from raysearch.segments import part_postings
+    from raysearch.stats import load_stats
 
     idx = cached_index(sf_dir)
     terms = sorted(GREP_TERMS)
@@ -111,19 +110,16 @@ def grep_lines(sf_dir: str) -> pa.Table:
         out_t: list[str] = []
         out_d: list[int] = []
         for part in batch["part"].to_pylist():
-            part_dir = part_dirname(idx, int(part))
-            if not os.path.isdir(part_dir):
-                continue
-            tbl = read_postings(part_dir, terms, columns=SCORER_COLUMNS)
-            for i, t in enumerate(tbl["term"].to_pylist()):
-                docs, _, _ = decode_posting_row(tbl, i)
+            post = part_postings(idx, int(part), terms)
+            for t, (docs, _, _) in post.items():
                 docs = docs[:GREP_MAX]  # sorted; first K per part
                 out_t.extend([t] * len(docs))
                 out_d.extend(int(d) for d in docs)
         return pa.table({"term": pa.array(out_t, pa.string()),
                          "doc_id": pa.array(out_d, pa.int64())})
 
-    cand = _parts_candidates(idx, cand_kern, empty=cand_empty)
+    cand = map_parts(load_stats(idx)["parts"], cand_kern,
+                     cand_empty).to_pandas()
     if not len(cand):
         return _GREP_EMPTY
     cand = (cand.sort_values(["term", "doc_id"])

@@ -89,7 +89,6 @@ def _check_packable(doc_ids: np.ndarray) -> None:
 def dedup_exact(sf_dir: str) -> pa.Table:
     """Exact dedup: hash-partitioned groupby on sha256(text), keep the
     smallest doc_id per group. Only (sha, doc_id) pairs shuffle."""
-    import ray.data
     from ray.data.aggregate import Count, Min
 
     def sha_rows(batch: pa.Table) -> pa.Table:
@@ -579,8 +578,6 @@ def simhash_pairs(sf_dir: str) -> pa.Table:
     loop over docs or pairs anywhere. Bucket cardinality is
     input-scaled (auto_buckets) so group mass is bounded at any
     corpus size."""
-    import ray.data
-
     nbuckets = auto_buckets(_n_docs(sf_dir))
 
     def emit_cand(group: pd.DataFrame) -> pd.DataFrame:
@@ -992,7 +989,6 @@ def clean_pipeline(sf_dir: str) -> pa.Table:
     sums marker buckets; stage 3 is a lang-cardinality groupby of
     partials. Text itself never shuffles — only (bucket, lang,
     doc_id, n_chars, hash)."""
-    import ray.data
     from ray.data.aggregate import Sum
 
     from raysearch.hashing import splitmix64
@@ -1397,8 +1393,6 @@ def dedup_keep_best(sf_dir: str) -> pa.Table:
     dispatch on cluster-cardinality groups). Output is
     cluster-cardinality: (keep_doc_id, n_copies, n_variants =
     distinct raw texts in the cluster, max_chars)."""
-    import ray.data
-
     nb = auto_buckets(_n_docs(sf_dir))
 
     def narrow(batch: pa.Table) -> pa.Table:
@@ -1483,7 +1477,6 @@ def split_leakage(sf_dir: str) -> pa.Table:
     one bucket, so the kernel's distinct-split and distinct-sha
     counts are exact. The kernel emits 3-row per-split partials and
     the final groupby reduces bucket-cardinality rows."""
-    import ray.data
     from ray.data.aggregate import Sum
 
     nb = auto_buckets(_n_docs(sf_dir))

@@ -47,7 +47,6 @@ def _epoch_us(ts: pd.Series) -> np.ndarray:
 
 def events_window(sf_dir: str) -> pa.Table:
     """Tumbling 1-hour windows per event_type: count + value sum."""
-    import ray.data
     from ray.data.aggregate import Sum
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -122,8 +121,6 @@ def user_sessions(sf_dir: str) -> pa.Table:
     (auto_buckets over the footer row count, always a power of two so
     the key is a bitmask) — a fixed constant would make group mass
     linear in input size."""
-    import ray.data
-
     from raysearch.hashing import auto_buckets
 
     n_upart = auto_buckets(_n_events(sf_dir))
@@ -169,8 +166,6 @@ def session_funnel(sf_dir: str) -> pa.Table:
     vectorized across users); the funnel logic adds two masks and a
     per-session min/any reduction to the same kernel — composition,
     not a new exchange."""
-    import ray.data
-
     from raysearch.hashing import auto_buckets
 
     n_upart = auto_buckets(_n_events(sf_dir))
@@ -264,7 +259,6 @@ def events_hopping(sf_dir: str) -> pa.Table:
     emitted MAP-SIDE as pre-aggregated partials (the combiner pattern
     again — the shuffle carries 2 partial rows per (key, batch), not
     2x the events)."""
-    import ray.data
     from ray.data.aggregate import Sum
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -619,8 +613,6 @@ def event_quantiles_tdigest(sf_dir: str) -> pa.Table:
     blocks that K * n_blocks clusters per type would strain the final
     group — below ~1M events it is skipped (one fewer exchange; the
     re-chunk math is identical either way)."""
-    import ray.data
-
     n_salt = 16
     two_level = _n_events(sf_dir) >= 1_000_000
 
@@ -1074,7 +1066,6 @@ def events_pipeline_agg(sf_dir: str) -> pa.Table:
     exactly how ES computes pipeline aggs on the coordinating node
     over the reduced histogram. Counts are exact ints; the moving
     average divides identically (int -> double) on both sides."""
-    import ray.data  # noqa: F401
     from ray.data.aggregate import Sum
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -1146,8 +1137,6 @@ def percentile_ranks(sf_dir: str) -> pa.Table:
     driver sum — the same map-only counter shape as adjacency_matrix;
     exact at any scale (ES itself approximates via t-digest; the
     sibling event_quantiles_tdigest covers that trade)."""
-    import ray.data  # noqa: F401
-
     cols = [f"le_{i}" for i in range(len(PR_VALUES))]
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -1199,8 +1188,6 @@ def top_metrics(sf_dir: str) -> pa.Table:
     and the driver finishes with the same kernel over batches x
     types rows. Value passes through untouched (no float
     arithmetic)."""
-    import ray.data  # noqa: F401
-
     def latest_rows(df: pd.DataFrame) -> pd.DataFrame:
         d = pd.DataFrame({
             "event_type": df["event_type"].to_numpy(),

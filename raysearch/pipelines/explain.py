@@ -12,10 +12,7 @@ debuggability layer its scoring path implies.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 from raysearch.fanout import map_parts
@@ -40,8 +37,7 @@ def explain_topk(sf_dir: str) -> pa.Table:
     from raysearch.query import lexicon_df
     from raysearch.score import (bm25_contrib, bm25_idf,
                                  query_term_weights)
-    from raysearch.segments import (SCORER_COLUMNS, decode_posting_row,
-                                    part_dirname, read_postings)
+    from raysearch.segments import part_postings
     from raysearch.stats import load_stats
 
     idx = cached_index(sf_dir)
@@ -67,13 +63,7 @@ def explain_topk(sf_dir: str) -> pa.Table:
     def kern(batch: pa.Table) -> pa.Table:
         out_q, out_d, out_t, out_f, out_c = [], [], [], [], []
         for part in batch["part"].to_pylist():
-            part_dir = part_dirname(idx, int(part))
-            if not os.path.isdir(part_dir):
-                continue
-            tbl = read_postings(part_dir, all_terms,
-                                columns=SCORER_COLUMNS)
-            post = {tbl["term"][i].as_py(): decode_posting_row(tbl, i)
-                    for i in range(tbl.num_rows)}
+            post = part_postings(idx, int(part), all_terms)
             for qid, qw in enumerate(qweights):
                 elig = cand.get(qid)
                 if elig is None or not len(elig):

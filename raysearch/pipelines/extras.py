@@ -43,7 +43,6 @@ def source_stats(sf_dir: str) -> pa.Table:
     """(source, n_docs, total_tokens, avg_dl): grouped aggregate with
     per-batch partials so the shuffle carries one row per (source,
     batch), not one per document."""
-    import ray.data
     from ray.data.aggregate import Sum
 
     def partial(b: pa.Table) -> pa.Table:
@@ -213,7 +212,6 @@ def phrase_counts(sf_dir: str) -> pa.Table:
             "n_docs": pa.array(hits, pa.int64()),
         })
 
-    import ray.data
     from ray.data.aggregate import Sum
 
     ds = _read_docs(sf_dir, ["text"]).map_batches(

@@ -326,8 +326,8 @@ def spellfix_topk(sf_dir: str) -> pa.Table:
     corrected term-weight lists run through the exact distributed
     segment scorer — the composition of the SymSpell blocking, the
     queryable lexicon, and the BM25 fan-out."""
-    from raysearch.numutil import round6
-    from raysearch.pipelines.search_queries import (_TOPK_BUFFER, TOPK,
+    from raysearch.pipelines.rankex import _ranked_from_candidates
+    from raysearch.pipelines.search_queries import (_TOPK_BUFFER,
                                                     cached_index)
     from raysearch.query import query_index
     from raysearch.score import query_term_weights
@@ -356,18 +356,7 @@ def spellfix_topk(sf_dir: str) -> pa.Table:
     raw = query_index(idx, qweights, k=_TOPK_BUFFER).to_pandas()
     raw["query_id"] = np.asarray(qids, dtype=np.int64)[
         raw["query_id"].to_numpy(np.int64)]
-    raw["score"] = round6(raw["score"].to_numpy(np.float64))
-    raw = raw.sort_values(["query_id", "score", "doc_id"],
-                          ascending=[True, False, True])
-    raw["rank"] = raw.groupby("query_id").cumcount() + 1
-    raw = raw[raw["rank"] <= TOPK]
-    return pa.table({
-        "query_id": pa.array(raw.query_id.to_numpy(np.int64),
-                             pa.int64()),
-        "doc_id": pa.array(raw.doc_id.to_numpy(np.int64), pa.int64()),
-        "rank": pa.array(raw["rank"].to_numpy(np.int64), pa.int64()),
-        "score": pa.array(raw.score.to_numpy(np.float64), pa.float64()),
-    })
+    return _ranked_from_candidates(raw[["query_id", "doc_id", "score"]])
 
 
 def _spell_values() -> str:

@@ -468,8 +468,6 @@ def triangle_stats(sf_dir: str, backbone: str | None = None
     sums per-center closures and degrees. Everything is integer
     counting — exact under any reduce order; the only float is the
     final round6 coefficient, computed identically in SQL."""
-    import ray.data
-
     from raysearch.hashing import auto_buckets
     from raysearch.pipelines.dedup import _run_pairs
 

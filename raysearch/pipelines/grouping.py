@@ -14,8 +14,6 @@ totals are the Lucene-grade additions its API shape implies.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -24,40 +22,6 @@ from raysearch.fanout import map_parts
 
 
 COLLAPSE_FIELD = "source"   # the collapse key (documents metadata)
-
-
-def _part_scores(idx: str, part: int, qweights, all_terms, df,
-                 n_docs, avgdl, k1, b):
-    """All matched (query_id, doc_id, score) rows inside one part —
-    the full df-bounded match set, NOT top-k truncated (collapse needs
-    every group's champion, which may rank arbitrarily deep)."""
-    from raysearch.score import (accumulate_scores, bm25_contrib,
-                                 bm25_idf)
-    from raysearch.segments import (SCORER_COLUMNS, decode_posting_row,
-                                    part_dirname, read_postings)
-
-    part_dir = part_dirname(idx, part)
-    if not os.path.isdir(part_dir):
-        return [], [], []
-    tbl = read_postings(part_dir, all_terms, columns=SCORER_COLUMNS)
-    post = {tbl["term"][i].as_py(): decode_posting_row(tbl, i)
-            for i in range(tbl.num_rows)}
-    out_q, out_d, out_s = [], [], []
-    for qid, qw in enumerate(qweights):
-        per_term = []
-        for t, w in qw:        # ascending-term accumulation contract
-            if t not in post:
-                continue
-            docs, tfs, dls = post[t]
-            per_term.append((docs, bm25_contrib(
-                tfs, dls, bm25_idf(df.get(t, 0), n_docs), w, k1, b,
-                avgdl)))
-        docs, sc = accumulate_scores(per_term)
-        if len(docs):
-            out_q.append(np.full(len(docs), qid, np.int64))
-            out_d.append(docs)
-            out_s.append(sc)
-    return out_q, out_d, out_s
 
 
 def collapse_topk(sf_dir: str) -> pa.Table:
@@ -83,11 +47,13 @@ def collapse_topk(sf_dir: str) -> pa.Table:
     import pyarrow.parquet as pq
 
     from raysearch.numutil import round6
+    from raysearch.pipelines.rankex import _part_kernel
     from raysearch.pipelines.search_queries import (DOC_QUERIES, TOPK,
                                                     _docs_path,
                                                     cached_index)
     from raysearch.query import lexicon_df
-    from raysearch.score import query_term_weights
+    from raysearch.score import query_term_weights, score_postings
+    from raysearch.segments import part_postings
     from raysearch.stats import load_stats
 
     idx = cached_index(sf_dir)
@@ -106,19 +72,23 @@ def collapse_topk(sf_dir: str) -> pa.Table:
         "doc_id": pa.array([], pa.int64()),
         "score": pa.array([], pa.float64())})
 
+    def score_query(qid, post):
+        return score_postings(qweights[qid], post.get, df, n_docs, avgdl,
+                              k1, b, mode="bm25")
+
+    # every matched row of a part, NOT top-k truncated: collapse needs
+    # every group's champion, which may rank arbitrarily deep
+    part_scores = _part_kernel(
+        lambda p: part_postings(idx, p, all_terms), len(qweights),
+        score_query, None)
+
     def kern(batch: pa.Table) -> pa.Table:
-        qs, ds_, ss = [], [], []
-        for part in batch["part"].to_pylist():
-            q, d, s = _part_scores(idx, int(part), qweights, all_terms,
-                                   df, n_docs, avgdl, k1, b)
-            qs += q
-            ds_ += d
-            ss += s
-        if not qs:
+        rows = part_scores(batch)
+        if not rows.num_rows:
             return empty
-        qv = np.concatenate(qs)
-        dv = np.concatenate(ds_)
-        sv = round6(np.concatenate(ss))
+        qv = rows["query_id"].to_numpy()
+        dv = rows["doc_id"].to_numpy()
+        sv = round6(rows["score"].to_numpy())
         # ONE narrow filtered read maps this batch's matched ids to
         # their collapse key (row groups without them never load)
         ids = np.unique(dv)
@@ -232,8 +202,7 @@ def query_hit_counts(sf_dir: str) -> pa.Table:
     from raysearch.pipelines.search_queries import (DOC_QUERIES,
                                                     cached_index)
     from raysearch.score import query_term_weights
-    from raysearch.segments import (decode_posting_row, part_dirname,
-                                    read_postings)
+    from raysearch.segments import part_postings
     from raysearch.stats import load_stats
 
     idx = cached_index(sf_dir)
@@ -248,15 +217,8 @@ def query_hit_counts(sf_dir: str) -> pa.Table:
     def kern(batch: pa.Table) -> pa.Table:
         counts = np.zeros(len(qterms), np.int64)
         for part in batch["part"].to_pylist():
-            part_dir = part_dirname(idx, int(part))
-            if not os.path.isdir(part_dir):
-                continue
-            tbl = read_postings(part_dir, all_terms,
-                                columns=["term", "docs_enc", "tfs_enc",
-                                         "dls_enc", "max_tf"])
-            post = {tbl["term"][i].as_py():
-                    decode_posting_row(tbl, i)[0]
-                    for i in range(tbl.num_rows)}
+            post = {t: row[0] for t, row in
+                    part_postings(idx, int(part), all_terms).items()}
             for qid, ts in enumerate(qterms):
                 arrs = [post[t] for t in ts if t in post]
                 if arrs:

@@ -253,7 +253,6 @@ def sample_split(sf_dir: str) -> pa.Table:
     character volume."""
     import hashlib
 
-    import ray.data
     from ray.data.aggregate import Sum
 
     def partial(b: pa.Table) -> pd.DataFrame:
@@ -337,7 +336,6 @@ def revenue_by_nation(sf_dir: str) -> pa.Table:
 
     Either way the 25-row nation name table joins driver-side."""
     import pyarrow.parquet as pq
-    import ray.data
     from ray.data.aggregate import Sum
 
     from raysearch.hashing import auto_buckets
@@ -566,7 +564,6 @@ def pricing_summary(sf_dir: str) -> pa.Table:
     result is bit-identical to the SQL oracle under ANY summation
     order. Pure combiner pattern: per-batch partials, tiny final
     groupby (cardinality = |flags| x |statuses|)."""
-    import ray.data
     from ray.data.aggregate import Sum
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:

@@ -426,8 +426,6 @@ def split_oov_rate(sf_dir: str) -> pa.Table:
     narrow rows. At open vocabulary the broadcast becomes the
     decontaminate-style term-bucketed anti-join; the fixture-scale
     broadcast form is the query-time ad-hoc variant."""
-    import ray.data  # noqa: F401
-
     from raysearch.pipelines.search_queries import _concat_ds
     from raysearch.pipelines.textops import _read_docs, _tokens
 

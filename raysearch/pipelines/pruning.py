@@ -29,8 +29,6 @@ must reproduce.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -62,16 +60,13 @@ def impact_topk(sf_dir: str) -> pa.Table:
     df/N/avgdl stay whole-corpus. Per-part local top-{IMPACT_P}s merge
     exactly to the global truncation (order statistics are
     associative), so the driver sees ≤ terms × {IMPACT_P} rows."""
-    import ray.data  # noqa: F401  (fan-out lives in _parts_candidates)
-
-    from raysearch.pipelines.rankex import (_parts_candidates,
-                                            _ranked_from_candidates)
+    from raysearch.fanout import map_parts
+    from raysearch.pipelines.rankex import _ranked_from_candidates
     from raysearch.pipelines.search_queries import (DOC_QUERIES,
                                                     cached_index)
     from raysearch.query import lexicon_df
     from raysearch.score import bm25_contrib, bm25_idf, query_term_weights
-    from raysearch.segments import (SCORER_COLUMNS, decode_posting_row,
-                                    part_dirname, read_postings)
+    from raysearch.segments import part_postings
     from raysearch.stats import load_stats
 
     idx = cached_index(sf_dir)
@@ -85,15 +80,10 @@ def impact_topk(sf_dir: str) -> pa.Table:
     def kern(batch: pa.Table) -> pa.Table:
         out_t, out_d, out_tf, out_dl = [], [], [], []
         for part in batch["part"].to_pylist():
-            part_dir = part_dirname(idx, int(part))
-            if not os.path.isdir(part_dir):
-                continue
-            tbl = read_postings(part_dir, all_terms,
-                                columns=SCORER_COLUMNS)
-            for i in range(tbl.num_rows):
-                docs, tfs, dls = decode_posting_row(tbl, i)
+            post = part_postings(idx, int(part), all_terms)
+            for term, (docs, tfs, dls) in post.items():
                 d, t, l = _top_p(docs, tfs, dls, IMPACT_P)
-                out_t.extend([tbl["term"][i].as_py()] * len(d))
+                out_t.extend([term] * len(d))
                 out_d.extend(d.tolist())
                 out_tf.extend(t.tolist())
                 out_dl.extend(l.tolist())
@@ -105,7 +95,7 @@ def impact_topk(sf_dir: str) -> pa.Table:
             "tf": pa.array(out_tf, pa.int64()),
             "dl": pa.array(out_dl, pa.int64())})
 
-    surv = _parts_candidates(idx, kern, empty=_EMPTY_SURV)
+    surv = map_parts(st["parts"], kern, _EMPTY_SURV).to_pandas()
 
     # global per-term truncation over the merged per-part top-Ps
     pieces = []

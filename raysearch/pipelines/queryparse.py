@@ -32,7 +32,6 @@ sum(df(term)) posting entries + parts x queries x k candidate rows.
 
 from __future__ import annotations
 
-import os
 import re
 
 import numpy as np
@@ -225,14 +224,11 @@ def dsl_query_index(idx: str, dsl_queries: list[str],
     broadcast the ASTs, per-part set algebra over term-filtered
     posting reads, positive-term BM25 over the survivors, k-bounded
     candidate merge under the shared rounding/tie contract."""
-    from raysearch.pipelines.rankex import (_EMPTY_CAND,
-                                            _parts_candidates,
+    from raysearch.pipelines.rankex import (_part_topk,
                                             _ranked_from_candidates)
     from raysearch.pipelines.search_queries import _TOPK_BUFFER
     from raysearch.query import keep_postings, lexicon_df
-    from raysearch.score import score_postings, topk
-    from raysearch.segments import (SCORER_COLUMNS, decode_posting_row,
-                                    part_dirname, read_postings)
+    from raysearch.score import score_postings
     from raysearch.stats import load_stats
 
     st = load_stats(idx)
@@ -251,51 +247,25 @@ def dsl_query_index(idx: str, dsl_queries: list[str],
     df = lexicon_df(idx, sorted({t for qw in qweights for t, _ in qw}))
     empty_i64 = np.array([], dtype=np.int64)
 
-    def kern(batch: pa.Table) -> pa.Table:
-        out_q, out_d, out_s = [], [], []
-        for part in batch["part"].to_pylist():
-            part_dir = part_dirname(idx, int(part))
-            if not os.path.isdir(part_dir):
-                continue
-            tbl = read_postings(part_dir, all_terms,
-                                columns=SCORER_COLUMNS)
-            post = {tbl["term"][i].as_py(): decode_posting_row(tbl, i)
-                    for i in range(tbl.num_rows)}
+    def score_query(qid, post):
+        def docs_of(t):
+            got = post.get(t)
+            return got[0] if got is not None else empty_i64
 
-            def docs_of(t):
-                got = post.get(t)
-                return got[0] if got is not None else empty_i64
+        cand = eval_sets(asts[qid], docs_of)
+        if not len(cand):
+            return None
+        # score only the SURVIVORS: each positive term's posting row
+        # narrows to the matching set before accumulation, so scoring
+        # work is ∝ |cand|, not Σ df (cand is sorted unique)
+        return score_postings(
+            qweights[qid],
+            lambda t: keep_postings(post[t], cand) if t in post else None,
+            df, n_docs, avgdl, k1, b, mode="bm25")
 
-            for qid, ast in enumerate(asts):
-                cand = eval_sets(ast, docs_of)
-                if not len(cand):
-                    continue
-
-                def restricted(t, _cand=cand):
-                    # score only the SURVIVORS: each positive term's
-                    # posting row narrows to the matching set before
-                    # accumulation, so scoring work is ∝ |cand|, not
-                    # Σ df (cand is sorted unique by construction)
-                    got = post.get(t)
-                    return (keep_postings(got, _cand)
-                            if got is not None else None)
-
-                docs, sc = score_postings(qweights[qid], restricted,
-                                          df, n_docs, avgdl, k1, b,
-                                          mode="bm25")
-                d, s = topk(docs, sc, buffer)
-                out_q.extend([qid] * len(d))
-                out_d.extend(d.tolist())
-                out_s.extend(float(x) for x in s)
-        if not out_q:
-            return _EMPTY_CAND
-        return pa.table({
-            "query_id": pa.array(out_q, pa.int64()),
-            "doc_id": pa.array(out_d, pa.int64()),
-            "score": pa.array(out_s, pa.float64())})
-
-    return _ranked_from_candidates(_parts_candidates(idx, kern),
-                                   topk=k)
+    return _ranked_from_candidates(
+        _part_topk(idx, all_terms, len(asts), score_query, buffer),
+        topk=k)
 
 
 def _sql_pred(node) -> str:

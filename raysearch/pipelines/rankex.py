@@ -10,6 +10,17 @@ proportional to the query terms' posting sizes, never a corpus scan —
 and per-segment results are FINAL under doc-hash partitioning, so the
 merges are exact (max and top-k are associative; see maxp_topk's
 docstring for the per-part distinct-parent truncation proof).
+
+The ops whose per-part output is (query_id, doc_id, score) — here and
+in search_queries, spanex, grouping and queryparse — share one plan,
+_part_topk: map_parts over the index's parts, one
+segments.part_postings read per part, the op's own
+``score_query(qid, post) -> (doc_ids, scores) | None`` per query, a
+raw per-(part, query) top-buffer (or every row), one candidate frame;
+_ranked_from_candidates is the shared round6 -> (-score, doc_id) rank
+contract over it. Ops with another per-part schema (best_passage,
+ndcg, ltr, explain, pruning, ...) keep their kernel but read through
+part_postings and fan out with map_parts directly.
 """
 
 from __future__ import annotations
@@ -23,6 +34,9 @@ import pyarrow.compute as pc
 
 from raysearch.fanout import map_parts
 from raysearch.numutil import fmt_doc
+from raysearch.pipelines.search_queries import _TOPK_BUFFER
+from raysearch.segments import (SCORER_COLUMNS, SCORER_COLUMNS_POS,
+                                part_postings)
 
 # dismax tiebreaker (Lucene DisjunctionMaxQuery's tieBreakerMultiplier;
 # 0.1 is the conventional "mostly-max, slightly-reward-breadth" value)
@@ -76,18 +90,50 @@ def _ranked_from_candidates(cand: pd.DataFrame, score_int: bool = False,
     })
 
 
-def _parts_candidates(idx: str, kern,
-                      empty: pa.Table | None = None) -> pd.DataFrame:
-    """Fan one kernel out over the index's segment parts (several per
-    task; per-part work is a term-filtered read + vectorized scoring)
-    and concatenate the k-bounded rows. ``empty`` supplies the typed
-    schema for the zero-batches case (defaults to the candidate
-    schema)."""
+def _part_kernel(load, n_queries: int, score_query, buffer: int | None):
+    """The per-part top-k plan as a map_parts kernel: for each part,
+    ``post = load(part)`` (one segment read), then for each query
+    ``score_query(qid, post) -> (doc_ids, scores) | None``, truncated
+    to the raw per-(part, query) ``buffer`` under the (-score, doc_id)
+    order (``buffer=None`` keeps every row, for merges that must see
+    each part's full match set). Per-part scores are FINAL under
+    doc-hash partitioning, so the truncation is exact."""
+    from raysearch.score import topk
+
+    def kern(batch: pa.Table) -> pa.Table:
+        qs, ds, ss = [], [], []
+        for part in batch["part"].to_pylist():
+            post = load(int(part))
+            for qid in range(n_queries):
+                got = score_query(qid, post)
+                if got is None:
+                    continue
+                docs, sc = got if buffer is None else topk(*got, buffer)
+                qs.append(np.full(len(docs), qid, np.int64))
+                ds.append(docs)
+                ss.append(sc)
+        if not qs:
+            return _EMPTY_CAND
+        return pa.table({
+            "query_id": np.concatenate(qs),
+            "doc_id": np.concatenate(ds).astype(np.int64),
+            "score": np.concatenate(ss).astype(np.float64)})
+
+    return kern
+
+
+def _part_topk(idx: str, terms: list[str], n_queries: int, score_query,
+               buffer: int | None = _TOPK_BUFFER,
+               columns: list[str] = SCORER_COLUMNS) -> pd.DataFrame:
+    """The (query_id, doc_id, score) candidate frame of every op that
+    scores per part: _part_kernel fanned out over the index's parts,
+    each part's ``terms`` read once by segments.part_postings."""
     from raysearch.stats import load_stats
 
-    parts = load_stats(idx)["parts"]
-    return map_parts(parts, kern,
-                     empty if empty is not None else _EMPTY_CAND).to_pandas()
+    kern = _part_kernel(lambda p: part_postings(idx, p, terms, columns),
+                        n_queries, score_query, buffer)
+    return map_parts(load_stats(idx)["parts"], kern,
+                     _EMPTY_CAND).to_pandas()
 
 
 # ---- dismax ----
@@ -106,16 +152,10 @@ def dismax_topk(sf_dir: str) -> pa.Table:
     per-segment scores are FINAL (doc-hash partitioning), so the
     driver merge is the shared round6 rank contract. Work ~ sum of
     query-term df; zero exchanges."""
-    import ray.data  # noqa: F401  (fan-out lives in _parts_candidates)
-
-    from raysearch.pipelines.search_queries import (_TOPK_BUFFER,
-                                                    DOC_QUERIES,
+    from raysearch.pipelines.search_queries import (DOC_QUERIES,
                                                     cached_index)
     from raysearch.query import lexicon_df
-    from raysearch.score import (bm25_contrib, bm25_idf,
-                                 query_term_weights, topk)
-    from raysearch.segments import (SCORER_COLUMNS, decode_posting_row,
-                                    part_dirname, read_postings)
+    from raysearch.score import bm25_contrib, bm25_idf, query_term_weights
     from raysearch.stats import load_stats
 
     idx = cached_index(sf_dir)
@@ -126,49 +166,28 @@ def dismax_topk(sf_dir: str) -> pa.Table:
     all_terms = sorted({t for qw in qweights for t, _ in qw})
     df = lexicon_df(idx, all_terms)
 
-    def kern(batch: pa.Table) -> pa.Table:
-        out_q, out_d, out_s = [], [], []
-        for part in batch["part"].to_pylist():
-            part_dir = part_dirname(idx, int(part))
-            if not os.path.isdir(part_dir):
+    def score_query(qid, post):
+        per_docs, per_c = [], []
+        for t, w in qweights[qid]:
+            got = post.get(t)
+            if got is None:
                 continue
-            tbl = read_postings(part_dir, all_terms,
-                                columns=SCORER_COLUMNS)
-            post = {tbl["term"][i].as_py(): decode_posting_row(tbl, i)
-                    for i in range(tbl.num_rows)}
-            for qid, qw in enumerate(qweights):
-                per_docs, per_c = [], []
-                for t, w in qw:
-                    got = post.get(t)
-                    if got is None:
-                        continue
-                    docs, tfs, dls = got
-                    per_docs.append(docs)
-                    per_c.append(bm25_contrib(
-                        tfs, dls, bm25_idf(df.get(t, 0), n_docs),
-                        w, k1, b, avgdl))
-                if not per_docs:
-                    continue
-                all_docs = np.concatenate(per_docs)
-                all_c = np.concatenate(per_c)
-                uniq, inv = np.unique(all_docs, return_inverse=True)
-                ssum = np.zeros(len(uniq), np.float64)
-                np.add.at(ssum, inv, all_c)
-                smax = np.full(len(uniq), -np.inf, np.float64)
-                np.maximum.at(smax, inv, all_c)
-                sc = smax + DISMAX_TIE * (ssum - smax)
-                d, s = topk(uniq.astype(np.int64), sc, _TOPK_BUFFER)
-                out_q.extend([qid] * len(d))
-                out_d.extend(d.tolist())
-                out_s.extend(float(x) for x in s)
-        if not out_q:
-            return _EMPTY_CAND
-        return pa.table({
-            "query_id": pa.array(out_q, pa.int64()),
-            "doc_id": pa.array(out_d, pa.int64()),
-            "score": pa.array(out_s, pa.float64())})
+            docs, tfs, dls = got
+            per_docs.append(docs)
+            per_c.append(bm25_contrib(
+                tfs, dls, bm25_idf(df.get(t, 0), n_docs), w, k1, b, avgdl))
+        if not per_docs:
+            return None
+        all_c = np.concatenate(per_c)
+        uniq, inv = np.unique(np.concatenate(per_docs), return_inverse=True)
+        ssum = np.zeros(len(uniq), np.float64)
+        np.add.at(ssum, inv, all_c)
+        smax = np.full(len(uniq), -np.inf, np.float64)
+        np.maximum.at(smax, inv, all_c)
+        return uniq, smax + DISMAX_TIE * (ssum - smax)
 
-    return _ranked_from_candidates(_parts_candidates(idx, kern))
+    return _ranked_from_candidates(
+        _part_topk(idx, all_terms, len(qweights), score_query))
 
 
 def sql_dismax_topk() -> str:
@@ -556,14 +575,9 @@ def maxp_topk(sf_dir: str) -> pa.Table:
     top-k parent survives its part's distinct-parent truncation. The
     driver merge is then max-of-maxes (order-independent, exact) +
     the shared round6 rank contract."""
-    import ray.data  # noqa: F401
-
-    from raysearch.pipelines.search_queries import (_TOPK_BUFFER,
-                                                    DOC_QUERIES)
+    from raysearch.pipelines.search_queries import DOC_QUERIES
     from raysearch.query import lexicon_df
-    from raysearch.score import query_term_weights, score_postings, topk
-    from raysearch.segments import (SCORER_COLUMNS, decode_posting_row,
-                                    part_dirname, read_postings)
+    from raysearch.score import query_term_weights, score_postings
     from raysearch.stats import load_stats
 
     idx = cached_passage_index(sf_dir)
@@ -574,37 +588,17 @@ def maxp_topk(sf_dir: str) -> pa.Table:
     all_terms = sorted({t for qw in qweights for t, _ in qw})
     df = lexicon_df(idx, all_terms)
 
-    def kern(batch: pa.Table) -> pa.Table:
-        out_q, out_d, out_s = [], [], []
-        for part in batch["part"].to_pylist():
-            part_dir = part_dirname(idx, int(part))
-            if not os.path.isdir(part_dir):
-                continue
-            tbl = read_postings(part_dir, all_terms,
-                                columns=SCORER_COLUMNS)
-            post = {tbl["term"][i].as_py(): decode_posting_row(tbl, i)
-                    for i in range(tbl.num_rows)}
-            for qid, qw in enumerate(qweights):
-                pids, sc = score_postings(qw, post.get, df, n_pass,
-                                          avgdl, k1, b, mode="bm25")
-                if not len(pids):
-                    continue
-                parents = pids // PASSAGE_STRIDE
-                uniq, inv = np.unique(parents, return_inverse=True)
-                pmax = np.full(len(uniq), -np.inf, np.float64)
-                np.maximum.at(pmax, inv, sc)
-                d, s = topk(uniq.astype(np.int64), pmax, _TOPK_BUFFER)
-                out_q.extend([qid] * len(d))
-                out_d.extend(d.tolist())
-                out_s.extend(float(x) for x in s)
-        if not out_q:
-            return _EMPTY_CAND
-        return pa.table({
-            "query_id": pa.array(out_q, pa.int64()),
-            "doc_id": pa.array(out_d, pa.int64()),
-            "score": pa.array(out_s, pa.float64())})
+    def score_query(qid, post):
+        pids, sc = score_postings(qweights[qid], post.get, df, n_pass,
+                                  avgdl, k1, b, mode="bm25")
+        if not len(pids):
+            return None
+        uniq, inv = np.unique(pids // PASSAGE_STRIDE, return_inverse=True)
+        pmax = np.full(len(uniq), -np.inf, np.float64)
+        np.maximum.at(pmax, inv, sc)
+        return uniq, pmax
 
-    cand = _parts_candidates(idx, kern)
+    cand = _part_topk(idx, all_terms, len(qweights), score_query)
     # cross-part parent merge: exact max-of-maxes
     cand = (cand.groupby(["query_id", "doc_id"], as_index=False)
             .agg(score=("score", "max")))
@@ -771,13 +765,9 @@ def blockjoin_topk(sf_dir: str) -> pa.Table:
     query_hit_counts, and the driver merge is sum-of-partial-sums
     (each passage counted exactly once: passages are disjoint across
     parts)."""
-    import ray.data  # noqa: F401
-
     from raysearch.pipelines.search_queries import DOC_QUERIES
     from raysearch.query import lexicon_df
     from raysearch.score import query_term_weights, score_postings
-    from raysearch.segments import (SCORER_COLUMNS, decode_posting_row,
-                                    part_dirname, read_postings)
     from raysearch.stats import load_stats
 
     idx = cached_passage_index(sf_dir)
@@ -788,36 +778,18 @@ def blockjoin_topk(sf_dir: str) -> pa.Table:
     all_terms = sorted({t for qw in qweights for t, _ in qw})
     df = lexicon_df(idx, all_terms)
 
-    def kern(batch: pa.Table) -> pa.Table:
-        out_q, out_d, out_s = [], [], []
-        for part in batch["part"].to_pylist():
-            part_dir = part_dirname(idx, int(part))
-            if not os.path.isdir(part_dir):
-                continue
-            tbl = read_postings(part_dir, all_terms,
-                                columns=SCORER_COLUMNS)
-            post = {tbl["term"][i].as_py(): decode_posting_row(tbl, i)
-                    for i in range(tbl.num_rows)}
-            for qid, qw in enumerate(qweights):
-                pids, sc = score_postings(qw, post.get, df, n_pass,
-                                          avgdl, k1, b, mode="bm25")
-                if not len(pids):
-                    continue
-                parents = pids // PASSAGE_STRIDE
-                uniq, inv = np.unique(parents, return_inverse=True)
-                psum = np.zeros(len(uniq), np.float64)
-                np.add.at(psum, inv, sc)
-                out_q.extend([qid] * len(uniq))
-                out_d.extend(int(x) for x in uniq)
-                out_s.extend(float(x) for x in psum)
-        if not out_q:
-            return _EMPTY_CAND
-        return pa.table({
-            "query_id": pa.array(out_q, pa.int64()),
-            "doc_id": pa.array(out_d, pa.int64()),
-            "score": pa.array(out_s, pa.float64())})
+    def score_query(qid, post):
+        pids, sc = score_postings(qweights[qid], post.get, df, n_pass,
+                                  avgdl, k1, b, mode="bm25")
+        if not len(pids):
+            return None
+        uniq, inv = np.unique(pids // PASSAGE_STRIDE, return_inverse=True)
+        psum = np.zeros(len(uniq), np.float64)
+        np.add.at(psum, inv, sc)
+        return uniq, psum
 
-    cand = _parts_candidates(idx, kern)
+    cand = _part_topk(idx, all_terms, len(qweights), score_query,
+                      buffer=None)
     # cross-part parent merge: sum of partial sums (passages disjoint
     # across parts -> every passage counted exactly once)
     cand = (cand.groupby(["query_id", "doc_id"], as_index=False)
@@ -948,16 +920,22 @@ def negated_topk(sf_dir: str) -> pa.Table:
     work ∝ its df); exclusion is a sorted-membership mask over the
     accumulated candidate array BEFORE top-k truncation, so the
     negated ranking is exact. Per-segment scores stay final."""
-    import ray.data  # noqa: F401
+    def exclude(docs, sc, neg):
+        m = ~np.isin(docs, neg, assume_unique=True)
+        return docs[m], sc[m]
 
-    from raysearch.pipelines.search_queries import (_TOPK_BUFFER,
-                                                    DOC_QUERIES,
+    return _neg_term_topk(sf_dir, exclude)
+
+
+def _neg_term_topk(sf_dir: str, reshape) -> pa.Table:
+    """BM25 over DOC_QUERIES with each query's NEG_TERMS posting list
+    read in the same per-part fan-out; ``reshape(docs, scores,
+    neg_docs)`` applies the negative clause to the accumulated
+    candidates BEFORE per-part truncation, so the ranking is exact."""
+    from raysearch.pipelines.search_queries import (DOC_QUERIES,
                                                     cached_index)
     from raysearch.query import lexicon_df
-    from raysearch.score import (query_term_weights, score_postings,
-                                 topk)
-    from raysearch.segments import (SCORER_COLUMNS, decode_posting_row,
-                                    part_dirname, read_postings)
+    from raysearch.score import query_term_weights, score_postings
     from raysearch.stats import load_stats
 
     idx = cached_index(sf_dir)
@@ -969,37 +947,18 @@ def negated_topk(sf_dir: str) -> pa.Table:
     all_terms = sorted(set(pos_terms) | set(NEG_TERMS))
     df = lexicon_df(idx, pos_terms)
 
-    def kern(batch: pa.Table) -> pa.Table:
-        out_q, out_d, out_s = [], [], []
-        for part in batch["part"].to_pylist():
-            part_dir = part_dirname(idx, int(part))
-            if not os.path.isdir(part_dir):
-                continue
-            tbl = read_postings(part_dir, all_terms,
-                                columns=SCORER_COLUMNS)
-            post = {tbl["term"][i].as_py(): decode_posting_row(tbl, i)
-                    for i in range(tbl.num_rows)}
-            for qid, qw in enumerate(qweights):
-                docs, sc = score_postings(qw, post.get, df, n_docs,
-                                          avgdl, k1, b, mode="bm25")
-                if not len(docs):
-                    continue
-                got = post.get(NEG_TERMS[qid])
-                if got is not None and len(got[0]):
-                    m = ~np.isin(docs, got[0], assume_unique=True)
-                    docs, sc = docs[m], sc[m]
-                d, s = topk(docs, sc, _TOPK_BUFFER)
-                out_q.extend([qid] * len(d))
-                out_d.extend(d.tolist())
-                out_s.extend(float(x) for x in s)
-        if not out_q:
-            return _EMPTY_CAND
-        return pa.table({
-            "query_id": pa.array(out_q, pa.int64()),
-            "doc_id": pa.array(out_d, pa.int64()),
-            "score": pa.array(out_s, pa.float64())})
+    def score_query(qid, post):
+        docs, sc = score_postings(qweights[qid], post.get, df, n_docs,
+                                  avgdl, k1, b, mode="bm25")
+        if not len(docs):
+            return None
+        got = post.get(NEG_TERMS[qid])
+        if got is not None and len(got[0]):
+            docs, sc = reshape(docs, sc, got[0])
+        return docs, sc
 
-    return _ranked_from_candidates(_parts_candidates(idx, kern))
+    return _ranked_from_candidates(
+        _part_topk(idx, all_terms, len(qweights), score_query))
 
 
 def sql_negated_topk() -> str:
@@ -1070,58 +1029,11 @@ def demote_topk(sf_dir: str) -> pa.Table:
     BEFORE per-part truncation (a doc lives in one part, so demoted
     per-part top-k merges exactly); the factor is a power of two so
     the multiply is exact and per-segment scores stay final."""
-    import ray.data  # noqa: F401
+    def demote(docs, sc, neg):
+        m = np.isin(docs, neg, assume_unique=True)
+        return docs, np.where(m, sc * DEMOTE_FACTOR, sc)
 
-    from raysearch.pipelines.search_queries import (_TOPK_BUFFER,
-                                                    DOC_QUERIES,
-                                                    cached_index)
-    from raysearch.query import lexicon_df
-    from raysearch.score import (query_term_weights, score_postings,
-                                 topk)
-    from raysearch.segments import (SCORER_COLUMNS, decode_posting_row,
-                                    part_dirname, read_postings)
-    from raysearch.stats import load_stats
-
-    idx = cached_index(sf_dir)
-    st = load_stats(idx)
-    n_docs, avgdl = st["n_docs"], st["avgdl"]
-    k1, b = st["config"]["k1"], st["config"]["b"]
-    qweights = [query_term_weights(q) for q in DOC_QUERIES]
-    pos_terms = sorted({t for qw in qweights for t, _ in qw})
-    all_terms = sorted(set(pos_terms) | set(NEG_TERMS))
-    df = lexicon_df(idx, pos_terms)
-
-    def kern(batch: pa.Table) -> pa.Table:
-        out_q, out_d, out_s = [], [], []
-        for part in batch["part"].to_pylist():
-            part_dir = part_dirname(idx, int(part))
-            if not os.path.isdir(part_dir):
-                continue
-            tbl = read_postings(part_dir, all_terms,
-                                columns=SCORER_COLUMNS)
-            post = {tbl["term"][i].as_py(): decode_posting_row(tbl, i)
-                    for i in range(tbl.num_rows)}
-            for qid, qw in enumerate(qweights):
-                docs, sc = score_postings(qw, post.get, df, n_docs,
-                                          avgdl, k1, b, mode="bm25")
-                if not len(docs):
-                    continue
-                got = post.get(NEG_TERMS[qid])
-                if got is not None and len(got[0]):
-                    m = np.isin(docs, got[0], assume_unique=True)
-                    sc = np.where(m, sc * DEMOTE_FACTOR, sc)
-                d, s = topk(docs, sc, _TOPK_BUFFER)
-                out_q.extend([qid] * len(d))
-                out_d.extend(d.tolist())
-                out_s.extend(float(x) for x in s)
-        if not out_q:
-            return _EMPTY_CAND
-        return pa.table({
-            "query_id": pa.array(out_q, pa.int64()),
-            "doc_id": pa.array(out_d, pa.int64()),
-            "score": pa.array(out_s, pa.float64())})
-
-    return _ranked_from_candidates(_parts_candidates(idx, kern))
+    return _neg_term_topk(sf_dir, demote)
 
 
 def sql_demote_topk() -> str:
@@ -1191,15 +1103,11 @@ def best_passage_topk(sf_dir: str) -> pa.Table:
     rows — output bounded by k x Q x passages-per-doc. The driver
     picks per (query, doc) the (round6(pscore) DESC, pidx ASC) champion
     and attaches the doc-level rank."""
-    import ray.data  # noqa: F401
-
     from raysearch.numutil import round6
     from raysearch.pipelines.search_queries import (DOC_QUERIES,
                                                     bm25_topk)
     from raysearch.query import lexicon_df
     from raysearch.score import query_term_weights, score_postings
-    from raysearch.segments import (SCORER_COLUMNS, decode_posting_row,
-                                    part_dirname, read_postings)
     from raysearch.stats import load_stats
 
     base = bm25_topk(sf_dir).to_pandas()
@@ -1222,13 +1130,7 @@ def best_passage_topk(sf_dir: str) -> pa.Table:
     def kern(batch: pa.Table) -> pa.Table:
         out_q, out_d, out_p, out_s = [], [], [], []
         for part in batch["part"].to_pylist():
-            part_dir = part_dirname(idx, int(part))
-            if not os.path.isdir(part_dir):
-                continue
-            tbl = read_postings(part_dir, all_terms,
-                                columns=SCORER_COLUMNS)
-            post = {tbl["term"][i].as_py(): decode_posting_row(tbl, i)
-                    for i in range(tbl.num_rows)}
+            post = part_postings(idx, int(part), all_terms)
             for qid, qw in enumerate(qweights):
                 elig = cand.get(qid)
                 if elig is None or not len(elig):
@@ -1256,7 +1158,7 @@ def best_passage_topk(sf_dir: str) -> pa.Table:
             "pidx": pa.array(out_p, pa.int64()),
             "pscore": pa.array(out_s, pa.float64())})
 
-    rows = _parts_candidates(idx, kern, empty)
+    rows = map_parts(st["parts"], kern, empty).to_pandas()
     rows["pscore"] = round6(rows["pscore"].to_numpy(np.float64))
     rows = rows.sort_values(["query_id", "doc_id", "pscore", "pidx"],
                             ascending=[True, True, False, True])
@@ -1346,17 +1248,10 @@ def spanfirst_topk(sf_dir: str) -> pa.Table:
     Scoring is whole-corpus BM25 over eligible docs only (df/N/avgdl
     unrestricted — the filter-query stats contract, same as
     filtered_topk); per-segment scores stay final."""
-    import ray.data  # noqa: F401
-
-    from raysearch.pipelines.search_queries import (_TOPK_BUFFER,
-                                                    DOC_QUERIES,
+    from raysearch.pipelines.search_queries import (DOC_QUERIES,
                                                     cached_index)
-    from raysearch.query import lexicon_df
-    from raysearch.score import (accumulate_scores, bm25_contrib,
-                                 bm25_idf, query_term_weights, topk)
-    from raysearch.segments import (decode_posting_positions,
-                                    decode_posting_row, part_dirname,
-                                    read_postings)
+    from raysearch.query import keep_postings, lexicon_df
+    from raysearch.score import query_term_weights, score_postings
     from raysearch.stats import load_stats
 
     idx = cached_index(sf_dir, with_positions=True)
@@ -1367,60 +1262,31 @@ def spanfirst_topk(sf_dir: str) -> pa.Table:
     all_terms = sorted({t for qw in qweights for t, _ in qw})
     df = lexicon_df(idx, all_terms)
 
-    def kern(batch: pa.Table) -> pa.Table:
-        out_q, out_d, out_s = [], [], []
-        for part in batch["part"].to_pylist():
-            part_dir = part_dirname(idx, int(part))
-            if not os.path.isdir(part_dir):
-                continue
-            tbl = read_postings(part_dir, all_terms)
-            post = {}
-            for i, t in enumerate(tbl["term"].to_pylist()):
-                docs, tfs, dls = decode_posting_row(tbl, i)
-                pos = decode_posting_positions(tbl, i, tfs)
-                starts = np.zeros(len(docs), np.int64)
-                np.cumsum(tfs[:-1], out=starts[1:])
-                # first occurrence per doc = head of its position run
-                # (stored positions are 0-based token ordinals)
-                post[t] = (docs, tfs, dls, pos[starts])
-            for qid, qw in enumerate(qweights):
-                elig_parts = [
-                    post[t][0][post[t][3] <= SPANFIRST_N - 1]
-                    for t, _ in qw if t in post]
-                if not elig_parts:
-                    continue
-                elig = np.unique(np.concatenate(elig_parts))
-                if not len(elig):
-                    continue
-                contribs = []
-                for t, w in qw:      # ascending-term accumulation
-                    got = post.get(t)
-                    if got is None or not len(got[0]):
-                        continue
-                    docs, tfs, dls, _ = got
-                    p = np.searchsorted(docs, elig)
-                    p_c = np.clip(p, 0, len(docs) - 1)
-                    hit = docs[p_c] == elig
-                    if not hit.any():
-                        continue
-                    sel = p_c[hit]
-                    contribs.append((elig[hit], bm25_contrib(
-                        tfs[sel], dls[sel],
-                        bm25_idf(df.get(t, 0), n_docs), w, k1, b,
-                        avgdl)))
-                docs, sc = accumulate_scores(contribs)
-                d, s = topk(docs, sc, _TOPK_BUFFER)
-                out_q.extend([qid] * len(d))
-                out_d.extend(d.tolist())
-                out_s.extend(float(x) for x in s)
-        if not out_q:
-            return _EMPTY_CAND
-        return pa.table({
-            "query_id": pa.array(out_q, pa.int64()),
-            "doc_id": pa.array(out_d, pa.int64()),
-            "score": pa.array(out_s, pa.float64())})
+    def first_pos(row) -> np.ndarray:
+        # first occurrence per doc = head of its position run (stored
+        # positions are 0-based token ordinals)
+        docs, tfs, _, pos = row
+        starts = np.zeros(len(docs), np.int64)
+        np.cumsum(tfs[:-1], out=starts[1:])
+        return pos[starts]
 
-    return _ranked_from_candidates(_parts_candidates(idx, kern))
+    def score_query(qid, post):
+        qw = qweights[qid]
+        elig_parts = [post[t][0][first_pos(post[t]) <= SPANFIRST_N - 1]
+                      for t, _ in qw if t in post]
+        if not elig_parts:
+            return None
+        elig = np.unique(np.concatenate(elig_parts))
+        if not len(elig):
+            return None
+        return score_postings(
+            qw, lambda t: (keep_postings(post[t][:3], elig)
+                           if t in post else None),
+            df, n_docs, avgdl, k1, b, mode="bm25")
+
+    return _ranked_from_candidates(_part_topk(
+        idx, all_terms, len(qweights), score_query,
+        columns=SCORER_COLUMNS_POS))
 
 
 def sql_spanfirst_topk() -> str:
@@ -1486,16 +1352,13 @@ def ndcg_eval(sf_dir: str) -> pa.Table:
     query terms' postings intersected with the <= k x |queries| BM25
     hit docs (a doc lives in exactly one part, so its overlap grade is
     computed fully in that part — partials concatenate, never sum)."""
-    import ray.data  # noqa: F401
-
     from raysearch.numutil import round6
     from raysearch.pipelines.search_queries import (DOC_QUERIES,
                                                     bm25_topk,
                                                     cached_index,
                                                     overlap_topk)
     from raysearch.score import query_term_weights
-    from raysearch.segments import (SCORER_COLUMNS, decode_posting_row,
-                                    part_dirname, read_postings)
+    from raysearch.stats import load_stats
 
     idx = cached_index(sf_dir)
     bm = bm25_topk(sf_dir).to_pandas()
@@ -1513,13 +1376,7 @@ def ndcg_eval(sf_dir: str) -> pa.Table:
     def kern(batch: pa.Table) -> pa.Table:
         out_q, out_d, out_r = [], [], []
         for part in batch["part"].to_pylist():
-            part_dir = part_dirname(idx, int(part))
-            if not os.path.isdir(part_dir):
-                continue
-            tbl = read_postings(part_dir, all_terms,
-                                columns=SCORER_COLUMNS)
-            post = {tbl["term"][i].as_py(): decode_posting_row(tbl, i)
-                    for i in range(tbl.num_rows)}
+            post = part_postings(idx, int(part), all_terms)
             for qid, qw in enumerate(qweights):
                 elig = cand.get(qid)
                 if elig is None or not len(elig):
@@ -1547,7 +1404,7 @@ def ndcg_eval(sf_dir: str) -> pa.Table:
             "doc_id": pa.array(out_d, pa.int64()),
             "rel": pa.array(out_r, pa.int64())})
 
-    grades = _parts_candidates(idx, kern, empty)
+    grades = map_parts(load_stats(idx)["parts"], kern, empty).to_pandas()
 
     bm = bm.merge(grades, on=["query_id", "doc_id"], how="left")
     bm["rel"] = bm["rel"].fillna(0).astype(np.int64)
@@ -1627,14 +1484,11 @@ def ltr_features(sf_dir: str) -> pa.Table:
     candidates + hit_positions_topk for n_hits/first_pos) plus ONE
     explain-style posting∩candidate fan-out for overlap, dl and the
     distinct-term count — work ∝ query-term df, output = k x Q rows."""
-    import ray.data  # noqa: F401
-
     from raysearch.pipelines.search_queries import (DOC_QUERIES,
                                                     cached_index,
                                                     hit_positions_topk)
     from raysearch.score import query_term_weights
-    from raysearch.segments import (SCORER_COLUMNS, decode_posting_row,
-                                    part_dirname, read_postings)
+    from raysearch.stats import load_stats
 
     base = hit_positions_topk(sf_dir).to_pandas()
     # base: query_id, doc_id, rank, first_pos, n_hits — but not the
@@ -1660,13 +1514,7 @@ def ltr_features(sf_dir: str) -> pa.Table:
     def kern(batch: pa.Table) -> pa.Table:
         out_q, out_d, out_o, out_l, out_m = [], [], [], [], []
         for part in batch["part"].to_pylist():
-            part_dir = part_dirname(idx, int(part))
-            if not os.path.isdir(part_dir):
-                continue
-            tbl = read_postings(part_dir, all_terms,
-                                columns=SCORER_COLUMNS)
-            post = {tbl["term"][i].as_py(): decode_posting_row(tbl, i)
-                    for i in range(tbl.num_rows)}
+            post = part_postings(idx, int(part), all_terms)
             for qid, qw in enumerate(qweights):
                 elig = cand.get(qid)
                 if elig is None or not len(elig):
@@ -1706,7 +1554,7 @@ def ltr_features(sf_dir: str) -> pa.Table:
             "dl": pa.array(out_l, pa.int64()),
             "n_terms_matched": pa.array(out_m, pa.int64())})
 
-    feats = _parts_candidates(idx, kern, empty)
+    feats = map_parts(load_stats(idx)["parts"], kern, empty).to_pandas()
     out = base.merge(feats, on=["query_id", "doc_id"], how="inner")
     out = out.sort_values(["query_id", "rank"], ignore_index=True)
     return pa.table({
@@ -2029,15 +1877,10 @@ def multifield_topk(sf_dir: str) -> pa.Table:
     cross-part score re-aggregation, no post-hoc merge of per-field
     top-k lists (a doc strong in both fields but top-k in neither
     would escape that rewrite; it cannot escape this one)."""
-    import ray.data  # noqa: F401  (fan-out lives in _parts_candidates)
-
-    from raysearch.pipelines.search_queries import (_TOPK_BUFFER,
-                                                    DOC_QUERIES,
+    from raysearch.pipelines.search_queries import (DOC_QUERIES,
                                                     cached_index)
     from raysearch.query import lexicon_df
-    from raysearch.score import query_term_weights, score_postings, topk
-    from raysearch.segments import (SCORER_COLUMNS, decode_posting_row,
-                                    part_dirname, read_postings)
+    from raysearch.score import query_term_weights, score_postings
     from raysearch.stats import load_stats
 
     bidx = cached_index(sf_dir)
@@ -2050,49 +1893,30 @@ def multifield_topk(sf_dir: str) -> pa.Table:
     df_b = lexicon_df(bidx, all_terms)
     df_t = lexicon_df(tidx, all_terms)
 
-    def _posts(idx: str, part: int) -> dict:
-        pdir = part_dirname(idx, part)
-        if not os.path.isdir(pdir):
-            return {}
-        tbl = read_postings(pdir, all_terms, columns=SCORER_COLUMNS)
-        return {tbl["term"][i].as_py(): decode_posting_row(tbl, i)
-                for i in range(tbl.num_rows)}
+    def load(part: int):
+        return (part_postings(bidx, part, all_terms),
+                part_postings(tidx, part, all_terms))
 
-    def kern(batch: pa.Table) -> pa.Table:
-        out_q, out_d, out_s = [], [], []
-        for part in batch["part"].to_pylist():
-            pb = _posts(bidx, int(part))
-            pt = _posts(tidx, int(part))
-            if not pb and not pt:
-                continue
-            for qid, qw in enumerate(qweights):
-                db, sb = score_postings(qw, pb.get, df_b,
-                                        stb["n_docs"], stb["avgdl"],
-                                        k1, b, mode="bm25")
-                dt, st_ = score_postings(qw, pt.get, df_t,
-                                         stt["n_docs"], stt["avgdl"],
-                                         k1, b, mode="bm25")
-                if not len(db) and not len(dt):
-                    continue
-                # field sum over the union — body contribution first,
-                # matching the oracle's W_BODY*b + W_TITLE*t order
-                docs = np.concatenate([db, dt])
-                contrib = np.concatenate([W_BODY * sb, W_TITLE * st_])
-                uniq, inv = np.unique(docs, return_inverse=True)
-                comb = np.zeros(len(uniq), np.float64)
-                np.add.at(comb, inv, contrib)
-                d, s = topk(uniq.astype(np.int64), comb, _TOPK_BUFFER)
-                out_q.extend([qid] * len(d))
-                out_d.extend(d.tolist())
-                out_s.extend(float(x) for x in s)
-        if not out_q:
-            return _EMPTY_CAND
-        return pa.table({
-            "query_id": pa.array(out_q, pa.int64()),
-            "doc_id": pa.array(out_d, pa.int64()),
-            "score": pa.array(out_s, pa.float64())})
+    def score_query(qid, post):
+        pb, pt = post
+        qw = qweights[qid]
+        db, sb = score_postings(qw, pb.get, df_b, stb["n_docs"],
+                                stb["avgdl"], k1, b, mode="bm25")
+        dt, st_ = score_postings(qw, pt.get, df_t, stt["n_docs"],
+                                 stt["avgdl"], k1, b, mode="bm25")
+        if not len(db) and not len(dt):
+            return None
+        # field sum over the union — body contribution first, matching
+        # the oracle's W_BODY*b + W_TITLE*t order
+        uniq, inv = np.unique(np.concatenate([db, dt]),
+                              return_inverse=True)
+        comb = np.zeros(len(uniq), np.float64)
+        np.add.at(comb, inv, np.concatenate([W_BODY * sb, W_TITLE * st_]))
+        return uniq, comb
 
-    return _ranked_from_candidates(_parts_candidates(bidx, kern))
+    kern = _part_kernel(load, len(qweights), score_query, _TOPK_BUFFER)
+    return _ranked_from_candidates(
+        map_parts(stb["parts"], kern, _EMPTY_CAND).to_pandas())
 
 
 def sql_multifield_topk() -> str:
@@ -2185,48 +2009,24 @@ def sorted_topk(sf_dir: str) -> pa.Table:
     (write segments in field order so the scan early-terminates);
     this query-time form is the semantics contract that such a
     sorted-segment optimization must preserve."""
-    import ray.data  # noqa: F401  (fan-out lives in _parts_candidates)
-
-    from raysearch.pipelines.search_queries import (_TOPK_BUFFER,
-                                                    DOC_QUERIES,
+    from raysearch.pipelines.search_queries import (DOC_QUERIES,
                                                     cached_index)
-    from raysearch.score import query_term_weights, topk
-    from raysearch.segments import (SCORER_COLUMNS, decode_posting_row,
-                                    part_dirname, read_postings)
+    from raysearch.score import query_term_weights
 
     idx = cached_index(sf_dir)
     qterms = [[t for t, _ in query_term_weights(q)] for q in DOC_QUERIES]
     all_terms = sorted({t for ts in qterms for t in ts})
 
-    def kern(batch: pa.Table) -> pa.Table:
-        out_q, out_d, out_s = [], [], []
-        for part in batch["part"].to_pylist():
-            pdir = part_dirname(idx, int(part))
-            if not os.path.isdir(pdir):
-                continue
-            tbl = read_postings(pdir, all_terms, columns=SCORER_COLUMNS)
-            post = {tbl["term"][i].as_py(): decode_posting_row(tbl, i)
-                    for i in range(tbl.num_rows)}
-            for qid, ts in enumerate(qterms):
-                got = [post[t] for t in ts if t in post]
-                if not got:
-                    continue
-                docs = np.concatenate([g[0] for g in got])
-                dls = np.concatenate([g[2] for g in got])
-                uniq, first = np.unique(docs, return_index=True)
-                d, s = topk(uniq.astype(np.int64),
-                            dls[first].astype(np.float64), _TOPK_BUFFER)
-                out_q.extend([qid] * len(d))
-                out_d.extend(d.tolist())
-                out_s.extend(float(x) for x in s)
-        if not out_q:
-            return _EMPTY_CAND
-        return pa.table({
-            "query_id": pa.array(out_q, pa.int64()),
-            "doc_id": pa.array(out_d, pa.int64()),
-            "score": pa.array(out_s, pa.float64())})
+    def score_query(qid, post):
+        got = [post[t] for t in qterms[qid] if t in post]
+        if not got:
+            return None
+        uniq, first = np.unique(np.concatenate([g[0] for g in got]),
+                                return_index=True)
+        dls = np.concatenate([g[2] for g in got])
+        return uniq, dls[first].astype(np.float64)
 
-    cand = _parts_candidates(idx, kern)
+    cand = _part_topk(idx, all_terms, len(qterms), score_query)
     cand = cand.assign(score=cand["score"].astype(np.int64))
     out = _ranked_from_candidates(cand, score_int=True)
     return out.rename_columns(["query_id", "doc_id", "rank", "dl"])

@@ -30,6 +30,7 @@ from raysearch.config import IndexConfig
 from raysearch.fanout import map_parts
 from raysearch.numutil import fmt_doc, round6
 from raysearch.score import query_term_weights
+from raysearch.segments import SCORER_COLUMNS_POS, part_postings
 
 
 # fixed query set over the documents-table vocabulary (punctuation and
@@ -168,17 +169,14 @@ def postings(sf_dir: str) -> pa.Table:
     """Decoded posting entries (term, doc_id, tf, dl) for FIXED_TERMS —
     the I1/I4 posting-construction operators, read back from the
     delta+varint segments."""
-    from raysearch.segments import (decode_posting_row, part_dirname,
-                                    read_postings)
     from raysearch.stats import load_stats
 
     idx = cached_index(sf_dir)
     st = load_stats(idx)
     cols = {"term": [], "doc_id": [], "tf": [], "dl": []}
     for part in st["parts"]:
-        tbl = read_postings(part_dirname(idx, part), FIXED_TERMS)
-        for i, term in enumerate(tbl["term"].to_pylist()):
-            d, f, l = decode_posting_row(tbl, i)
+        for term, (d, f, l) in part_postings(idx, part,
+                                             FIXED_TERMS).items():
             cols["term"].extend([term] * len(d))
             cols["doc_id"].append(d)
             cols["tf"].append(f)
@@ -386,24 +384,11 @@ PHRASE_QUERIES: list[list[str]] = [
 # all (/root/reference/src/lib.rs:341-343); this is the Lucene-grade
 # upgrade its SpanNear-shaped queries imply.
 
-def _read_positional(idx: str, part: int, terms: list[str]) -> dict:
-    """term -> (docs, tfs, flat absolute positions) for one segment."""
-    from raysearch.segments import (decode_posting_positions,
-                                    decode_posting_row, part_dirname,
-                                    read_postings)
-
-    tbl = read_postings(part_dirname(idx, int(part)), terms)
-    out = {}
-    for i, t in enumerate(tbl["term"].to_pylist()):
-        docs, tfs, _ = decode_posting_row(tbl, i)
-        out[t] = (docs, tfs, decode_posting_positions(tbl, i, tfs))
-    return out
-
-
 def _gpos(entry, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(global positions, candidate ranks) of one term restricted to
+    """(global positions, candidate ranks) of one term's positional
+    posting row (segments.part_postings with pos_enc) restricted to
     the sorted candidate doc array: gpos = rank << 32 | pos."""
-    docs, tfs, pos = entry
+    docs, tfs, _, pos = entry
     sel = np.isin(docs, cand, assume_unique=True)
     if not sel.any():
         return np.zeros(0, np.int64), np.zeros(0, np.int64)
@@ -422,7 +407,8 @@ def _phrase_rows_positional(idx: str, parts) -> pd.DataFrame:
     def kern(batch: pa.Table) -> pa.Table:
         pids, dids, tfs_out = [], [], []
         for part in batch["part"].to_pylist():
-            data = _read_positional(idx, part, all_terms)
+            data = part_postings(idx, part, all_terms,
+                                 SCORER_COLUMNS_POS)
             for pid, ph in enumerate(PHRASE_QUERIES):
                 if any(t not in data for t in ph):
                     continue
@@ -481,7 +467,8 @@ def _pair_rows_positional(idx: str, parts, ordered: bool) -> pd.DataFrame:
     def kern(batch: pa.Table) -> pa.Table:
         out_q, out_d, out_m, out_w = [], [], [], []
         for part in batch["part"].to_pylist():
-            data = _read_positional(idx, part, all_terms)
+            data = part_postings(idx, part, all_terms,
+                                 SCORER_COLUMNS_POS)
             for qid, (ta, tb) in enumerate(NEAR_QUERIES):
                 if ta not in data or tb not in data:
                     continue
@@ -566,8 +553,6 @@ def phrase_topk(sf_dir: str, positions: bool = True) -> pa.Table:
     (this synthetic corpus's 31-word vocabulary makes that bound
     loose; real vocabularies make AND-intersection sharp)."""
     import ray.data
-    from raysearch.segments import (decode_posting_row, part_dirname,
-                                    read_postings)
     from raysearch.stats import load_stats
 
     empty = pa.table({"phrase_id": pa.array([], pa.int64()),
@@ -585,9 +570,8 @@ def phrase_topk(sf_dir: str, positions: bool = True) -> pa.Table:
     def candidates(batch: pa.Table) -> pa.Table:
         pids, dids = [], []
         for part in batch["part"].to_pylist():
-            tbl = read_postings(part_dirname(idx, int(part)), all_terms)
-            docs = {t: decode_posting_row(tbl, i)[0]
-                    for i, t in enumerate(tbl["term"].to_pylist())}
+            docs = {t: row[0] for t, row in
+                    part_postings(idx, int(part), all_terms).items()}
             for pid, ph in enumerate(PHRASE_QUERIES):
                 if any(t not in docs for t in ph):
                     continue
@@ -735,7 +719,8 @@ def phrase_prefix_topk(sf_dir: str) -> pa.Table:
     def kern(batch: pa.Table) -> pa.Table:
         pids, dids, tfs_out = [], [], []
         for part in batch["part"].to_pylist():
-            data = _read_positional(idx, part, all_terms)
+            data = part_postings(idx, part, all_terms,
+                                 SCORER_COLUMNS_POS)
             for pid, (first, _pre) in enumerate(PHRASE_PREFIX_QUERIES):
                 ex = [e for e in expansions[pid] if e in data]
                 if first not in data or not ex:
@@ -949,7 +934,8 @@ def hit_positions_topk(sf_dir: str) -> pa.Table:
     def kern(batch: pa.Table) -> pa.Table:
         out_q, out_d, out_p, out_n = [], [], [], []
         for part in batch["part"].to_pylist():
-            data = _read_positional(idx, part, all_terms)
+            data = part_postings(idx, part, all_terms,
+                                 SCORER_COLUMNS_POS)
             for qid, terms in enumerate(qterms):
                 cand = cand_by_q.get(qid)
                 if cand is None or not len(cand):
@@ -960,7 +946,7 @@ def hit_positions_topk(sf_dir: str) -> pa.Table:
                 for t in terms:
                     if t not in data:
                         continue
-                    docs, tfs, pos = data[t]
+                    docs, tfs, _, pos = data[t]
                     sel = np.isin(docs, cand, assume_unique=True)
                     if not sel.any():
                         continue
@@ -1751,8 +1737,6 @@ def blocklist_docs(sf_dir: str) -> pa.Table:
     exchanges, the result streams straight out of the parts fan-out.
     The blocklist itself rides the task closure (tiny); a large
     blocklist would ray.put once like the snippet candidate set."""
-    from raysearch.segments import (decode_posting_row, part_dirname,
-                                    read_postings)
     from raysearch.stats import load_stats
 
     idx = cached_index(sf_dir)
@@ -1762,9 +1746,8 @@ def blocklist_docs(sf_dir: str) -> pa.Table:
     def hits(batch: pa.Table) -> pa.Table:
         dids = []
         for part in batch["part"].to_pylist():
-            tbl = read_postings(part_dirname(idx, int(part)), terms)
-            for i in range(tbl.num_rows):
-                dids.append(decode_posting_row(tbl, i)[0])
+            dids += [row[0] for row in
+                     part_postings(idx, int(part), terms).values()]
         if not dids:
             return pa.table({"doc_id": pa.array([], pa.int64()),
                              "n_blocked": pa.array([], pa.int64())})
@@ -1976,78 +1959,36 @@ def msm_topk(sf_dir: str) -> pa.Table:
     this is one fan-out + a k-bounded merge, zero exchanges — work is
     bounded by the query terms' df, never a corpus scan.
     """
-    from raysearch.query import lexicon_df
-    from raysearch.score import (accumulate_scores, bm25_contrib,
-                                 bm25_idf, query_term_weights, topk)
-    from raysearch.segments import (SCORER_COLUMNS, decode_posting_row,
-                                    part_dirname, read_postings)
+    from raysearch.pipelines.rankex import (_part_topk,
+                                            _ranked_from_candidates)
+    from raysearch.query import keep_postings, lexicon_df
+    from raysearch.score import score_postings
     from raysearch.stats import load_stats
 
     idx = cached_index(sf_dir)
     st = load_stats(idx)
-    parts = st["parts"]
     n_docs, avgdl = st["n_docs"], st["avgdl"]
     k1, b = st["config"]["k1"], st["config"]["b"]
     qweights = [query_term_weights(q) for q in DOC_QUERIES]
     all_terms = sorted({t for qw in qweights for t, _ in qw})
     df = lexicon_df(idx, all_terms)
-    empty = pa.table({"query_id": pa.array([], pa.int64()),
-                      "doc_id": pa.array([], pa.int64()),
-                      "score": pa.array([], pa.float64())})
 
-    def kern(batch: pa.Table) -> pa.Table:
-        out_q, out_d, out_s = [], [], []
-        for part in batch["part"].to_pylist():
-            tbl = read_postings(part_dirname(idx, int(part)), all_terms,
-                                columns=SCORER_COLUMNS)
-            post = {tbl["term"][i].as_py(): decode_posting_row(tbl, i)
-                    for i in range(tbl.num_rows)}
-            for qid, qw in enumerate(qweights):
-                present = [(t, w) for t, w in qw if t in post]
-                if len(present) < MSM_M:
-                    continue
-                uniq, cnt = np.unique(
-                    np.concatenate([post[t][0] for t, _ in present]),
-                    return_counts=True)
-                elig = uniq[cnt >= MSM_M]
-                if not len(elig):
-                    continue
-                per_term = []
-                for t, w in present:    # ascending-term accumulation
-                    docs, tfs, dls = post[t]
-                    pos = np.searchsorted(docs, elig)
-                    pos_c = np.clip(pos, 0, len(docs) - 1)
-                    hit = docs[pos_c] == elig
-                    sel = pos_c[hit]
-                    if hit.any():
-                        per_term.append((elig[hit], bm25_contrib(
-                            tfs[sel], dls[sel],
-                            bm25_idf(df.get(t, 0), n_docs),
-                            w, k1, b, avgdl)))
-                docs, sc = accumulate_scores(per_term)
-                d, s = topk(docs, sc, _TOPK_BUFFER)
-                out_q.extend([qid] * len(d))
-                out_d.extend(d.tolist())
-                out_s.extend(float(x) for x in s)
-        if not out_q:
-            return empty
-        return pa.table({
-            "query_id": pa.array(out_q, pa.int64()),
-            "doc_id": pa.array(out_d, pa.int64()),
-            "score": pa.array(out_s, pa.float64())})
+    def score_query(qid, post):
+        present = [(t, w) for t, w in qweights[qid] if t in post]
+        if len(present) < MSM_M:
+            return None
+        uniq, cnt = np.unique(
+            np.concatenate([post[t][0] for t, _ in present]),
+            return_counts=True)
+        elig = uniq[cnt >= MSM_M]
+        if not len(elig):
+            return None
+        return score_postings(present,
+                              lambda t: keep_postings(post[t], elig),
+                              df, n_docs, avgdl, k1, b, mode="bm25")
 
-    cand = map_parts(parts, kern, empty).to_pandas()
-    cand["score"] = round6(cand["score"].to_numpy(np.float64))
-    cand = cand.sort_values(["query_id", "score", "doc_id"],
-                            ascending=[True, False, True])
-    cand["rank"] = cand.groupby("query_id").cumcount() + 1
-    cand = cand[cand["rank"] <= TOPK]
-    return pa.table({
-        "query_id": pa.array(cand.query_id.to_numpy(np.int64), pa.int64()),
-        "doc_id": pa.array(cand.doc_id.to_numpy(np.int64), pa.int64()),
-        "rank": pa.array(cand["rank"].to_numpy(np.int64), pa.int64()),
-        "score": pa.array(cand.score.to_numpy(np.float64), pa.float64()),
-    })
+    return _ranked_from_candidates(
+        _part_topk(idx, all_terms, len(qweights), score_query))
 
 
 def bool_and_docs(sf_dir: str) -> pa.Table:
@@ -2061,9 +2002,6 @@ def bool_and_docs(sf_dir: str) -> pa.Table:
     empty); segments partition documents disjointly, so per-part
     intersections are FINAL — zero exchanges, results stream from the
     parts fan-out exactly like ``blocklist_docs``."""
-    from raysearch.score import query_term_weights
-    from raysearch.segments import (decode_posting_row, part_dirname,
-                                    read_postings)
     from raysearch.stats import load_stats
 
     idx = cached_index(sf_dir)
@@ -2076,9 +2014,8 @@ def bool_and_docs(sf_dir: str) -> pa.Table:
         out_q: list[int] = []
         out_d: list[int] = []
         for part in batch["part"].to_pylist():
-            tbl = read_postings(part_dirname(idx, int(part)), all_terms)
-            docs = {tbl["term"][i].as_py(): decode_posting_row(tbl, i)[0]
-                    for i in range(tbl.num_rows)}
+            docs = {t: row[0] for t, row in
+                    part_postings(idx, int(part), all_terms).items()}
             for qid, ts in enumerate(qterms):
                 if any(t not in docs for t in ts):
                     continue
@@ -2318,17 +2255,13 @@ def _and_candidate_ids(idx: str, parts, queries) -> np.ndarray:
     per segment, AND-intersect the two terms' posting lists for every
     2-term query — work proportional to min(df), never a corpus scan —
     and return the distinct candidate doc ids."""
-    from raysearch.segments import (decode_posting_row, part_dirname,
-                                    read_postings)
-
     all_terms = sorted({t for q in queries for t in q})
 
     def candidates(batch: pa.Table) -> pa.Table:
         dids = []
         for part in batch["part"].to_pylist():
-            tbl = read_postings(part_dirname(idx, int(part)), all_terms)
-            docs = {t: decode_posting_row(tbl, i)[0]
-                    for i, t in enumerate(tbl["term"].to_pylist())}
+            docs = {t: row[0] for t, row in
+                    part_postings(idx, int(part), all_terms).items()}
             for ta, tb in queries:
                 if ta not in docs or tb not in docs:
                     continue
@@ -2949,16 +2882,14 @@ def rescore_topk(sf_dir: str) -> pa.Table:
     in their home part) via searchsorted intersection of the decoded
     query-term postings — work is bounded by the candidate count and
     the query terms' df, never the corpus."""
-    from raysearch.query import lexicon_df, query_index
-    from raysearch.score import (accumulate_scores, bm25_contrib,
-                                 bm25_idf)
-    from raysearch.segments import (SCORER_COLUMNS, decode_posting_row,
-                                    part_dirname, read_postings)
+    from raysearch.pipelines.rankex import (_part_topk,
+                                            _ranked_from_candidates)
+    from raysearch.query import keep_postings, lexicon_df, query_index
+    from raysearch.score import score_postings
     from raysearch.stats import load_stats
 
     idx = cached_index(sf_dir)
     st = load_stats(idx)
-    parts = st["parts"]
     n_docs, avgdl = st["n_docs"], st["avgdl"]
     k1, b = st["config"]["k1"], st["config"]["b"]
 
@@ -2970,60 +2901,18 @@ def rescore_topk(sf_dir: str) -> pa.Table:
     qweights = [query_term_weights(q) for q in DOC_QUERIES]
     all_terms = sorted({t for qw in qweights for t, _ in qw})
     df = lexicon_df(idx, all_terms)
-    empty = pa.table({"query_id": pa.array([], pa.int64()),
-                      "doc_id": pa.array([], pa.int64()),
-                      "score": pa.array([], pa.float64())})
 
-    def kern(batch: pa.Table) -> pa.Table:
-        out_q, out_d, out_s = [], [], []
-        for part in batch["part"].to_pylist():
-            tbl = read_postings(part_dirname(idx, int(part)), all_terms,
-                                columns=SCORER_COLUMNS)
-            post = {tbl["term"][i].as_py(): decode_posting_row(tbl, i)
-                    for i in range(tbl.num_rows)}
-            for qid, qw in enumerate(qweights):
-                elig = cand.get(qid)
-                if elig is None or not len(elig):
-                    continue
-                per_term = []
-                for t, w in qw:     # ascending-term accumulation
-                    if t not in post:
-                        continue
-                    docs, tfs, dls = post[t]
-                    pos = np.searchsorted(docs, elig)
-                    pos_c = np.clip(pos, 0, max(0, len(docs) - 1))
-                    hit = (docs[pos_c] == elig) if len(docs) else \
-                        np.zeros(len(elig), bool)
-                    sel = pos_c[hit]
-                    if hit.any():
-                        per_term.append((elig[hit], bm25_contrib(
-                            tfs[sel], dls[sel],
-                            bm25_idf(df.get(t, 0), n_docs),
-                            w, k1, b, avgdl)))
-                docs, sc = accumulate_scores(per_term)
-                out_q.extend([qid] * len(docs))
-                out_d.extend(docs.tolist())
-                out_s.extend(float(x) for x in sc)
-        if not out_q:
-            return empty
-        return pa.table({
-            "query_id": pa.array(out_q, pa.int64()),
-            "doc_id": pa.array(np.asarray(out_d, np.int64), pa.int64()),
-            "score": pa.array(np.asarray(out_s, np.float64),
-                              pa.float64())})
+    def score_query(qid, post):
+        elig = cand.get(qid)
+        if elig is None or not len(elig):
+            return None
+        return score_postings(
+            qweights[qid],
+            lambda t: keep_postings(post[t], elig) if t in post else None,
+            df, n_docs, avgdl, k1, b, mode="bm25")
 
-    raw = map_parts(parts, kern, empty).to_pandas()
-    raw["score"] = round6(raw["score"].to_numpy(np.float64))
-    raw = raw.sort_values(["query_id", "score", "doc_id"],
-                          ascending=[True, False, True])
-    raw["rank"] = raw.groupby("query_id").cumcount() + 1
-    raw = raw[raw["rank"] <= TOPK]
-    return pa.table({
-        "query_id": pa.array(raw.query_id.to_numpy(np.int64), pa.int64()),
-        "doc_id": pa.array(raw.doc_id.to_numpy(np.int64), pa.int64()),
-        "rank": pa.array(raw["rank"].to_numpy(np.int64), pa.int64()),
-        "score": pa.array(raw.score.to_numpy(np.float64), pa.float64()),
-    })
+    return _ranked_from_candidates(_part_topk(
+        idx, all_terms, len(qweights), score_query, buffer=None))
 
 
 def sql_rescore_topk() -> str:

@@ -233,8 +233,6 @@ def ann_lsh(sf_dir: str, n_probes: int = LSH_PROBES) -> pa.Table:
     query). ``n_probes`` is THE recall/scan knob; bench reports the
     measured recall at two depths. Approximate -> rows-only driver
     check; recall tested in pytest."""
-    import ray.data
-
     qids, qmat = _query_vectors(sf_dir)
     qn = qmat / np.linalg.norm(qmat, axis=1, keepdims=True)
     dim = qmat.shape[1]
@@ -303,8 +301,6 @@ def embedding_dups_lsh(sf_dir: str) -> pa.Table:
     (input-scaled buckets; the driver never sees duplicate pairs).
     Approximate -> rows-only check; recall vs the exact block-pair
     join asserted in pytest and reported in the bench quality block."""
-    import ray.data
-
     from raysearch.hashing import auto_buckets, splitmix64
 
     dim = _query_vectors(sf_dir)[1].shape[1]

@@ -67,7 +67,6 @@ def distinct_users(sf_dir: str) -> pa.Table:
     (type, user-hash bucket) so each group holds one user-subspace of
     one type — the per-group distinct count is exact and the counts
     add across buckets because buckets partition the user space."""
-    import ray.data
     from ray.data.aggregate import Sum
 
     from raysearch.hashing import auto_buckets, splitmix64
@@ -157,8 +156,6 @@ def hll_distinct_users(sf_dir: str) -> pa.Table:
     and merge = elementwise max, so the exchange volume is
     O(types x blocks x 4 KiB) with an (input-gated) salted pre-merge
     bounding the final group exactly like event_quantiles_tdigest."""
-    import ray.data
-
     from raysearch.hashing import splitmix64
 
     n_salt = 16
@@ -374,8 +371,6 @@ def grouped_topk(sf_dir: str) -> pa.Table:
     combiner), so the final per-lang selection sees n_blocks * k rows
     — never a global sort. Deterministic total order via the doc_id
     tiebreak."""
-    import ray.data
-
     k = TOPK_PER_GROUP
 
     def local_topk(df: pd.DataFrame) -> pd.DataFrame:

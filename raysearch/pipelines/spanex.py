@@ -21,8 +21,6 @@ shared round6 -> (-score, doc_id) rank contract (rankex helpers).
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -72,18 +70,12 @@ def span_not_topk(sf_dir: str) -> pa.Table:
     coordinates; dl comes from the posting rows, so the op reads
     ZERO documents.parquet bytes. Per-segment scores final under
     doc-hash partitioning."""
-    import ray.data  # noqa: F401  (fan-out lives in _parts_candidates)
-
-    from raysearch.pipelines.rankex import (_EMPTY_CAND,
-                                            _parts_candidates,
+    from raysearch.pipelines.rankex import (_part_topk,
                                             _ranked_from_candidates)
-    from raysearch.pipelines.search_queries import (_TOPK_BUFFER, _gpos,
-                                                    cached_index)
+    from raysearch.pipelines.search_queries import _gpos, cached_index
     from raysearch.query import lexicon_df
-    from raysearch.score import bm25_contrib, bm25_idf, topk
-    from raysearch.segments import (decode_posting_positions,
-                                    decode_posting_row, part_dirname,
-                                    read_postings)
+    from raysearch.score import bm25_contrib, bm25_idf
+    from raysearch.segments import SCORER_COLUMNS_POS
     from raysearch.stats import load_stats
 
     idx = cached_index(sf_dir, with_positions=True)
@@ -94,58 +86,38 @@ def span_not_topk(sf_dir: str) -> pa.Table:
     df = lexicon_df(idx, all_terms)
     W = np.int64(SPANNOT_W)
 
-    def kern(batch: pa.Table) -> pa.Table:
-        out_q, out_d, out_s = [], [], []
-        for part in batch["part"].to_pylist():
-            part_dir = part_dirname(idx, int(part))
-            if not os.path.isdir(part_dir):
-                continue
-            tbl = read_postings(part_dir, all_terms)
-            entries = {}
-            for i, t in enumerate(tbl["term"].to_pylist()):
-                docs, tfs, dls = decode_posting_row(tbl, i)
-                pos = decode_posting_positions(tbl, i, tfs)
-                entries[t] = (docs, tfs, dls, pos)
-            for qid, (ta, tb) in enumerate(SPANNOT_QUERIES):
-                ea = entries.get(ta)
-                if ea is None or not len(ea[0]):
-                    continue
-                docs_a, tfs_a, dls_a, pos_a = ea
-                cand = docs_a  # posting doc ids: sorted unique
-                eb = entries.get(tb)
-                if eb is None or not len(eb[0]):
-                    stf = tfs_a.astype(np.int64)
-                else:
-                    ra = np.repeat(
-                        np.arange(len(docs_a), dtype=np.int64), tfs_a)
-                    ga = (ra << np.int64(32)) | pos_a.astype(np.int64)
-                    gb, rb = _gpos((eb[0], eb[1], eb[3]), cand)
-                    lo = np.searchsorted(gb, ga - W, side="left")
-                    hi = np.searchsorted(gb, ga + W, side="right")
-                    doc_lo = np.searchsorted(rb, ra, side="left")
-                    doc_hi = np.searchsorted(rb, ra, side="right")
-                    cnt = (np.minimum(hi, doc_hi)
-                           - np.maximum(lo, doc_lo)).clip(min=0)
-                    stf = np.zeros(len(cand), np.int64)
-                    np.add.at(stf, ra[cnt == 0], 1)
-                hit = np.flatnonzero(stf > 0)
-                if not len(hit):
-                    continue
-                sc = bm25_contrib(stf[hit], dls_a[hit],
-                                  bm25_idf(df.get(ta, 0), n_docs),
-                                  1, k1, b, avgdl)
-                d, s = topk(cand[hit], sc, _TOPK_BUFFER)
-                out_q.extend([qid] * len(d))
-                out_d.extend(d.tolist())
-                out_s.extend(float(x) for x in s)
-        if not out_q:
-            return _EMPTY_CAND
-        return pa.table({
-            "query_id": pa.array(out_q, pa.int64()),
-            "doc_id": pa.array(out_d, pa.int64()),
-            "score": pa.array(out_s, pa.float64())})
+    def score_query(qid, post):
+        ta, tb = SPANNOT_QUERIES[qid]
+        ea = post.get(ta)
+        if ea is None or not len(ea[0]):
+            return None
+        docs_a, tfs_a, dls_a, pos_a = ea
+        cand = docs_a  # posting doc ids: sorted unique
+        eb = post.get(tb)
+        if eb is None or not len(eb[0]):
+            stf = tfs_a.astype(np.int64)
+        else:
+            ra = np.repeat(np.arange(len(docs_a), dtype=np.int64), tfs_a)
+            ga = (ra << np.int64(32)) | pos_a.astype(np.int64)
+            gb, rb = _gpos(eb, cand)
+            lo = np.searchsorted(gb, ga - W, side="left")
+            hi = np.searchsorted(gb, ga + W, side="right")
+            doc_lo = np.searchsorted(rb, ra, side="left")
+            doc_hi = np.searchsorted(rb, ra, side="right")
+            cnt = (np.minimum(hi, doc_hi)
+                   - np.maximum(lo, doc_lo)).clip(min=0)
+            stf = np.zeros(len(cand), np.int64)
+            np.add.at(stf, ra[cnt == 0], 1)
+        hit = np.flatnonzero(stf > 0)
+        if not len(hit):
+            return None
+        return cand[hit], bm25_contrib(stf[hit], dls_a[hit],
+                                       bm25_idf(df.get(ta, 0), n_docs),
+                                       1, k1, b, avgdl)
 
-    return _ranked_from_candidates(_parts_candidates(idx, kern))
+    return _ranked_from_candidates(_part_topk(
+        idx, all_terms, len(SPANNOT_QUERIES), score_query,
+        columns=SCORER_COLUMNS_POS))
 
 
 def sql_span_not_topk() -> str:
@@ -222,18 +194,11 @@ def common_terms_topk(sf_dir: str) -> pa.Table:
     union of rare-term posting docs, then every query term scores
     that candidate set via the spanfirst-style searchsorted gather.
     Per-segment scores final; shared round6 rank merge."""
-    import ray.data  # noqa: F401
-
-    from raysearch.pipelines.rankex import (_EMPTY_CAND,
-                                            _parts_candidates,
+    from raysearch.pipelines.rankex import (_part_topk,
                                             _ranked_from_candidates)
-    from raysearch.pipelines.search_queries import (_TOPK_BUFFER,
-                                                    cached_index)
-    from raysearch.query import lexicon_df
-    from raysearch.score import (accumulate_scores, bm25_contrib,
-                                 bm25_idf, query_term_weights, topk)
-    from raysearch.segments import (decode_posting_row, part_dirname,
-                                    read_postings)
+    from raysearch.pipelines.search_queries import cached_index
+    from raysearch.query import keep_postings, lexicon_df
+    from raysearch.score import query_term_weights, score_postings
     from raysearch.stats import load_stats
 
     idx = cached_index(sf_dir)
@@ -251,54 +216,21 @@ def common_terms_topk(sf_dir: str) -> pa.Table:
                 if df.get(t, 0) <= COMMON_CUTOFF * n_docs]
         selectors.append(rare if rare else [t for t, _ in qw])
 
-    def kern(batch: pa.Table) -> pa.Table:
-        out_q, out_d, out_s = [], [], []
-        for part in batch["part"].to_pylist():
-            part_dir = part_dirname(idx, int(part))
-            if not os.path.isdir(part_dir):
-                continue
-            tbl = read_postings(part_dir, all_terms)
-            post = {t: decode_posting_row(tbl, i)
-                    for i, t in enumerate(tbl["term"].to_pylist())}
-            for qid, qw in enumerate(qweights):
-                sel_docs = [post[t][0] for t in selectors[qid]
-                            if t in post]
-                if not sel_docs:
-                    continue
-                elig = np.unique(np.concatenate(sel_docs))
-                if not len(elig):
-                    continue
-                contribs = []
-                for t, w in qw:  # ascending-term accumulation
-                    got = post.get(t)
-                    if got is None or not len(got[0]):
-                        continue
-                    docs, tfs, dls = got
-                    p = np.searchsorted(docs, elig)
-                    p_c = np.clip(p, 0, len(docs) - 1)
-                    hitm = docs[p_c] == elig
-                    if not hitm.any():
-                        continue
-                    sel = p_c[hitm]
-                    contribs.append((elig[hitm], bm25_contrib(
-                        tfs[sel], dls[sel],
-                        bm25_idf(df.get(t, 0), n_docs), w, k1, b,
-                        avgdl)))
-                docs, sc = accumulate_scores(contribs)
-                if not len(docs):
-                    continue
-                d, s = topk(docs, sc, _TOPK_BUFFER)
-                out_q.extend([qid] * len(d))
-                out_d.extend(d.tolist())
-                out_s.extend(float(x) for x in s)
-        if not out_q:
-            return _EMPTY_CAND
-        return pa.table({
-            "query_id": pa.array(out_q, pa.int64()),
-            "doc_id": pa.array(out_d, pa.int64()),
-            "score": pa.array(out_s, pa.float64())})
+    def score_query(qid, post):
+        sel_docs = [post[t][0] for t in selectors[qid] if t in post]
+        if not sel_docs:
+            return None
+        elig = np.unique(np.concatenate(sel_docs))
+        if not len(elig):
+            return None
+        docs, sc = score_postings(
+            qweights[qid],
+            lambda t: keep_postings(post[t], elig) if t in post else None,
+            df, n_docs, avgdl, k1, b, mode="bm25")
+        return (docs, sc) if len(docs) else None
 
-    return _ranked_from_candidates(_parts_candidates(idx, kern))
+    return _ranked_from_candidates(
+        _part_topk(idx, all_terms, len(qweights), score_query))
 
 
 def _common_qvalues() -> str:
@@ -478,17 +410,10 @@ def interval_topk(sf_dir: str) -> pa.Table:
     gpos = rank<<32|pos coordinates, where a cross-document successor
     inflates the span past 2^32 and fails the W check for free. Per-
     segment counts final under doc-hash partitioning."""
-    import ray.data  # noqa: F401
-
-    from raysearch.pipelines.rankex import (_EMPTY_CAND,
-                                            _parts_candidates,
+    from raysearch.pipelines.rankex import (_part_topk,
                                             _ranked_from_candidates)
-    from raysearch.pipelines.search_queries import (_TOPK_BUFFER,
-                                                    _gpos, cached_index)
-    from raysearch.score import topk
-    from raysearch.segments import (decode_posting_positions,
-                                    decode_posting_row, part_dirname,
-                                    read_postings)
+    from raysearch.pipelines.search_queries import _gpos, cached_index
+    from raysearch.segments import SCORER_COLUMNS_POS
 
     if any(len(q) != 3 for q in INTERVAL_QUERIES):
         # the oracle's (ta, tb, tc) VALUES shape and the shared span
@@ -499,64 +424,38 @@ def interval_topk(sf_dir: str) -> pa.Table:
     all_terms = sorted({t for q in INTERVAL_QUERIES for t in q})
     W = np.int64(len(INTERVAL_QUERIES[0]) - 1 + INTERVAL_MAXGAPS)
 
-    def kern(batch: pa.Table) -> pa.Table:
-        out_q, out_d, out_s = [], [], []
-        for part in batch["part"].to_pylist():
-            part_dir = part_dirname(idx, int(part))
-            if not os.path.isdir(part_dir):
-                continue
-            tbl = read_postings(part_dir, all_terms)
-            entries = {}
-            for i, t in enumerate(tbl["term"].to_pylist()):
-                docs, tfs, _dls = decode_posting_row(tbl, i)
-                pos = decode_posting_positions(tbl, i, tfs)
-                entries[t] = (docs, tfs, pos)
-            for qid, terms in enumerate(INTERVAL_QUERIES):
-                ents = [entries.get(t) for t in terms]
-                if any(e is None or not len(e[0]) for e in ents):
-                    continue
-                cand = ents[0][0]
-                for e in ents[1:]:
-                    cand = cand[np.isin(cand, e[0],
-                                        assume_unique=True)]
-                if not len(cand):
-                    continue
-                anchors, _ = _gpos(ents[0], cand)
-                cur = anchors
-                for e in ents[1:]:
-                    gj, _ = _gpos(e, cand)
-                    k = np.searchsorted(gj, cur + 1)
-                    ok = k < len(gj)
-                    anchors, cur = anchors[ok], gj[k[ok]]
-                    if not len(cur):
-                        break
-                if not len(cur):
-                    continue
-                good = (cur - anchors) <= W  # cross-doc spans >= 2^32
-                if not good.any():
-                    continue
-                n = np.bincount(
-                    (anchors[good] >> np.int64(32)).astype(np.int64),
-                    minlength=len(cand))
-                hit = np.flatnonzero(n)
-                # per-part k-bound (lossless: integer counts need no
-                # rounding slack, and topk shares the (-score, doc_id)
-                # total order of the final merge) — the P·k·Q
-                # candidate contract the sibling kernels keep
-                d, s = topk(cand[hit], n[hit].astype(np.float64),
-                            _TOPK_BUFFER)
-                out_q.extend([qid] * len(d))
-                out_d.extend(d.tolist())
-                out_s.extend(float(x) for x in s)
-        if not out_q:
-            return _EMPTY_CAND
-        return pa.table({
-            "query_id": pa.array(out_q, pa.int64()),
-            "doc_id": pa.array(out_d, pa.int64()),
-            "score": pa.array(out_s, pa.float64())})
+    def score_query(qid, post):
+        ents = [post.get(t) for t in INTERVAL_QUERIES[qid]]
+        if any(e is None or not len(e[0]) for e in ents):
+            return None
+        cand = ents[0][0]
+        for e in ents[1:]:
+            cand = cand[np.isin(cand, e[0], assume_unique=True)]
+        if not len(cand):
+            return None
+        anchors, _ = _gpos(ents[0], cand)
+        cur = anchors
+        for e in ents[1:]:
+            gj, _ = _gpos(e, cand)
+            k = np.searchsorted(gj, cur + 1)
+            ok = k < len(gj)
+            anchors, cur = anchors[ok], gj[k[ok]]
+            if not len(cur):
+                return None
+        good = (cur - anchors) <= W  # cross-doc spans >= 2^32
+        if not good.any():
+            return None
+        n = np.bincount((anchors[good] >> np.int64(32)).astype(np.int64),
+                        minlength=len(cand))
+        hit = np.flatnonzero(n)
+        # the per-part k-bound is lossless: integer counts need no
+        # rounding slack, and topk shares the (-score, doc_id) total
+        # order of the final merge
+        return cand[hit], n[hit].astype(np.float64)
 
-    return _ranked_from_candidates(_parts_candidates(idx, kern),
-                                   score_int=True)
+    return _ranked_from_candidates(_part_topk(
+        idx, all_terms, len(INTERVAL_QUERIES), score_query,
+        columns=SCORER_COLUMNS_POS), score_int=True)
 
 
 def sql_interval_topk() -> str:

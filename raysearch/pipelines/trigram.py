@@ -146,8 +146,7 @@ def regex_trigram_docs(sf_dir: str) -> pa.Table:
     import ray.data
 
     from raysearch.pipelines.search_queries import _concat_ds
-    from raysearch.segments import (decode_posting_row, part_dirname,
-                                    read_postings)
+    from raysearch.segments import part_postings
     from raysearch.stats import load_stats
 
     idx = cached_trigram_index(sf_dir)
@@ -161,12 +160,8 @@ def regex_trigram_docs(sf_dir: str) -> pa.Table:
     def cand_kern(batch: pa.Table) -> pa.Table:
         out_q, out_d = [], []
         for part in batch["part"].to_pylist():
-            part_dir = part_dirname(idx, int(part))
-            if not os.path.isdir(part_dir):
-                continue
-            tbl = read_postings(part_dir, all_grams)
-            post = {tbl["term"][i].as_py(): decode_posting_row(tbl, i)[0]
-                    for i in range(tbl.num_rows)}
+            post = {g: row[0] for g, row in
+                    part_postings(idx, int(part), all_grams).items()}
             for qid, lit_alts in alts:
                 hits = []
                 for grams in lit_alts:

@@ -63,8 +63,7 @@ def wildcard_docs(sf_dir: str) -> pa.Table:
     containing >= 1 term with that prefix and its DISTINCT matching-
     term count — posting lists only, no corpus scan."""
     from raysearch.pipelines.search_queries import cached_index
-    from raysearch.segments import (decode_posting_row, part_dirname,
-                                    read_postings)
+    from raysearch.segments import part_postings
     from raysearch.stats import load_stats
 
     idx = cached_index(sf_dir)
@@ -83,10 +82,8 @@ def wildcard_docs(sf_dir: str) -> pa.Table:
     def hits(batch: pa.Table) -> pa.Table:
         out_p, out_d, out_n = [], [], []
         for part in batch["part"].to_pylist():
-            tbl = read_postings(part_dirname(idx, int(part)), all_terms)
-            term_docs = {}
-            for i, term in enumerate(tbl["term"].to_pylist()):
-                term_docs[term] = decode_posting_row(tbl, i)[0]
+            term_docs = {t: row[0] for t, row in
+                         part_postings(idx, int(part), all_terms).items()}
             for p, ts in by_prefix.items():
                 dids = [term_docs[t] for t in ts if t in term_docs]
                 if not dids:

@@ -141,8 +141,6 @@ def winnow_pairs(sf_dir: str) -> pa.Table:
     count contract needs no per-doc set sizes, so nothing but
     (doc, fp, bucket) rows ever shuffle. Bucket cardinality is
     input-scaled (auto_buckets)."""
-    import ray.data  # noqa: F401  (Dataset ops below)
-
     nb = auto_buckets(_n_docs(sf_dir))
 
     def fp_part_rows(batch: pa.Table) -> pa.Table:

@@ -23,10 +23,13 @@ dance; doc partitioning dissolves it.)
 The scorer is a callable put in the object store once and shared by
 the stateless tasks (raysearch/fanout.py): query-term weights, global
 df, and collection stats are bound driver-side; each call reads only
-its parts' postings for the query terms (segments.read_term_rows:
-row groups picked from the footer's term min/max, then an exact
-is_in filter) and scores vectorized. The driver's df/cf come from the
-same term read of the lexicon files.
+its parts' postings for the query terms through
+segments.part_postings, the one per-part posting read (row groups
+picked from the footer's term min/max, an exact is_in filter, one
+decode per row; a part listed in stats.json but missing on disk
+raises rather than shrinking the top-k) and scores vectorized. The
+driver's df/cf come from the same footer-pruned term read
+(segments.read_term_rows) of the lexicon files.
 Resident serving with a postings cache is raysearch/serve.py.
 
 Every scoring mode and the knobs it supports come from one table,
@@ -57,9 +60,9 @@ from raysearch.score import (
     score_postings,
     topk,
 )
-from raysearch.segments import (SCORER_COLUMNS, SCORER_COLUMNS_BMW,
-                                decode_posting_row, has_block_meta,
-                                part_dirname, read_postings,
+from raysearch.segments import (SCORER_COLUMNS_BMW, has_block_meta,
+                                listed_part_dir, part_dirname,
+                                part_postings, read_postings,
                                 read_term_rows)
 from raysearch.stats import load_stats
 
@@ -337,9 +340,7 @@ class SegmentScorer:
         self.all_terms = sorted({t for qw in self.qweights for t, _ in qw})
 
     def _score_part(self, part: int) -> pa.Table:
-        part_dir = part_dirname(self.index_dir, part)
-        if not os.path.isdir(part_dir):
-            return RESULT_SCHEMA.empty_table()
+        part_dir = listed_part_dir(self.index_dir, part)
         if (self.prune and self.deleted is None and self.keep is None
                 and has_block_meta(part_dir)):
             # stored block-max skip path: posting rows stay ENCODED;
@@ -353,12 +354,12 @@ class SegmentScorer:
             return topk_table([pruned_topk_blockmax(
                 qw, lazy, self.df, self.n_docs, self.avgdl, self.k1,
                 self.b, self.k, self.mode) for qw in self.qweights])
-        tbl = read_postings(part_dir, self.all_terms,
-                            columns=SCORER_COLUMNS)
-        postings = {}
-        max_tfs = {}
-        for i, t in enumerate(tbl["term"].to_pylist()):
-            decoded = decode_posting_row(tbl, i)
+        postings, max_tfs = {}, {}
+        for t, decoded in part_postings(self.index_dir, part,
+                                        self.all_terms).items():
+            # max_tf is the unfiltered row's: for live docs it is still
+            # a valid UPPER bound, which is all the pruning path needs
+            max_tfs[t] = int(decoded[1].max())
             if self.deleted is not None:
                 from raysearch.maintenance import filter_postings
 
@@ -366,9 +367,6 @@ class SegmentScorer:
             if self.keep is not None:
                 decoded = keep_postings(decoded, self.keep)
             postings[t] = decoded
-            # max_tf stays the stored value: for live docs it is still
-            # a valid UPPER bound, which is all the pruning path needs
-            max_tfs[t] = tbl["max_tf"][i].as_py()
         return score_queries_over_postings(
             self.qweights, postings, max_tfs, self.df, self.n_docs,
             self.avgdl, self.k1, self.b, self.k, self.mode, self.prune,

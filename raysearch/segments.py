@@ -407,6 +407,8 @@ SCORER_COLUMNS = ["term", "max_tf", "docs_enc", "tfs_enc", "dls_enc"]
 # the block-skip pruned path additionally reads df + the tiny block
 # metadata blobs (wand.LazyPostings decodes row blobs on demand)
 SCORER_COLUMNS_BMW = SCORER_COLUMNS + ["df", "bfirst_enc", "bmax_enc"]
+# the positional kernels (proximity, spans) also read pos_enc
+SCORER_COLUMNS_POS = SCORER_COLUMNS + ["pos_enc"]
 
 
 def read_term_rows(path: str, terms: list[str],
@@ -459,6 +461,35 @@ def decode_posting_row(tbl: pa.Table, i: int
     return (decode_doc_ids(tbl["docs_enc"][i].as_py()),
             decode_ints(tbl["tfs_enc"][i].as_py()),
             decode_ints(tbl["dls_enc"][i].as_py()))
+
+
+def listed_part_dir(index_dir: str, part: int) -> str:
+    """The directory of a part the index lists. A missing one (say,
+    caught mid-rewrite) raises: a query never returns a silently
+    partial top-k."""
+    part_dir = part_dirname(index_dir, part)
+    if not os.path.isdir(part_dir):
+        raise FileNotFoundError(
+            f"part {part} of index {index_dir} has no segment directory "
+            f"{part_dir}")
+    return part_dir
+
+
+def part_postings(index_dir: str, part: int, terms: list[str],
+                  columns: list[str] = SCORER_COLUMNS) -> dict:
+    """The one per-part posting read: ``{term: (docs, tfs, dls)}`` for
+    the ``terms`` segment ``part`` holds, in term order, from one
+    footer-pruned read. With ``pos_enc`` in ``columns`` each row also
+    carries its flat absolute positions: ``(docs, tfs, dls, pos)``."""
+    tbl = read_postings(listed_part_dir(index_dir, part), terms,
+                        columns=columns)
+    with_pos = "pos_enc" in tbl.column_names
+    out = {}
+    for i, t in enumerate(tbl["term"].to_pylist()):
+        row = decode_posting_row(tbl, i)
+        out[t] = ((*row, decode_posting_positions(tbl, i, row[1]))
+                  if with_pos else row)
+    return out
 
 
 def has_block_meta(part_dir: str) -> bool:

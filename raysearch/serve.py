@@ -14,8 +14,9 @@ part->actor assignment:
   one actor, so cluster-wide cache capacity scales with the pool, and
   a part's cache entries are never duplicated).
 - Per (part, term) decoded postings live in a bounded LRU; repeat
-  terms across query batches never touch parquet again. Term-filtered
-  row-group reads fetch ONLY the missing terms of a batch.
+  terms across query batches never touch parquet again. The one-shot
+  path's per-part read (segments.part_postings) fetches ONLY the
+  missing terms of a batch; a part missing on disk raises.
 - Scoring reuses the exact kernels of the one-shot path
   (raysearch/query.py), so a resident session returns bit-identical
   results to ``query_index``.
@@ -31,7 +32,6 @@ actor.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 
 import pandas as pd
@@ -80,8 +80,7 @@ class _SegmentServerImpl:
     def _ensure_terms(self, part: int, terms: list[str]) -> tuple[dict, dict]:
         """Return (postings, max_tfs) for ``terms`` of ``part``,
         reading only the cache misses from the segment files."""
-        from raysearch.segments import (SCORER_COLUMNS, decode_posting_row,
-                                        part_dirname, read_postings)
+        from raysearch.segments import part_postings
 
         postings, max_tfs = {}, {}
         missing = []
@@ -97,23 +96,16 @@ class _SegmentServerImpl:
                 missing.append(t)
         if missing:
             self.misses += len(missing)
-            part_dir = part_dirname(self.index_dir, part)
-            if os.path.isdir(part_dir):
-                tbl = read_postings(part_dir, missing,
-                                    columns=SCORER_COLUMNS)
-                found = set()
-                for i, t in enumerate(tbl["term"].to_pylist()):
-                    decoded = decode_posting_row(tbl, i)
-                    if self.deleted is not None:
-                        from raysearch.maintenance import filter_postings
+            found = part_postings(self.index_dir, part, missing)
+            for t, decoded in found.items():
+                max_tf = int(decoded[1].max())  # the unfiltered row's
+                if self.deleted is not None:
+                    from raysearch.maintenance import filter_postings
 
-                        decoded = filter_postings(decoded, self.deleted)
-                    entry = (decoded, tbl["max_tf"][i].as_py())
-                    self._cache[(part, t)] = entry
-                    postings[t], max_tfs[t] = entry
-                    found.add(t)
-            else:
-                found = set()
+                    decoded = filter_postings(decoded, self.deleted)
+                entry = (decoded, max_tf)
+                self._cache[(part, t)] = entry
+                postings[t], max_tfs[t] = entry
             for t in missing:
                 if t not in found:
                     self._cache[(part, t)] = (None, None)

@@ -51,7 +51,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from raysearch.score import accumulate_scores, bm25_contrib, bm25_idf, topk
+from raysearch.score import (SIMILARITIES, TermStats, accumulate_scores,
+                             bm25_idf, topk)
 from raysearch.segments import BLOCK  # posting entries per block
 
 Posting = tuple[np.ndarray, np.ndarray, np.ndarray]  # docs, tfs, dls
@@ -59,18 +60,12 @@ Posting = tuple[np.ndarray, np.ndarray, np.ndarray]  # docs, tfs, dls
 
 def _block_entry_bounds(tfs: np.ndarray, w: int, idf: float, k1: float,
                         b: float, mode: str) -> np.ndarray:
-    """Per-entry score upper bound from each 128-entry block's max tf.
-
-    The bound is dl-free (denominator minimized at dl -> 0:
-    tf*(k1+1)/(tf + k1*(1-b)) is the largest the tf-norm can get for
-    that tf), so it is conservative for every entry in the block."""
+    """Per-entry score upper bound from each 128-entry block's max tf
+    (_block_ub_arr of the block maxima, repeated over the block)."""
     n = len(tfs)
     starts = np.arange(0, n, BLOCK)
-    bmax = np.maximum.reduceat(tfs, starts).astype(np.float64)
-    if mode == "overlap":
-        block_ub = w * bmax
-    else:
-        block_ub = (w * idf) * (bmax * (k1 + 1.0)) / (bmax + k1 * (1.0 - b))
+    block_ub = _block_ub_arr(np.maximum.reduceat(tfs, starts), w, idf,
+                             k1, b, mode)
     return np.repeat(block_ub, np.minimum(BLOCK, n - starts))
 
 
@@ -93,6 +88,18 @@ def _block_max_candidates(essential, postings, idfs, k1, b, mode,
     ub = np.full(len(uniq), cum_non_essential, dtype=np.float64)
     np.add.at(ub, inv, all_ubs)
     return uniq[ub >= theta]
+
+
+def _contrib_fn(mode: str, df: dict, n_docs: int, avgdl: float, k1: float,
+                b: float):
+    """(t, w, docs, tfs, dls) -> the term's per-posting contribution,
+    from the one similarity table (bit-identical to full evaluation)."""
+    sim = SIMILARITIES[mode].contrib
+
+    def contrib(t: str, w: int, docs, tfs, dls) -> np.ndarray:
+        return sim(tfs, dls, w,
+                   TermStats(df.get(t, 0), 0, n_docs, avgdl, 0, k1, b))
+    return contrib
 
 
 def term_upper_bound(weight: int, idf: float, k1: float, mode: str,
@@ -120,11 +127,7 @@ def pruned_topk(
         return np.zeros(0, np.int64), np.zeros(0, np.float64)
 
     idfs = {t: bm25_idf(df.get(t, 0), n_docs) for t, _ in terms}
-
-    def contrib(t: str, w: int, docs, tfs, dls) -> np.ndarray:
-        if mode == "overlap":
-            return (w * tfs).astype(np.int64)
-        return bm25_contrib(tfs, dls, idfs[t], w, k1, b, avgdl)
+    contrib = _contrib_fn(mode, df, n_docs, avgdl, k1, b)
 
     bounds = {t: term_upper_bound(w, idfs[t], k1, mode, max_tfs.get(t, 0))
               for t, w in terms}
@@ -181,8 +184,10 @@ _DOC_INF = np.int64(2 ** 62)  # past any real doc id
 
 def _block_ub_arr(bmax: np.ndarray, w: int, idf: float, k1: float,
                   b: float, mode: str) -> np.ndarray:
-    """Per-BLOCK score upper bound from the stored block max tf —
-    identical math to _block_entry_bounds, without decoding the row."""
+    """Per-BLOCK score upper bound from the block max tf. The bound is
+    dl-free (denominator minimized at dl -> 0: tf*(k1+1)/(tf +
+    k1*(1-b)) is the largest the tf-norm can get for that tf), so it
+    is conservative for every entry in the block."""
     bm = bmax.astype(np.float64)
     if mode == "overlap":
         return w * bm
@@ -291,11 +296,7 @@ def pruned_topk_blockmax(
         return empty
 
     idfs = {t: bm25_idf(df.get(t, 0), n_docs) for t, _ in terms}
-
-    def contrib(t: str, w: int, docs, tfs, dls) -> np.ndarray:
-        if mode == "overlap":
-            return (w * tfs).astype(np.int64)
-        return bm25_contrib(tfs, dls, idfs[t], w, k1, b, avgdl)
+    contrib = _contrib_fn(mode, df, n_docs, avgdl, k1, b)
 
     bounds = {t: term_upper_bound(w, idfs[t], k1, mode,
                                   int(lazy.max_tf[t]))

@@ -1,12 +1,16 @@
-"""The one part fan-out (raysearch.fanout.map_parts) and the one term
-read (raysearch.segments.read_term_rows): read_term_rows must return
-exactly what a dataset-filtered ``pq.read_table`` returns, map_parts
-must keep part order and surface kernel errors, and the lexicon
-lookup must agree with a dataset scan when the lexicon spans several
-files."""
+"""The one part fan-out (raysearch.fanout.map_parts), the one term
+read (raysearch.segments.read_term_rows), the one per-part posting
+read (segments.part_postings) and the one per-part top-k plan
+(pipelines.rankex._part_topk): read_term_rows must return exactly what
+a dataset-filtered ``pq.read_table`` returns, map_parts must keep part
+order and surface kernel errors, the lexicon lookup must agree with a
+dataset scan when the lexicon spans several files, part_postings must
+equal the read + decode it replaces, and a part missing from disk must
+raise, never shrink a top-k."""
 
 import os
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
@@ -152,3 +156,157 @@ def test_lexicon_lookup_over_distributed_lexicon(ray_session, small_corpus,
     assert lexicon_df(idx, terms) == want_df
     assert lexicon_cf(idx, terms) == want_cf
     assert lexicon_lookup(idx, []) == ({}, {})
+
+
+# ---- the one per-part posting read and the one per-part top-k plan ----
+
+@pytest.fixture(scope="module")
+def two_indexes(ray_session, small_corpus, tmp_path_factory):
+    """(plain, positional) 3-part indexes over the smoke corpus."""
+    import ray.data
+
+    from raysearch.build import build_index
+    from raysearch.config import IndexConfig
+
+    out = []
+    for pos in (False, True):
+        idx = str(tmp_path_factory.mktemp("pp") / "idx")
+        build_index(ray.data.from_arrow(small_corpus), idx,
+                    IndexConfig(num_parts=3, with_positions=pos),
+                    input_id=f"part-postings-{pos}")
+        out.append(idx)
+    return out
+
+
+def _vocab(idx):
+    return sorted(pads.dataset(os.path.join(idx, "lexicon"))
+                  .to_table(columns=["term"])["term"].to_pylist())
+
+
+def _old_comprehension(idx, part, terms, columns):
+    from raysearch.segments import (decode_posting_positions,
+                                    decode_posting_row, part_dirname,
+                                    read_postings)
+
+    tbl = read_postings(part_dirname(idx, part), terms, columns=columns)
+    out = {}
+    for i in range(tbl.num_rows):
+        row = decode_posting_row(tbl, i)
+        if "pos_enc" in columns:
+            row = (*row, decode_posting_positions(tbl, i, row[1]))
+        out[tbl["term"][i].as_py()] = row
+    return out
+
+
+@pytest.mark.parametrize("positional", [False, True],
+                         ids=["plain", "positional"])
+def test_part_postings_equals_read_and_decode(two_indexes, positional):
+    from raysearch.segments import (SCORER_COLUMNS, SCORER_COLUMNS_POS,
+                                    part_postings)
+    from raysearch.stats import load_stats
+
+    idx = two_indexes[positional]
+    vocab = _vocab(idx)
+    cases = {"absent": ["no-such-term", "zzzz"],
+             "mixed": vocab[::5] + ["no-such-term"],
+             "every_term": vocab,
+             "empty": []}
+    col_sets = [SCORER_COLUMNS] + ([SCORER_COLUMNS_POS] if positional
+                                   else [])
+    for part in load_stats(idx)["parts"]:
+        for name, terms in cases.items():
+            for cols in col_sets:
+                got = part_postings(idx, part, terms, cols)
+                want = _old_comprehension(idx, part, terms, cols)
+                assert list(got) == list(want), (part, name)
+                for t in want:
+                    assert len(got[t]) == len(want[t])
+                    for g, w in zip(got[t], want[t]):
+                        assert g.dtype == w.dtype
+                        assert np.array_equal(g, w), (part, name, t)
+                if name in ("absent", "empty"):
+                    assert got == {}
+
+
+def test_part_topk_empty_none_and_buffer(two_indexes):
+    from raysearch.pipelines.rankex import _part_topk
+    from raysearch.score import topk
+    from raysearch.segments import part_postings
+    from raysearch.stats import load_stats
+
+    idx = two_indexes[0]
+    vocab = _vocab(idx)
+    terms = vocab[:6]
+
+    # nothing matches: a typed empty frame, never an untyped one
+    none = _part_topk(idx, terms, 3, lambda qid, post: None)
+    assert none.empty
+    assert list(none.columns) == ["query_id", "doc_id", "score"]
+    assert [str(t) for t in none.dtypes] == ["int64", "int64", "float64"]
+
+    # query q scores every doc of terms[q] by its tf (many ties)
+    def score_query(qid, post):
+        got = post.get(terms[qid])
+        return None if got is None else (got[0], got[1].astype(float))
+
+    full = _part_topk(idx, terms, len(terms), score_query, buffer=None)
+    per_part = {p: part_postings(idx, p, terms)
+                for p in load_stats(idx)["parts"]}
+    for qid, t in enumerate(terms):
+        rows = full[full.query_id == qid]
+        want = np.concatenate([pp[t][0] for pp in per_part.values()
+                               if t in pp])
+        assert np.array_equal(rows.doc_id.to_numpy(), want)
+
+    for buf in (1, 3):
+        cut = _part_topk(idx, terms, len(terms), score_query, buffer=buf)
+        for qid, t in enumerate(terms):
+            rows = cut[cut.query_id == qid]
+            want_d, want_s = [], []
+            for pp in per_part.values():
+                if t in pp:
+                    d, s = topk(pp[t][0], pp[t][1].astype(float), buf)
+                    assert len(d) <= buf
+                    want_d.append(d)
+                    want_s.append(s)
+            assert np.array_equal(rows.doc_id.to_numpy(),
+                                  np.concatenate(want_d))
+            assert np.array_equal(rows.score.to_numpy(),
+                                  np.concatenate(want_s))
+
+
+def test_missing_part_raises_everywhere(ray_session, small_corpus,
+                                        tmp_path):
+    """A part listed in stats.json without its directory is an error
+    with the part named, never a silently partial top-k."""
+    import shutil
+
+    import ray.data
+
+    from raysearch.build import build_index
+    from raysearch.config import IndexConfig
+    from raysearch.pipelines.rankex import _part_topk
+    from raysearch.query import query_index
+    from raysearch.segments import part_dirname
+    from raysearch.serve import QuerySession
+    from raysearch.stats import load_stats
+
+    idx = str(tmp_path / "idx")
+    build_index(ray.data.from_arrow(small_corpus), idx,
+                IndexConfig(num_parts=4), input_id="missing-part")
+    parts = load_stats(idx)["parts"]
+    victim = parts[1]
+    terms = _vocab(idx)[:20]
+    queries = [" ".join(terms[:10]), " ".join(terms[10:])]
+    assert query_index(idx, queries, k=5).num_rows
+    shutil.rmtree(part_dirname(idx, victim))
+
+    msg = f"part {victim} of index "
+    for prune in (False, True):
+        with pytest.raises(FileNotFoundError, match=msg):
+            query_index(idx, queries, k=5, prune=prune)
+    with QuerySession(idx, num_actors=1) as s:
+        with pytest.raises(FileNotFoundError, match=msg):
+            s.query_batch(queries, k=5)
+    with pytest.raises(FileNotFoundError, match=msg):
+        _part_topk(idx, terms, 1, lambda qid, post: None)
