@@ -65,7 +65,7 @@ def impact_topk(sf_dir: str) -> pa.Table:
     from raysearch.pipelines.search_queries import (DOC_QUERIES,
                                                     cached_index)
     from raysearch.query import lexicon_df
-    from raysearch.score import bm25_contrib, bm25_idf, query_term_weights
+    from raysearch.score import query_term_weights, score_postings
     from raysearch.segments import part_postings
     from raysearch.stats import load_stats
 
@@ -98,37 +98,20 @@ def impact_topk(sf_dir: str) -> pa.Table:
     surv = map_parts(st["parts"], kern, _EMPTY_SURV).to_pandas()
 
     # global per-term truncation over the merged per-part top-Ps
-    pieces = []
-    for term, g in surv.groupby("term", sort=True):
-        d, t, l = _top_p(g.doc_id.to_numpy(np.int64),
+    kept = {term: _top_p(g.doc_id.to_numpy(np.int64),
                          g.tf.to_numpy(np.int64),
                          g.dl.to_numpy(np.int64), IMPACT_P)
-        pieces.append(pd.DataFrame({"term": term, "doc_id": d,
-                                    "tf": t, "dl": l}))
-    kept = (pd.concat(pieces, ignore_index=True) if pieces else
-            surv.iloc[:0])
+            for term, g in surv.groupby("term", sort=True)}
 
-    # score each query over survivor rows only — same float tree as
-    # the live scorer (score.bm25_contrib)
-    out_q, out_d, out_s = [], [], []
-    for qid, qw in enumerate(qweights):
-        acc: dict[int, float] = {}
-        for term, w in qw:
-            g = kept[kept.term == term]
-            if not len(g):
-                continue
-            c = bm25_contrib(g.tf.to_numpy(np.int64),
-                             g.dl.to_numpy(np.int64),
-                             bm25_idf(df.get(term, 0), n_docs),
-                             w, k1, b, avgdl)
-            for d, s in zip(g.doc_id.to_numpy(np.int64), c):
-                acc[int(d)] = acc.get(int(d), 0.0) + float(s)
-        out_q.extend([qid] * len(acc))
-        out_d.extend(acc.keys())
-        out_s.extend(acc.values())
-    cand = pd.DataFrame({"query_id": np.asarray(out_q, np.int64),
-                         "doc_id": np.asarray(out_d, np.int64),
-                         "score": np.asarray(out_s, np.float64)})
+    # score each query over survivor rows only — the live scorer's
+    # per-term loop and float tree (score.score_postings)
+    per_query = [score_postings(qw, kept.get, df, n_docs, avgdl, k1, b)
+                 for qw in qweights]
+    cand = pd.DataFrame({
+        "query_id": np.repeat(np.arange(len(per_query), dtype=np.int64),
+                              [len(d) for d, _ in per_query]),
+        "doc_id": np.concatenate([d for d, _ in per_query]),
+        "score": np.concatenate([s for _, s in per_query])})
     return _ranked_from_candidates(cand)
 
 

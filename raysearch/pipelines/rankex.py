@@ -1262,18 +1262,22 @@ def spanfirst_topk(sf_dir: str) -> pa.Table:
     all_terms = sorted({t for qw in qweights for t, _ in qw})
     df = lexicon_df(idx, all_terms)
 
-    def first_pos(row) -> np.ndarray:
-        # first occurrence per doc = head of its position run (stored
-        # positions are 0-based token ordinals)
-        docs, tfs, _, pos = row
-        starts = np.zeros(len(docs), np.int64)
-        np.cumsum(tfs[:-1], out=starts[1:])
-        return pos[starts]
+    def load(part: int):
+        # each term's gate is computed once per part: its docs whose
+        # first occurrence — the head of the doc's position run (stored
+        # positions are 0-based token ordinals) — is early enough
+        post = part_postings(idx, part, all_terms, SCORER_COLUMNS_POS)
+        early = {}
+        for t, (docs, tfs, _, pos) in post.items():
+            starts = np.zeros(len(docs), np.int64)
+            np.cumsum(tfs[:-1], out=starts[1:])
+            early[t] = docs[pos[starts] <= SPANFIRST_N - 1]
+        return post, early
 
-    def score_query(qid, post):
+    def score_query(qid, got):
+        post, early = got
         qw = qweights[qid]
-        elig_parts = [post[t][0][first_pos(post[t]) <= SPANFIRST_N - 1]
-                      for t, _ in qw if t in post]
+        elig_parts = [early[t] for t, _ in qw if t in post]
         if not elig_parts:
             return None
         elig = np.unique(np.concatenate(elig_parts))
@@ -1284,9 +1288,9 @@ def spanfirst_topk(sf_dir: str) -> pa.Table:
                            if t in post else None),
             df, n_docs, avgdl, k1, b, mode="bm25")
 
-    return _ranked_from_candidates(_part_topk(
-        idx, all_terms, len(qweights), score_query,
-        columns=SCORER_COLUMNS_POS))
+    kern = _part_kernel(load, len(qweights), score_query, _TOPK_BUFFER)
+    return _ranked_from_candidates(
+        map_parts(st["parts"], kern, _EMPTY_CAND).to_pandas())
 
 
 def sql_spanfirst_topk() -> str:
@@ -1732,7 +1736,7 @@ def qpp_stats(sf_dir: str) -> pa.Table:
     from raysearch.pipelines.search_queries import (DOC_QUERIES,
                                                     cached_index)
     from raysearch.numutil import round6
-    from raysearch.query import lexicon_cf, lexicon_df
+    from raysearch.query import lexicon_lookup
     from raysearch.score import bm25_idf, query_term_weights
     from raysearch.stats import load_stats
 
@@ -1740,8 +1744,7 @@ def qpp_stats(sf_dir: str) -> pa.Table:
     n_docs = load_stats(idx)["n_docs"]
     qterms = [[t for t, _ in query_term_weights(q)] for q in DOC_QUERIES]
     all_terms = sorted({t for ts in qterms for t in ts})
-    df = lexicon_df(idx, all_terms)
-    cf = lexicon_cf(idx, all_terms)
+    df, cf = lexicon_lookup(idx, all_terms)
     out = {"query_id": [], "n_terms": [], "n_present": [],
            "max_idf": [], "avg_idf": [], "scq": []}
     for qid, ts in enumerate(qterms):

@@ -262,7 +262,6 @@ def static_boost_ids(index_dir: str, term: str) -> np.ndarray:
     side would ('Parser' boosts 'parser' docs, never a silent no-op);
     a multi-word input is rejected rather than silently dropped.
     Shared by boosted_topk and `cli query --boost-term`."""
-    from raysearch.segments import list_segment_parts
     from raysearch.stats import load_stats
     from raysearch.tokenize import tokenize_query
 
@@ -271,10 +270,8 @@ def static_boost_ids(index_dir: str, term: str) -> np.ndarray:
         raise ValueError(
             f"boost term must normalize to exactly one token, "
             f"got {toks!r} from {term!r}")
-    parts = load_stats(index_dir).get("parts")
-    if parts is None:
-        parts = list_segment_parts(index_dir)
-    return _and_candidate_ids(index_dir, parts, [(toks[0], toks[0])])
+    return _and_candidate_ids(index_dir, load_stats(index_dir)["parts"],
+                              [(toks[0], toks[0])])
 
 
 @fmt_doc(t=BOOST_TERM, f=BOOST_FACTOR, k=TOPK)

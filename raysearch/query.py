@@ -20,27 +20,34 @@ safe. (The reference's term-range sharding — where partial scores must
 be sum-merged, src/lib.rs:190-226 — is what forced its lock+condvar
 dance; doc partitioning dissolves it.)
 
-The scorer is a callable put in the object store once and shared by
-the stateless tasks (raysearch/fanout.py): query-term weights, global
-df, and collection stats are bound driver-side; each call reads only
-its parts' postings for the query terms through
-segments.part_postings, the one per-part posting read (row groups
-picked from the footer's term min/max, an exact is_in filter, one
-decode per row; a part listed in stats.json but missing on disk
-raises rather than shrinking the top-k) and scores vectorized. The
-driver's df/cf come from the same footer-pruned term read
-(segments.read_term_rows) of the lexicon files.
-Resident serving with a postings cache is raysearch/serve.py.
+One driver-side plan, plan_query, makes every per-batch decision:
+the option check, the parts, df/cf from the lexicon (or ``asof``),
+the normalised ``keep``, and the SegmentScorer that carries them.
+query_index ships the scorer once to the stateless map_parts tasks
+(raysearch/fanout.py); raysearch/serve.py's QuerySession sends the
+same scorer to its resident actors. Both score a part through the one
+per-part method, SegmentScorer.score_part: load, then the keep
+filter, then score_queries_over_postings. They differ only in the
+loader: a task reads its part's postings for the query terms at call
+time through segments.part_postings (row groups picked from the
+footer's term min/max, an exact is_in filter, one decode per row; a
+part listed in stats.json but missing on disk raises rather than
+shrinking the top-k) and drops the tombstones read when the query was
+called; an actor loads through its LRU. The driver's df/cf come from
+the same footer-pruned term read (segments.read_term_rows) of the
+lexicon files.
 
 Every scoring mode and the knobs it supports come from one table,
 raysearch.score.SIMILARITIES; check_query_options validates a query's
-knobs once, at the entry.
+knobs once, in plan_query.
 
 Within a segment, scoring is exact full evaluation of the query's
 posting lists (vectorized term-at-a-time accumulation in sorted term
-order — the determinism contract shared with the oracle). See
-raysearch/wand.py for the optional exact max-score/block-max pruning
-path used when a segment's candidate set is large.
+order — the determinism contract shared with the oracle). With
+prune=True, raysearch/wand.py's one exact MaxScore/block-max pruner
+runs instead: over the ENCODED rows and their stored block metadata
+when a task has nothing to filter, otherwise over the decoded
+arrays.
 """
 
 from __future__ import annotations
@@ -52,6 +59,7 @@ import pandas as pd
 import pyarrow as pa
 
 from raysearch.fanout import map_parts
+from raysearch.maintenance import filter_postings, load_deletes
 from raysearch.score import (
     SIMILARITIES,
     as_qweights,
@@ -65,6 +73,7 @@ from raysearch.segments import (SCORER_COLUMNS_BMW, has_block_meta,
                                 part_postings, read_postings,
                                 read_term_rows)
 from raysearch.stats import load_stats
+from raysearch.wand import LazyPostings, pruned_topk, pruned_topk_blockmax
 
 RESULT_SCHEMA = pa.schema([
     ("query_id", pa.int64()),
@@ -102,11 +111,6 @@ def lexicon_lookup(index_dir: str, terms: list[str]
 def lexicon_df(index_dir: str, terms: list[str]) -> dict[str, int]:
     """Global df for the query terms."""
     return lexicon_lookup(index_dir, terms)[0]
-
-
-def lexicon_cf(index_dir: str, terms: list[str]) -> dict[str, int]:
-    """Global collection frequency for the query terms."""
-    return lexicon_lookup(index_dir, terms)[1]
 
 
 def asof_df(index_dir: str, parts, terms: list[str]) -> dict[str, int]:
@@ -223,8 +227,6 @@ def score_queries_over_postings(
             docs, sc = dirichlet_scores(qw, postings.get, cf or {},
                                         total_tokens, mu)
         elif prune:
-            from raysearch.wand import pruned_topk
-
             per_query.append(pruned_topk(qw, postings, max_tfs, df,
                                          n_docs, avgdl, k1, b, k, mode))
             continue
@@ -293,12 +295,29 @@ def keep_postings(decoded: tuple, keep: np.ndarray) -> tuple:
     return docs[m], tfs[m], dls[m]
 
 
-class SegmentScorer:
-    """Per-segment scoring callable, shipped once to the stateless
-    map_parts tasks: queries, global df and stats are bound here; each
-    call reads and scores only its parts' postings."""
+def live_postings(index_dir: str, part: int, terms: list[str],
+                  deleted: np.ndarray | None) -> tuple[dict, dict]:
+    """(postings, max_tfs) of the ``terms`` segment ``part`` holds:
+    segments.part_postings with the tombstoned docs dropped. max_tf is
+    the unfiltered row's: for live docs it is still a valid UPPER
+    bound, which is all the pruner needs."""
+    postings, max_tfs = {}, {}
+    for t, decoded in part_postings(index_dir, part, terms).items():
+        max_tfs[t] = int(decoded[1].max())
+        postings[t] = (decoded if deleted is None
+                       else filter_postings(decoded, deleted))
+    return postings, max_tfs
 
-    def __init__(self, index_dir: str, queries: list[str], k: int,
+
+class SegmentScorer:
+    """One query batch's per-part scoring plan, built driver-side by
+    plan_query: queries, global df and stats are bound here. The one
+    per-part method, score_part, serves both the stateless map_parts
+    tasks (the scorer is their callable) and the resident
+    SegmentServer actors (raysearch/serve.py), which differ only in
+    the loader they pass."""
+
+    def __init__(self, index_dir: str, qweights: list, k: int,
                  mode: str, df: dict[str, int], n_docs: int, avgdl: float,
                  k1: float, b: float, prune: bool = False,
                  cf: dict[str, int] | None = None, total_tokens: int = 0,
@@ -317,11 +336,12 @@ class SegmentScorer:
         self.boost = boost
         self.decay = decay
         self.rank_feature = rank_feature
-        # sorted unique tombstoned doc_ids (maintenance.delete_docs),
-        # broadcast with the scorer. Stats stay build-time — the
-        # standard stale-stats-until-compaction semantics — but
-        # tombstoned docs are filtered from every posting list before
-        # scoring, so top-k back-fills from live docs.
+        # sorted unique tombstoned doc_ids (maintenance.delete_docs) for
+        # the one-shot loader, read when the query is called. Stats
+        # stay build-time — the standard stale-stats-until-compaction
+        # semantics — but tombstoned docs are filtered from every
+        # posting list before scoring, so top-k back-fills from live
+        # docs. Resident actors filter their own session-start copy.
         self.deleted = (deleted if deleted is not None and len(deleted)
                         else None)
         # sorted unique ALLOWLIST of doc_ids (Lucene filter-query
@@ -334,39 +354,17 @@ class SegmentScorer:
         # the tombstone files) — this array form is for query-time
         # ad-hoc filters whose id set fits an object-store broadcast.
         self.keep = keep
-        # raw strings or pre-tokenized [(term, weight), ...] lists
-        # (query-by-document callers build weights themselves)
-        self.qweights = [as_qweights(q) for q in queries]
+        self.qweights = qweights  # one [(term, weight), ...] per query
         self.all_terms = sorted({t for qw in self.qweights for t, _ in qw})
 
-    def _score_part(self, part: int) -> pa.Table:
-        part_dir = listed_part_dir(self.index_dir, part)
-        if (self.prune and self.deleted is None and self.keep is None
-                and has_block_meta(part_dir)):
-            # stored block-max skip path: posting rows stay ENCODED;
-            # wand.pruned_topk_blockmax decodes only the blocks its
-            # interval sweep proves can matter. Tombstones fall back
-            # to the eager path (filtering needs the full arrays).
-            from raysearch.wand import LazyPostings, pruned_topk_blockmax
-
-            lazy = LazyPostings(read_postings(part_dir, self.all_terms,
-                                              columns=SCORER_COLUMNS_BMW))
-            return topk_table([pruned_topk_blockmax(
-                qw, lazy, self.df, self.n_docs, self.avgdl, self.k1,
-                self.b, self.k, self.mode) for qw in self.qweights])
-        postings, max_tfs = {}, {}
-        for t, decoded in part_postings(self.index_dir, part,
-                                        self.all_terms).items():
-            # max_tf is the unfiltered row's: for live docs it is still
-            # a valid UPPER bound, which is all the pruning path needs
-            max_tfs[t] = int(decoded[1].max())
-            if self.deleted is not None:
-                from raysearch.maintenance import filter_postings
-
-                decoded = filter_postings(decoded, self.deleted)
-            if self.keep is not None:
-                decoded = keep_postings(decoded, self.keep)
-            postings[t] = decoded
+    def score_part(self, part: int, load) -> pa.Table:
+        """Candidates of one part: ``load(part, terms) -> (postings,
+        max_tfs)`` with tombstones already dropped, then the keep
+        filter, then score_queries_over_postings."""
+        postings, max_tfs = load(part, self.all_terms)
+        if self.keep is not None:
+            postings = {t: keep_postings(p, self.keep)
+                        for t, p in postings.items()}
         return score_queries_over_postings(
             self.qweights, postings, max_tfs, self.df, self.n_docs,
             self.avgdl, self.k1, self.b, self.k, self.mode, self.prune,
@@ -374,9 +372,83 @@ class SegmentScorer:
             boost=self.boost, decay=self.decay,
             rank_feature=self.rank_feature)
 
+    def _load(self, part: int, terms: list[str]) -> tuple[dict, dict]:
+        return live_postings(self.index_dir, part, terms, self.deleted)
+
+    def _score_task_part(self, part: int) -> pa.Table:
+        part_dir = listed_part_dir(self.index_dir, part)
+        if (self.prune and self.deleted is None and self.keep is None
+                and has_block_meta(part_dir)):
+            # stored block-max skip path: posting rows stay ENCODED and
+            # the pruner decodes only the blocks its interval sweep
+            # proves can matter. Filtering needs the full arrays, so
+            # tombstones and keep take the decoded view instead.
+            lazy = LazyPostings(read_postings(part_dir, self.all_terms,
+                                              columns=SCORER_COLUMNS_BMW))
+            return topk_table([pruned_topk_blockmax(
+                qw, lazy, self.df, self.n_docs, self.avgdl, self.k1,
+                self.b, self.k, self.mode) for qw in self.qweights])
+        return self.score_part(part, self._load)
+
     def __call__(self, batch: pa.Table) -> pa.Table:
-        outs = [self._score_part(int(p)) for p in batch["part"].to_pylist()]
+        outs = [self._score_task_part(int(p))
+                for p in batch["part"].to_pylist()]
         return pa.concat_tables(outs) if outs else RESULT_SCHEMA.empty_table()
+
+
+def plan_query(index_dir: str, stats: dict, queries: list, k: int = 10,
+               mode: str = "bm25", prune: bool = False, mu: float = 2000.0,
+               boost=None, keep: np.ndarray | None = None, decay=None,
+               rank_feature=None, asof: dict | None = None,
+               deleted: np.ndarray | None = None
+               ) -> tuple[SegmentScorer, list[int]]:
+    """The one driver-side plan of a query batch over the index whose
+    ``stats`` are given: the option check, the parts, df/cf from the
+    lexicon (or ``asof``), the normalised ``keep``, and the
+    SegmentScorer that carries them to every part."""
+    sim = check_query_options(mode, prune, boost, decay, rank_feature)
+    cfg = stats["config"]
+    parts = stats["parts"]
+    # raw strings or pre-tokenized [(term, weight), ...] lists
+    # (query-by-document callers build weights themselves)
+    qweights = [as_qweights(q) for q in queries]
+    all_terms = sorted({t for qw in qweights for t, _ in qw})
+    n_docs, avgdl = stats["n_docs"], stats["avgdl"]
+    if asof is not None:
+        # time-travel (snapshot) query: segments are immutable and
+        # append-only (maintenance.append_index numbers new parts
+        # after the old — the LSM layout), so a past generation IS a
+        # part subset. Collection stats come from the caller (summed
+        # from the per-part stats detail of the snapshot parts) and
+        # df is re-derived by summing the PER-PART df column over the
+        # snapshot parts (one tiny fan-out, terms x parts rows) —
+        # never the post-append global lexicon, whose df/N/avgdl
+        # would leak future documents into the scores.
+        if sim.needs_cf:
+            raise ValueError(f"asof does not support {mode} "
+                             "(per-generation cf is not reconstructed)")
+        if not set(asof["parts"]) <= set(parts):
+            raise ValueError("asof parts not in the index")
+        parts = sorted(asof["parts"])
+        df = asof.get("df")
+        if df is None:
+            df = asof_df(index_dir, parts, all_terms)
+        n_docs, avgdl = asof["n_docs"], asof["avgdl"]
+        cf = None
+    else:
+        df, cf = lexicon_lookup(index_dir, all_terms)
+    scorer = SegmentScorer(
+        index_dir, qweights, k, mode, df, n_docs, avgdl, cfg["k1"],
+        cfg["b"], prune=prune,
+        cf=cf if sim.needs_cf else None,
+        total_tokens=stats.get("total_tokens", 0), mu=mu,
+        deleted=deleted, boost=boost,
+        # normalized once driver-side so every scorer shares the
+        # sorted unique form keep_postings' searchsorted requires
+        keep=(None if keep is None
+              else np.unique(np.asarray(keep, dtype=np.int64))),
+        decay=decay, rank_feature=rank_feature)
+    return scorer, parts
 
 
 def query_index(
@@ -399,53 +471,10 @@ def query_index(
     (global df/stats are tiny and postings reads are term-filtered), so
     a one-shot batch pays no pool spin-up. Long-lived sessions that
     want postings kept hot use raysearch.serve.QuerySession."""
-    sim = check_query_options(mode, prune, boost, decay, rank_feature)
-    stats = load_stats(index_dir)
-    cfg = stats["config"]
-    parts = stats.get("parts")
-    if parts is None:
-        from raysearch.segments import list_segment_parts
-
-        parts = list_segment_parts(index_dir)
-    all_terms = sorted({t for q in queries
-                        for t, _ in as_qweights(q)})
-    n_docs, avgdl = stats["n_docs"], stats["avgdl"]
-    if asof is not None:
-        # time-travel (snapshot) query: segments are immutable and
-        # append-only (maintenance.append_index numbers new parts
-        # after the old — the LSM layout), so a past generation IS a
-        # part subset. Collection stats come from the caller (summed
-        # from the per-part stats detail of the snapshot parts) and
-        # df is re-derived by summing the PER-PART df column over the
-        # snapshot parts (one tiny fan-out, terms x parts rows) —
-        # never the post-append global lexicon, whose df/N/avgdl
-        # would leak future documents into the scores.
-        if sim.needs_cf:
-            raise ValueError(f"asof does not support {mode} "
-                             "(per-generation cf is not reconstructed)")
-        parts = sorted(asof["parts"])
-        if not set(parts) <= set(stats.get("parts") or parts):
-            raise ValueError("asof parts not in the index")
-        df = asof.get("df")
-        if df is None:
-            df = asof_df(index_dir, parts, all_terms)
-        n_docs, avgdl = asof["n_docs"], asof["avgdl"]
-        cf = None
-    else:
-        df, cf = lexicon_lookup(index_dir, all_terms)
-    from raysearch.maintenance import load_deletes
-
-    scorer = SegmentScorer(
-        index_dir, queries, k, mode, df, n_docs, avgdl, cfg["k1"],
-        cfg["b"], prune=prune,
-        cf=cf if sim.needs_cf else None,
-        total_tokens=stats.get("total_tokens", 0), mu=mu,
-        deleted=load_deletes(index_dir), boost=boost,
-        # normalized once driver-side so every scorer shares the
-        # sorted unique form keep_postings' searchsorted requires
-        keep=(None if keep is None
-              else np.unique(np.asarray(keep, dtype=np.int64))),
-        decay=decay, rank_feature=rank_feature)
+    scorer, parts = plan_query(
+        index_dir, load_stats(index_dir), queries, k, mode, prune, mu,
+        boost, keep, decay, rank_feature, asof,
+        deleted=load_deletes(index_dir))
     candidates = map_parts(parts, scorer, RESULT_SCHEMA.empty_table())
     # P * Q * k candidate rows — k-bounded and tiny by construction, so
     # the final merge is a driver-side selection, not a shuffle

@@ -79,8 +79,9 @@ def as_qweights(q) -> list[tuple[str, int]]:
     """Normalize a query to its [(term, weight), ...] form: raw
     strings tokenize via query_term_weights; pre-tokenized lists (in
     ascending term order — the accumulation contract) pass through.
-    The single normalization point for every scoring frontend
-    (query_index, SegmentScorer, the resident SegmentServer)."""
+    The single normalization point for every scoring frontend:
+    query.plan_query, which plans both query_index and the resident
+    QuerySession batches."""
     return q if isinstance(q, list) else query_term_weights(q)
 
 

@@ -15,19 +15,23 @@ part->actor assignment:
   a part's cache entries are never duplicated).
 - Per (part, term) decoded postings live in a bounded LRU; repeat
   terms across query batches never touch parquet again. The one-shot
-  path's per-part read (segments.part_postings) fetches ONLY the
-  missing terms of a batch; a part missing on disk raises.
-- Scoring reuses the exact kernels of the one-shot path
-  (raysearch/query.py), so a resident session returns bit-identical
-  results to ``query_index``.
+  path's per-part read (query.live_postings: segments.part_postings
+  minus the tombstones) fetches ONLY the missing terms of a batch; a
+  part missing on disk raises.
+- Each batch is planned once on the driver by query.plan_query (the
+  option check, df/cf, the SegmentScorer) from the stats the session
+  loaded at construction; every actor scores its parts through the
+  same SegmentScorer.score_part as the one-shot tasks, passing its LRU
+  as the loader, so a resident session returns bit-identical results
+  to ``query_index``.
 - The driver merge is the same k-bounded selection as the batch path
   (doc-hash partitioning keeps per-segment scores final).
 
 At cluster scale: actors are placed by Ray across nodes; each holds
 O(parts/actors) segments; adding actors splits the part sets (cache
 shards stay disjoint). A 100-query batch costs one footer-pruned
-lexicon term read on the driver (df and cf together) + one RPC per
-actor.
+lexicon term read on the driver (df and cf together), one object-store
+put of the scorer and one RPC per actor.
 """
 
 from __future__ import annotations
@@ -39,11 +43,10 @@ import pyarrow as pa
 
 from raysearch.query import (
     RESULT_SCHEMA,
-    lexicon_lookup,
+    live_postings,
     merge_candidates,
-    score_queries_over_postings,
+    plan_query,
 )
-from raysearch.score import as_qweights, check_query_options
 from raysearch.stats import load_stats
 
 DEFAULT_CACHE_TERMS = 65536  # (part, term) LRU entries per actor
@@ -56,13 +59,12 @@ class _SegmentServerImpl:
     def __init__(self, index_dir: str, parts: list[int],
                  cache_terms: int = DEFAULT_CACHE_TERMS):
         st = load_stats(index_dir)
-        cfg = st["config"]
         self.index_dir = index_dir
         self.parts = list(parts)
-        self.n_docs = st["n_docs"]
-        self.avgdl = st["avgdl"]
-        self.total_tokens = st.get("total_tokens", 0)
-        self.k1, self.b = cfg["k1"], cfg["b"]
+        # the session's stats snapshot; every batch's SegmentScorer
+        # carries the same values from the driver
+        self.n_docs, self.avgdl = st["n_docs"], st["avgdl"]
+        self.k1, self.b = st["config"]["k1"], st["config"]["b"]
         self.cache_terms = cache_terms
         # tombstones snapshot AS OF session creation (the documented
         # staleness contract below applies to deletes too)
@@ -80,8 +82,6 @@ class _SegmentServerImpl:
     def _ensure_terms(self, part: int, terms: list[str]) -> tuple[dict, dict]:
         """Return (postings, max_tfs) for ``terms`` of ``part``,
         reading only the cache misses from the segment files."""
-        from raysearch.segments import part_postings
-
         postings, max_tfs = {}, {}
         missing = []
         for t in terms:
@@ -96,38 +96,27 @@ class _SegmentServerImpl:
                 missing.append(t)
         if missing:
             self.misses += len(missing)
-            found = part_postings(self.index_dir, part, missing)
+            found, found_max = live_postings(self.index_dir, part, missing,
+                                             self.deleted)
             for t, decoded in found.items():
-                max_tf = int(decoded[1].max())  # the unfiltered row's
-                if self.deleted is not None:
-                    from raysearch.maintenance import filter_postings
-
-                    decoded = filter_postings(decoded, self.deleted)
-                entry = (decoded, max_tf)
-                self._cache[(part, t)] = entry
-                postings[t], max_tfs[t] = entry
+                self._cache[(part, t)] = (decoded, found_max[t])
             for t in missing:
                 if t not in found:
                     self._cache[(part, t)] = (None, None)
+            postings.update(found)
+            max_tfs.update(found_max)
             while len(self._cache) > self.cache_terms:
                 self._cache.popitem(last=False)
         return postings, max_tfs
 
     # -- serving --
 
-    def query_batch(self, queries: list[str], k: int, mode: str,
-                    df: dict[str, int], prune: bool = False,
-                    cf: dict[str, int] | None = None,
-                    mu: float = 2000.0) -> pa.Table:
-        qweights = [as_qweights(q) for q in queries]
-        all_terms = sorted({t for qw in qweights for t, _ in qw})
-        outs = []
-        for part in self.parts:
-            postings, max_tfs = self._ensure_terms(part, all_terms)
-            outs.append(score_queries_over_postings(
-                qweights, postings, max_tfs, df, self.n_docs,
-                self.avgdl, self.k1, self.b, k, mode, prune,
-                cf=cf, total_tokens=self.total_tokens, mu=mu))
+    def query_batch(self, scorer) -> pa.Table:
+        """Candidates of a driver-planned batch (query.plan_query) over
+        this actor's parts: the shared per-part method, loading
+        through the LRU."""
+        outs = [scorer.score_part(part, self._ensure_terms)
+                for part in self.parts]
         return pa.concat_tables(outs) if outs else RESULT_SCHEMA.empty_table()
 
     def cache_stats(self) -> dict:
@@ -158,12 +147,9 @@ class QuerySession:
                  num_cpus_per_actor: float = 1.0):
         import ray
 
-        st = load_stats(index_dir)
-        parts = st.get("parts")
-        if parts is None:
-            from raysearch.segments import list_segment_parts
-
-            parts = list_segment_parts(index_dir)
+        # the stats every batch is planned from (staleness contract)
+        self._stats = load_stats(index_dir)
+        parts = self._stats["parts"]
         self.index_dir = index_dir
         self.n_parts = len(parts)
         if num_actors is None:
@@ -193,13 +179,10 @@ class QuerySession:
         """Top-k per query: (query_id, rank, doc_id, score) pa.Table."""
         import ray
 
-        sim = check_query_options(mode, prune)
-        qweights = [as_qweights(q) for q in queries]
-        all_terms = sorted({t for qw in qweights for t, _ in qw})
-        df, cf = lexicon_lookup(self.index_dir, all_terms)
-        cf = cf if sim.needs_cf else None
-        refs = [a.query_batch.remote(queries, k, mode, df, prune, cf, mu)
-                for a in self._actors]
+        scorer, _ = plan_query(self.index_dir, self._stats, queries, k,
+                               mode, prune, mu)
+        ref = ray.put(scorer)
+        refs = [a.query_batch.remote(ref) for a in self._actors]
         cand = (pa.concat_tables(ray.get(refs)).to_pandas() if refs
                 else pd.DataFrame())  # an index with zero segments
         return merge_candidates(cand, len(queries), k)

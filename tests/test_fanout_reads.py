@@ -132,7 +132,7 @@ def test_lexicon_lookup_over_distributed_lexicon(ray_session, small_corpus,
 
     from raysearch.build import build_index
     from raysearch.config import IndexConfig
-    from raysearch.query import lexicon_cf, lexicon_df, lexicon_lookup
+    from raysearch.query import lexicon_df, lexicon_lookup
 
     monkeypatch.setenv("RAYSEARCH_LEXICON_DISTRIBUTED", "1")
     idx = str(tmp_path / "idx")
@@ -154,7 +154,6 @@ def test_lexicon_lookup_over_distributed_lexicon(ray_session, small_corpus,
 
     assert lexicon_lookup(idx, terms) == (want_df, want_cf)
     assert lexicon_df(idx, terms) == want_df
-    assert lexicon_cf(idx, terms) == want_cf
     assert lexicon_lookup(idx, []) == ({}, {})
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from raysearch.build import build_index
 from raysearch.config import IndexConfig
-from raysearch.query import query_index
+from raysearch.query import plan_query, query_index
 from raysearch.score import SIMILARITIES
 from raysearch.serve import QuerySession, _SegmentServerImpl
 
@@ -88,23 +88,26 @@ def test_segment_affinity_partition(ray_session, idx):
     assert sorted(all_parts) == sorted(load_stats(idx)["parts"])
 
 
-def test_impl_negative_caching(ray_session, idx):
+def _plan(idx, queries, k):
     from raysearch.stats import load_stats
 
-    parts = load_stats(idx)["parts"]
+    st = load_stats(idx)
+    return st["parts"], plan_query(idx, st, queries, k)[0]
+
+
+def test_impl_negative_caching(ray_session, idx):
+    parts, scorer = _plan(idx, ["zzznotaterm hash"], k=5)
     srv = _SegmentServerImpl(idx, parts[:1])
-    srv.query_batch(["zzznotaterm hash"], k=5, mode="bm25", df={"hash": 1})
+    srv.query_batch(scorer)
     m1 = srv.misses
-    srv.query_batch(["zzznotaterm hash"], k=5, mode="bm25", df={"hash": 1})
+    srv.query_batch(scorer)
     assert srv.misses == m1  # absent terms cached too (negative entries)
 
 
 def test_lru_eviction(ray_session, idx):
-    from raysearch.stats import load_stats
-
-    parts = load_stats(idx)["parts"]
+    parts, scorer = _plan(idx, ["fast hash join merge sort"], k=5)
     srv = _SegmentServerImpl(idx, parts[:1], cache_terms=2)
-    srv.query_batch(["fast hash join merge sort"], k=5, mode="bm25", df={})
+    srv.query_batch(scorer)
     assert len(srv._cache) <= 2
 
 

@@ -48,33 +48,34 @@ def test_pruning_actually_prunes():
     assert max(bounds.values()) > 3 * min(bounds.values())
 
 
-def test_block_max_candidates_prune_and_stay_exact():
-    """Block-max candidate pruning must shrink the candidate set on a
-    hot+rare query (theta high, hot-term blocks bounded low) while the
-    final top-k stays equal to full evaluation."""
-    from raysearch.score import bm25_idf
-    from raysearch.wand import _block_max_candidates
+def test_block_max_candidates_prune_and_stay_exact(monkeypatch):
+    """Block bounds over DECODED arrays must shrink the work on a
+    hot+rare query (the rare term seeds theta far above the hot term's
+    block bounds) while the final top-k stays equal to full
+    evaluation. The entries pruned_topk gathers are counted through
+    its DecodedPostings view."""
+    from raysearch import wand
 
-    corpus = generate_corpus(800, seed=42)
-    o = Oracle(corpus)
-    q = "import parser ast grammar syntax"
-    qw = [(t, w) for t, w in query_term_weights(q) if t in o._np_postings]
-    idfs = {t: bm25_idf(o.df[t], o.n_docs) for t, _ in qw}
-    # theta from the rare high-bound terms' typical contribution scale
-    all_cand = np.unique(np.concatenate([o._np_postings[t][0]
-                                         for t, _ in qw]))
-    theta = 5.0
-    pruned = _block_max_candidates(qw, o._np_postings, idfs,
-                                   o.config.k1, o.config.b, "bm25",
-                                   theta, 0.0)
-    assert len(pruned) < len(all_cand)
-    # and end-to-end exactness at that corpus size
+    views = []
+
+    class CountingView(wand.DecodedPostings):
+        def __init__(self, *a):
+            super().__init__(*a)
+            views.append(self)
+
+    monkeypatch.setattr(wand, "DecodedPostings", CountingView)
+    o = Oracle(_longposting_corpus())
     max_tfs = {t: int(p[1].max()) for t, p in o._np_postings.items()}
-    full = o.search(q, k=10, mode="bm25")
+    q = "needle common"
     d, s = pruned_topk(query_term_weights(q), o._np_postings, max_tfs,
                        o.df, o.n_docs, o.avgdl, o.config.k1, o.config.b,
                        10, "bm25")
-    assert list(zip(d.tolist(), s.tolist())) == full
+    assert list(zip(d.tolist(), s.tolist())) == o.search(q, k=10,
+                                                        mode="bm25")
+    assert len(d) == 10 and len(views) == 1
+    total = o.df["needle"] + o.df["common"]
+    assert views[0].decoded_entries < total / 2, (views[0].decoded_entries,
+                                                  total)
 
 
 def test_query_index_prune_matches(ray_session, small_corpus, tmp_path):
@@ -182,3 +183,37 @@ def test_blockmax_handles_all_essential(ray_session, tmp_path):
         c = query_index(idx, [q], k=10, mode="overlap", prune=False)
         d = query_index(idx, [q], k=10, mode="overlap", prune=True)
         assert c.equals(d), q
+
+
+def test_decoded_pruner_paths_match_full(ray_session, medium_corpus,
+                                         tmp_path):
+    """The decoded-array pruner paths — keep-filtered and
+    tombstone-filtered one-shot scoring, and the resident actors — give
+    the same table with prune=True as with prune=False."""
+    import ray.data
+
+    from raysearch.build import build_index
+    from raysearch.config import IndexConfig
+    from raysearch.maintenance import delete_docs
+    from raysearch.query import query_index
+    from raysearch.serve import QuerySession
+
+    idx = str(tmp_path / "dec")
+    build_index(ray.data.from_arrow(medium_corpus), idx,
+                IndexConfig(num_parts=2), input_id="dec")
+    qs = QUERIES + ["import parser ast grammar syntax",
+                    "import return def parser ast"]
+    keep = np.arange(0, medium_corpus.num_rows, 3)
+    with QuerySession(idx, num_actors=2) as s:
+        for mode in ("bm25", "overlap"):
+            want = query_index(idx, qs, k=10, mode=mode)
+            assert want.num_rows
+            assert s.query_batch(qs, k=10, mode=mode, prune=True).equals(want)
+            a = query_index(idx, qs, k=10, mode=mode, keep=keep)
+            b = query_index(idx, qs, k=10, mode=mode, keep=keep, prune=True)
+            assert a.num_rows and a.equals(b), mode
+    delete_docs(idx, range(1, medium_corpus.num_rows, 2))
+    for mode in ("bm25", "overlap"):
+        a = query_index(idx, qs, k=10, mode=mode)
+        b = query_index(idx, qs, k=10, mode=mode, prune=True)
+        assert a.num_rows and a.equals(b), mode
