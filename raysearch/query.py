@@ -6,8 +6,8 @@ sharded mode partial-aggregates per-shard scores under locks and
 barriers (src/processor.rs:146-369). Here queries are a small broadcast
 side and the INDEX is the distributed dimension:
 
-    map_parts(parts, SegmentScorer)              # plain Ray tasks,
-                                                 # max(1, P // 32) parts each
+    map_parts(parts, SegmentScorer)              # one plain Ray task per
+                                                 # CPU, ceil(P / CPUs) parts
       -> P * Q * k candidate rows (tiny)
       -> final top-k merge per query (one driver-side lexsort over
          <= P*Q*k rows)
@@ -35,7 +35,9 @@ part listed in stats.json but missing on disk raises rather than
 shrinking the top-k) and drops the tombstones read when the query was
 called; an actor loads through its LRU. The driver's df/cf come from
 the same footer-pruned term read (segments.read_term_rows) of the
-lexicon files.
+lexicon files. Tasks, actors and the driver all keep parsed footers
+in that read's per-process cache, each hit checked against the file's
+trailing bytes.
 
 Every scoring mode and the knobs it supports come from one table,
 raysearch.score.SIMILARITIES; check_query_options validates a query's
@@ -69,11 +71,11 @@ from raysearch.score import (
     topk,
 )
 from raysearch.segments import (SCORER_COLUMNS_BMW, has_block_meta,
-                                listed_part_dir, part_dirname,
-                                part_postings, read_postings,
-                                read_term_rows)
+                                listed_part_dir, part_postings,
+                                read_postings, read_term_rows)
 from raysearch.stats import load_stats
-from raysearch.wand import LazyPostings, pruned_topk, pruned_topk_blockmax
+from raysearch.wand import (DecodedPostings, LazyPostings,
+                            pruned_topk_blockmax)
 
 RESULT_SCHEMA = pa.schema([
     ("query_id", pa.int64()),
@@ -120,20 +122,18 @@ def asof_df(index_dir: str, parts, terms: list[str]) -> dict[str, int]:
     held at that generation. One tiny fan-out over the snapshot parts
     (term-filtered reads of the posting files' narrow (term, df)
     columns — terms x parts rows), never the current global lexicon,
-    which already includes later generations."""
+    which already includes later generations. A snapshot part missing
+    on disk raises, as on every other query path."""
     if not terms:
         return {}
     empty = pa.table({"term": pa.array([], pa.large_string()),
                       "df": pa.array([], pa.int64())})
 
     def kern(batch: pa.Table) -> pa.Table:
-        outs = []
-        for p in batch["part"].to_pylist():
-            pdir = part_dirname(index_dir, int(p))
-            if os.path.isdir(pdir):
-                outs.append(read_postings(pdir, terms,
-                                          columns=["term", "df"]))
-        return pa.concat_tables(outs) if outs else empty
+        return pa.concat_tables([
+            read_postings(listed_part_dir(index_dir, int(p)), terms,
+                          columns=["term", "df"])
+            for p in batch["part"].to_pylist()])
 
     tbl = map_parts(parts, kern, empty)
     if len(tbl) == 0:
@@ -221,14 +221,17 @@ def score_queries_over_postings(
     per-segment top-k is exact (see module docstring). The knobs are
     validated once at the entry (check_query_options), not here."""
     whole_query = SIMILARITIES[mode].contrib is None
+    # one block view of the part for the whole batch: each term's block
+    # first doc / max tf is computed once, not once per query
+    view = DecodedPostings(postings, max_tfs) if prune else None
     per_query = []
     for qw in qweights:
         if whole_query:  # dirichlet
             docs, sc = dirichlet_scores(qw, postings.get, cf or {},
                                         total_tokens, mu)
-        elif prune:
-            per_query.append(pruned_topk(qw, postings, max_tfs, df,
-                                         n_docs, avgdl, k1, b, k, mode))
+        elif view is not None:
+            per_query.append(pruned_topk_blockmax(
+                qw, view, df, n_docs, avgdl, k1, b, k, mode))
             continue
         else:
             docs, sc = score_postings(qw, postings.get, df, n_docs, avgdl,

@@ -28,8 +28,10 @@ path.
 from __future__ import annotations
 
 import bisect
+import collections
 import os
 import re
+import threading
 
 import numpy as np
 import pyarrow as pa
@@ -411,6 +413,63 @@ SCORER_COLUMNS_BMW = SCORER_COLUMNS + ["df", "bfirst_enc", "bmax_enc"]
 SCORER_COLUMNS_POS = SCORER_COLUMNS + ["pos_enc"]
 
 
+# parsed footers kept per process (tasks, resident actors, the driver's
+# lexicon lookup). A perfbench postings footer is ~32 KB on disk and
+# ~200 KB parsed, so a full cache holds ~15 MB.
+FOOTER_CACHE_MAX = 64
+
+
+class _Footer:
+    """One parquet file's parsed footer and each row group's ``term``
+    (min, max), None for a group without statistics. ``tail`` is the
+    file's trailing bytes (footer, its length, the magic) it was parsed
+    from."""
+
+    def __init__(self, tail: bytes, md: pq.FileMetaData) -> None:
+        self.tail, self.md = tail, md
+        ti = md.schema.names.index("term")
+        stats = (md.row_group(g).column(ti).statistics
+                 for g in range(md.num_row_groups))
+        self.ranges = [(st.min, st.max) if st is not None and st.has_min_max
+                       else None for st in stats]
+
+
+_footers: collections.OrderedDict[str, _Footer] = collections.OrderedDict()
+_footers_lock = threading.Lock()
+
+
+def _file_tail(f: pa.NativeFile) -> bytes:
+    """The footer, its 4-byte length and the magic at the end of ``f``
+    (one 8-byte read, one footer-sized read); empty when ``f`` is too
+    short to hold them."""
+    size = f.size()
+    if size < 12:
+        return b""
+    n = int.from_bytes(f.read_at(4, size - 8), "little")
+    return f.read_at(n + 8, size - n - 8) if n + 12 <= size else b""
+
+
+def _footer(f: pa.NativeFile, path: str) -> _Footer:
+    """The footer of ``f`` (opened from ``path``): the one cached for
+    ``path`` when the file's trailing bytes equal the bytes it was
+    parsed from, else parsed and cached. Both come from the one open
+    handle, so a file replaced by an atomic rename or rewritten in
+    place is never read with a stale layout."""
+    tail = _file_tail(f)
+    with _footers_lock:
+        hit = _footers.get(path)
+        if hit is not None and hit.tail == tail:
+            _footers.move_to_end(path)
+            return hit
+    foot = _Footer(tail, pq.read_metadata(f))
+    with _footers_lock:
+        _footers[path] = foot
+        _footers.move_to_end(path)
+        while len(_footers) > FOOTER_CACHE_MAX:
+            _footers.popitem(last=False)
+    return foot
+
+
 def read_term_rows(path: str, terms: list[str],
                    columns: list[str] | None = None) -> pa.Table:
     """Rows of a parquet file whose ``term`` is in ``terms`` — the same
@@ -419,23 +478,24 @@ def read_term_rows(path: str, terms: list[str],
     filter planning. Row groups are picked from the footer's ``term``
     min/max (one bisect over the sorted terms; a group without
     statistics is always read), then an exact ``is_in`` filter keeps
-    the matching rows. Nothing is cached between calls, so a segment
-    replaced by an atomic rename is read fresh."""
+    the matching rows. The parsed footer and its term ranges are cached
+    per process (FOOTER_CACHE_MAX files), each hit checked against the
+    file's trailing bytes, so a segment replaced by an atomic rename is
+    read fresh."""
     want = sorted(set(terms))
-    pf = pq.ParquetFile(path)
-    md = pf.metadata
-    ti = md.schema.names.index("term")
-    groups = []
-    for g in range(md.num_row_groups):
-        st = md.row_group(g).column(ti).statistics
-        if st is not None and st.has_min_max:
-            i = bisect.bisect_left(want, st.min)
-            if i == len(want) or want[i] > st.max:
-                continue
-        groups.append(g)
     read_cols = (columns if columns is None or "term" in columns
                  else [*columns, "term"])
-    tbl = pf.read_row_groups(groups, columns=read_cols)
+    with pa.OSFile(path) as f:
+        foot = _footer(f, path)
+        groups = []
+        for g, rng in enumerate(foot.ranges):
+            if rng is not None:
+                i = bisect.bisect_left(want, rng[0])
+                if i == len(want) or want[i] > rng[1]:
+                    continue
+            groups.append(g)
+        tbl = pq.ParquetFile(f, metadata=foot.md).read_row_groups(
+            groups, columns=read_cols)
     tbl = tbl.filter(pc.is_in(tbl["term"], value_set=pa.array(
         want, tbl.schema.field("term").type)))
     return tbl if columns is None else tbl.select(columns)
@@ -497,7 +557,8 @@ def has_block_meta(part_dir: str) -> bool:
     before the blockmax upgrade don't; readers fall back to eager
     whole-row decode)."""
     path = os.path.join(part_dir, "postings.parquet")
-    return "bfirst_enc" in pq.read_schema(path).names
+    with pa.OSFile(path) as f:
+        return "bfirst_enc" in _footer(f, path).md.schema.names
 
 
 def read_block_meta(tbl: pa.Table, i: int

@@ -2,8 +2,10 @@
 read (raysearch.segments.read_term_rows), the one per-part posting
 read (segments.part_postings) and the one per-part top-k plan
 (pipelines.rankex._part_topk): read_term_rows must return exactly what
-a dataset-filtered ``pq.read_table`` returns, map_parts must keep part
-order and surface kernel errors, the lexicon lookup must agree with a
+a dataset-filtered ``pq.read_table`` returns, from a cold or a warm
+footer cache, and never from a stale footer; map_parts must run one
+task per CPU, keep part order and surface kernel errors; the lexicon
+lookup must agree with a
 dataset scan when the lexicon spans several files, part_postings must
 equal the read + decode it replaces, and a part missing from disk must
 raise, never shrink a top-k."""
@@ -16,6 +18,7 @@ import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 import pytest
 
+from raysearch import segments
 from raysearch.fanout import map_parts
 from raysearch.segments import read_term_rows
 
@@ -66,10 +69,86 @@ def test_read_term_rows_equals_filtered_read(tmp_path, term_type, stats,
                   write_statistics=stats)
     terms = CASES[case]
     for columns in (None, ["term", "df"], ["blob", "df"], ["df"]):
-        got = read_term_rows(path, terms, columns)
         want = _reference(path, terms, columns)
-        assert got.equals(want), (case, columns)
-        assert got.schema.names == want.schema.names
+        segments._footers.pop(path, None)
+        for cache in ("cold", "warm"):
+            got = read_term_rows(path, terms, columns)
+            assert path in segments._footers
+            assert got.equals(want), (case, columns, cache)
+            assert got.schema.names == want.schema.names
+
+
+def test_read_term_rows_sees_replaced_file(tmp_path):
+    """A cached footer is never used for a file replaced by an atomic
+    rename, or rewritten in place, with different content."""
+    path = str(tmp_path / "t.parquet")
+    tmp = _write(str(tmp_path / "t.parquet.tmp"))
+    os.replace(tmp, path)
+    terms = [TERMS[0], TERMS[RG + 7], TERMS[-1]]
+    assert read_term_rows(path, terms).equals(_reference(path, terms))
+
+    n = len(TERMS) // 2
+    half = pa.table({"term": pa.array(TERMS[n:]),
+                     "df": pa.array(range(1000, 1000 + n), pa.int64()),
+                     "blob": pa.array([b"new"] * n, pa.binary())})
+    pq.write_table(half, tmp, row_group_size=RG // 2)
+    os.replace(tmp, path)
+    got = read_term_rows(path, terms)
+    assert got.equals(_reference(path, terms))
+    assert got["term"].to_pylist() == [TERMS[-1]]
+    assert got["df"].to_pylist() == [1000 + n - 1]
+
+    pq.write_table(half.set_column(1, "df", pa.array(range(n), pa.int64())),
+                   path, row_group_size=RG // 2)
+    assert read_term_rows(path, terms)["df"].to_pylist() == [n - 1]
+
+
+def test_footer_cache_is_bounded(tmp_path, monkeypatch):
+    monkeypatch.setattr(segments, "FOOTER_CACHE_MAX", 2)
+    monkeypatch.setattr(segments, "_footers", type(segments._footers)())
+    paths = [_write(str(tmp_path / f"t{i}.parquet")) for i in range(3)]
+    for p in paths:
+        assert read_term_rows(p, ["mm"], ["df"])["df"].to_pylist() == [
+            TERMS.index("mm")]
+        assert len(segments._footers) <= 2
+    assert list(segments._footers) == paths[1:]
+
+
+def test_footer_cache_threads(tmp_path, monkeypatch):
+    """Threads sharing the cache (the TCP server's) each read the right
+    rows while it evicts, and it ends within its cap."""
+    import sys
+    import threading
+
+    monkeypatch.setattr(segments, "FOOTER_CACHE_MAX", 2)
+    monkeypatch.setattr(segments, "_footers", type(segments._footers)())
+    paths = [_write(str(tmp_path / f"t{i}.parquet")) for i in range(4)]
+    errors, reads = [], []
+
+    def reader(i):
+        try:
+            for j in range(40):
+                got = read_term_rows(paths[(i + j) % 4], ["mm"], ["df"])
+                assert got["df"].to_pylist() == [TERMS.index("mm")]
+                reads.append(i)
+        except Exception as e:  # surfaced by the assert below
+            errors.append(e)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(i,))
+                   for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(reads) == 8 * 40
+    assert len(segments._footers) <= 2
 
 
 def test_read_term_rows_prunes_row_groups(tmp_path, monkeypatch):
@@ -112,6 +191,33 @@ def test_map_parts_keeps_part_order(ray_session):
     out = map_parts(parts, _double_kernel(), EMPTY)
     assert out["part"].to_pylist() == parts
     assert out["twice"].to_pylist() == [2 * p for p in parts]
+
+
+def _batch_len_kernel():
+    def kern(batch: pa.Table) -> pa.Table:
+        parts = batch["part"].to_pylist()
+        return pa.table({"part": pa.array(parts, pa.int64()),
+                         "batch_len": pa.array([len(parts)] * len(parts),
+                                               pa.int64())})
+    return kern
+
+
+@pytest.mark.parametrize("n_parts,sizes", [(8, [2, 2, 2, 2]),
+                                           (75, [19, 19, 19, 18])])
+def test_map_parts_one_task_per_cpu(ray_session, n_parts, sizes):
+    import ray
+
+    assert ray.cluster_resources()["CPU"] == 4  # the session's num_cpus
+    parts = list(range(n_parts))[::-1]
+    out = map_parts(parts, _batch_len_kernel(),
+                    pa.table({"part": pa.array([], pa.int64())}))
+    assert out["part"].to_pylist() == parts
+    lens = out["batch_len"].to_pylist()
+    got, i = [], 0
+    while i < len(lens):
+        got.append(lens[i])
+        i += lens[i]
+    assert got == sizes
 
 
 def test_map_parts_all_empty_results_give_empty(ray_session):
@@ -285,7 +391,7 @@ def test_missing_part_raises_everywhere(ray_session, small_corpus,
     from raysearch.build import build_index
     from raysearch.config import IndexConfig
     from raysearch.pipelines.rankex import _part_topk
-    from raysearch.query import query_index
+    from raysearch.query import asof_df, query_index
     from raysearch.segments import part_dirname
     from raysearch.serve import QuerySession
     from raysearch.stats import load_stats
@@ -309,3 +415,5 @@ def test_missing_part_raises_everywhere(ray_session, small_corpus,
             s.query_batch(queries, k=5)
     with pytest.raises(FileNotFoundError, match=msg):
         _part_topk(idx, terms, 1, lambda qid, post: None)
+    with pytest.raises(FileNotFoundError, match=msg):
+        asof_df(idx, parts, terms)

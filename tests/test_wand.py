@@ -78,6 +78,42 @@ def test_block_max_candidates_prune_and_stay_exact(monkeypatch):
                                                   total)
 
 
+def test_batch_shares_one_decoded_view(monkeypatch):
+    """A pruned query batch over one part builds ONE DecodedPostings,
+    so each term's block metadata is computed once for the batch, and
+    its top-k equals per-query pruned_topk bit for bit."""
+    from raysearch import query
+
+    views, metas = [], []
+
+    class CountingView(query.DecodedPostings):
+        def __init__(self, *a):
+            super().__init__(*a)
+            views.append(self)
+
+        def _block_meta(self, t):
+            metas.append(t)
+            return super()._block_meta(t)
+
+    o = Oracle(generate_corpus(300, seed=42))
+    max_tfs = {t: int(p[1].max()) for t, p in o._np_postings.items()}
+    qws = [query_term_weights(q) for q in QUERIES]
+    args = (o.df, o.n_docs, o.avgdl, o.config.k1, o.config.b, 10)
+    for mode in ("bm25", "overlap"):
+        want = query.topk_table([
+            pruned_topk(qw, o._np_postings, max_tfs, *args, mode)
+            for qw in qws])
+        views.clear()
+        metas.clear()
+        monkeypatch.setattr(query, "DecodedPostings", CountingView)
+        got = query.score_queries_over_postings(
+            qws, o._np_postings, max_tfs, *args, mode, prune=True)
+        monkeypatch.undo()
+        assert got.equals(want), mode
+        assert len(views) == 1
+        assert metas and len(metas) == len(set(metas))
+
+
 def test_query_index_prune_matches(ray_session, small_corpus, tmp_path):
     import ray.data
 
