@@ -4,7 +4,7 @@ Ray is initialised by the driver BEFORE this module is imported; no
 ray.init()/ray.shutdown() happens here or in the raysearch library.
 
 - entry(): flagship pipeline — build the segment index over the
-  sf0.001 documents table (tokenize -> salted groupby shuffle ->
+  sf0.001 documents table (tokenize -> doc-hash groupby shuffle ->
   delta+varint segments with manifests -> tree-merged stats + global
   lexicon), then run the fixed query set through the distributed BM25
   scorer and return the top-k table.

@@ -1,7 +1,7 @@
 """Benchmark driver.
 
 Plain run: one fresh Ray session at $RAY_GRAFT_CPUS (default 32),
-headline = full index build (tokenize -> salted shuffle -> compressed
+headline = full index build (tokenize -> doc-hash shuffle -> compressed
 segments + manifests + lexicon) over a 50k-doc synthetic source-code
 corpus (the BASELINE.json input shape) + the 10-query BM25 batch,
 plus per-op timings over $GRAFT_SF_DIR (default /root/testdata/sf0.1).

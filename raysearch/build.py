@@ -2,25 +2,28 @@
 serial in-memory build loop (/root/reference/src/main.rs:66-69 folding
 docs one at a time into a HashMap on one thread).
 
-Dataflow (streaming end-to-end, two shuffles):
+Dataflow (streaming end-to-end, one shuffle):
 
     read_parquet(corpus, columns=[doc_id, lang, content])   # prune at read
       -> map_batches(make_triples, pyarrow, zero-copy)      # tokenize+combine
-      -> groupby(gkey).map_groups(build_partials)           # THE big shuffle
-      -> groupby(dpart).map_groups(write_segment)           # narrow, compressed
-      -> P stats rows -> driver tree-merge -> stats.json
+      -> groupby(gkey).map_groups(write_segment)            # THE shuffle:
+           build_partials -> merge_partials -> commit_segment
+      -> P stats rows -> finalize_index: driver tree-merge, lexicon,
+         stats.json
     read_parquet(segments/*/postings.parquet, cols=[term,df,cf])
       -> groupby(term).aggregate(Sum)                       # global lexicon
       -> sort(term) -> lexicon/*.parquet
 
+Append, merge and compaction end the same way: each part through
+``segments.commit_segment``, the index through ``finalize_index``.
+
 Skew handling: partitioning is by hash(doc_id), so a hot term's
 postings are split across all P parts and no reduce group can exceed
-one partition's triple mass; ``salt`` (config) additionally subdivides
-each partition's build group S ways for very large partitions, merged
-by the second (cheap: already-encoded partials) shuffle. The lexicon
-groupby has at most P*S rows per term, so the classic hot-term reducer
-blowup cannot occur there either. Per-part hot-term metrics are logged
-in each manifest ("skew": top terms by cf).
+one partition's triple mass; num_parts (``_auto_parts``) is the lever
+that bounds it. The lexicon groupby has at most P rows per term, so
+the classic hot-term reducer blowup cannot occur there either.
+Per-part hot-term metrics are logged in each manifest ("skew": top
+terms by cf).
 
 Resume: partitions with a valid manifest (config hash + lineage id +
 file digests — checkpoint.py) are not rewritten; a fully-valid index
@@ -40,10 +43,10 @@ from raysearch.config import IndexConfig
 from raysearch.segments import (
     build_partials,
     clean_stale_staging,
+    commit_segment,
     list_segment_parts,
     merge_partials,
     part_dirname,
-    write_segment_files,
 )
 from raysearch.triples import make_triple_fn
 
@@ -126,47 +129,56 @@ def _auto_parts(n_docs: int) -> int:
 
 def _make_segment_writer(index_dir: str, config: IndexConfig,
                          input_id: str, valid_parts: frozenset[int],
-                         from_triples: bool = False,
                          part_offset: int = 0):
-    """Segment-writing group fn. With from_triples=True (salt=1, the
-    single-shuffle plan) the group is raw triples and posting build +
-    write happen in one stage; otherwise the group is encoded partial
-    runs from the salted first shuffle. part_offset shifts the on-disk
-    part numbers past an existing index's segments (incremental
-    append, maintenance.append_index)."""
+    """Segment-writing group fn: one ``gkey`` group of raw triples ->
+    posting build + segment commit in the same task. part_offset
+    shifts the on-disk part numbers past an existing index's segments
+    (incremental append, maintenance.append_index)."""
     config_hash = config.config_hash()
 
     def write_segment(group: pa.Table) -> pa.Table:
-        part = int(group["dpart"][0].as_py()) + part_offset
+        part = int(group["gkey"][0].as_py()) + part_offset
         part_dir = part_dirname(index_dir, part)
-        skipped = part in valid_parts
-        if skipped:
-            m = checkpoint.load_manifest(part_dir)
-            s = m["stats"]
+        if part in valid_parts:
+            row = {"part": part,
+                   **checkpoint.load_manifest(part_dir)["stats"],
+                   "skipped": True}
         else:
-            if from_triples:
-                group = build_partials(group)
-            postings, doclens = merge_partials(group)
-            s = write_segment_files(part_dir, postings, doclens)
-            hot = postings.sort_by([("cf", "descending")]).slice(0, 10)
-            skew = {"top_terms": [
-                {"term": t, "cf": c, "df": d} for t, c, d in
-                zip(hot["term"].to_pylist(), hot["cf"].to_pylist(),
-                    hot["df"].to_pylist())]}
-            checkpoint.write_manifest(
-                part_dir, part, config_hash,
-                {"input_id": input_id}, s, skew)
-        return pa.table({
-            "part": pa.array([part], pa.int32()),
-            "n_terms": pa.array([s["n_terms"]], pa.int64()),
-            "n_postings": pa.array([s["n_postings"]], pa.int64()),
-            "n_docs": pa.array([s["n_docs"]], pa.int64()),
-            "sum_dl": pa.array([s["sum_dl"]], pa.int64()),
-            "total_tf": pa.array([s["total_tf"]], pa.int64()),
-            "skipped": pa.array([skipped], pa.bool_()),
-        })
+            postings, doclens = merge_partials(build_partials(group))
+            row = {**commit_segment(part_dir, part, postings, doclens,
+                                    config_hash, input_id),
+                   "skipped": False}
+        return pa.Table.from_pylist([row], schema=STATS_ROW_SCHEMA)
 
     return write_segment
+
+
+def _segment_rows(source, config: IndexConfig, writer,
+                  with_sha: bool) -> list[dict]:
+    """The one triples -> segments pipeline (build_index and
+    maintenance.append_index): triple map, the single groupby on the
+    part key, one stats row per written part. A parquet ``source``
+    (path or list) is read at the exchange width, shaping the block
+    count AT THE READ instead of paying a separate repartition
+    exchange of every triple row (measured: -28% build wall at 400k
+    docs); a Dataset's triples are repartitioned to it. On a real
+    multi-node cluster the same width cap applies per exchange round —
+    see SCALE.md."""
+    import ray.data
+
+    width = _exchange_width(config.num_parts)
+    triple_fn = make_triple_fn(config, with_sha=with_sha)
+    if isinstance(source, (str, list)):
+        triples = ray.data.read_parquet(
+            source, columns=["doc_id", "lang", "content"],
+            override_num_blocks=width).map_batches(
+                triple_fn, batch_format="pyarrow", zero_copy_batch=True)
+    else:
+        triples = source.map_batches(
+            triple_fn, batch_format="pyarrow",
+            zero_copy_batch=True).repartition(width)
+    return (triples.groupby("gkey")
+            .map_groups(writer, batch_format="pyarrow").take_all())
 
 
 def _exchange_width(num_parts: int) -> int:
@@ -200,6 +212,36 @@ def _prune_orphan_segments(index_dir: str, keep: set[int]) -> int:
             shutil.rmtree(part_dirname(index_dir, p), ignore_errors=True)
             n += 1
     return n
+
+
+_PARTIAL_KEYS = ("n_docs", "sum_dl", "total_tf", "n_postings", "n_terms")
+
+
+def finalize_index(index_dir: str, rows: list[dict], config: dict,
+                   lineage: dict) -> dict:
+    """The one index finalize build, append, merge and compaction end
+    with. ``rows`` holds one stats row per part the index keeps (its
+    ``part`` plus the segment partial); every other segment dir and any
+    staging leftover is removed BEFORE the lexicon rebuild scans the
+    segments dir, so df/cf count only the kept parts. Tree-merges the
+    partials, rebuilds the lexicon and writes stats.json."""
+    detail = sorted(({"part": int(r["part"]),
+                      **{k: int(r[k]) for k in _PARTIAL_KEYS}}
+                     for r in rows), key=lambda d: d["part"])
+    merged = statsmod.tree_merge(detail)
+    clean_stale_staging(index_dir)
+    _prune_orphan_segments(index_dir, keep={d["part"] for d in detail})
+    vocab = _write_lexicon(
+        index_dir, n_rows_hint=sum(d["n_terms"] for d in detail))
+    return statsmod.write_stats(
+        index_dir, merged, config, lineage,
+        extra={"vocab_size": vocab,
+               "parts": [d["part"] for d in detail],
+               # per-partition size/skew detail (north rule: per-
+               # partition throughput and skew metrics logged); an
+               # append stat-merges from it without reading manifests
+               # (maintenance._part_partials)
+               "parts_detail": detail})
 
 
 # per-segment lexicon rows below this: aggregate on the driver (a Ray
@@ -345,10 +387,6 @@ def build_index(
         config = IndexConfig(num_parts=_auto_parts(n_input))
     config_hash = config.config_hash()
     os.makedirs(os.path.join(index_dir, "segments"), exist_ok=True)
-    # drop part-NNNNN.tmp-<pid> leftovers from a killed build BEFORE
-    # anything scans the segments dir (a stale staging dir can hold a
-    # complete postings.parquet that would double-count df/cf)
-    clean_stale_staging(index_dir)
 
     valid = frozenset(
         p for p in range(config.num_parts)
@@ -365,61 +403,12 @@ def build_index(
                 and set(st.get("parts", [])) <= valid):
             return BuildResult(index_dir, st, 0, len(st.get("parts", [])))
 
-    width = _exchange_width(config.num_parts)
-    if plain_source:
-        # Shape the block count AT THE READ instead of paying a
-        # separate repartition exchange of every triple row (measured:
-        # -28% build wall at 400k docs). On a real multi-node cluster
-        # the same width cap applies per exchange round — see SCALE.md.
-        ds = ray.data.read_parquet(source,
-                                   columns=["doc_id", "lang", "content"],
-                                   override_num_blocks=width)
-        triples = ds.map_batches(
-            make_triple_fn(config, with_sha=with_sha),
-            batch_format="pyarrow", zero_copy_batch=True)
-    else:
-        triples = ds.map_batches(
-            make_triple_fn(config, with_sha=with_sha),
-            batch_format="pyarrow", zero_copy_batch=True).repartition(width)
-    if config.salt == 1:
-        # gkey == dpart: ONE shuffle, posting build + segment write in
-        # the same group task
-        seg_rows = triples.groupby("gkey").map_groups(
-            _make_segment_writer(index_dir, config, input_id, valid,
-                                 from_triples=True),
-            batch_format="pyarrow")
-    else:
-        partials = triples.groupby("gkey").map_groups(
-            build_partials, batch_format="pyarrow")
-        seg_rows = partials.groupby("dpart").map_groups(
-            _make_segment_writer(index_dir, config, input_id, valid),
-            batch_format="pyarrow")
-    rows = seg_rows.take_all()  # P tiny stats rows
-
-    partials_list = [
-        {"n_docs": r["n_docs"], "sum_dl": r["sum_dl"],
-         "total_tf": r["total_tf"], "n_postings": r["n_postings"],
-         "n_terms": r["n_terms"]}
-        for r in rows]
-    merged = statsmod.tree_merge(partials_list)
-    _prune_orphan_segments(index_dir,
-                           keep={int(r["part"]) for r in rows})
-    vocab = _write_lexicon(
-        index_dir, n_rows_hint=sum(int(r["n_terms"]) for r in rows))
-    stats = statsmod.write_stats(
-        index_dir, merged, config.to_dict(),
-        {"input_id": input_id, "config_hash": config_hash},
-        extra={"vocab_size": vocab,
-               "parts": sorted(int(r["part"]) for r in rows),
-               # per-partition size/skew detail (north rule: per-
-               # partition throughput and skew metrics logged)
-               "parts_detail": sorted(
-                   ({"part": int(r["part"]), "n_docs": int(r["n_docs"]),
-                     "n_terms": int(r["n_terms"]),
-                     "n_postings": int(r["n_postings"]),
-                     "sum_dl": int(r["sum_dl"]),
-                     "total_tf": int(r["total_tf"])} for r in rows),
-                   key=lambda d: d["part"])})
+    writer = _make_segment_writer(index_dir, config, input_id, valid)
+    rows = _segment_rows(source if plain_source else ds, config, writer,
+                         with_sha)
+    stats = finalize_index(
+        index_dir, rows, config.to_dict(),
+        {"input_id": input_id, "config_hash": config_hash})
     n_skipped = sum(1 for r in rows if r["skipped"])
     return BuildResult(index_dir, stats,
                        parts_built=len(rows) - n_skipped,

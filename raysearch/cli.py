@@ -2,7 +2,7 @@
 
     python -m raysearch.cli gen-corpus --out /tmp/corpus --docs 100000
     python -m raysearch.cli build --corpus /tmp/corpus --index /tmp/idx \
-        --parts 64 [--salt 2]
+        --parts 64 [--with-positions]
     python -m raysearch.cli query --index /tmp/idx --query "hash join" \
         [--k 10 --mode bm25 --prune]
     python -m raysearch.cli serve --index /tmp/idx   # stdin REPL (S3)
@@ -47,8 +47,7 @@ def cmd_build(args) -> None:
     from raysearch.build import build_index
     from raysearch.config import IndexConfig
 
-    cfg = IndexConfig(num_parts=args.parts, salt=args.salt,
-                      k1=args.k1, b=args.b,
+    cfg = IndexConfig(num_parts=args.parts, k1=args.k1, b=args.b,
                       with_positions=args.with_positions)
     res = build_index(
         args.corpus, args.index, cfg, input_id=args.corpus,
@@ -456,7 +455,6 @@ def main(argv=None) -> None:
     b.add_argument("--corpus", required=True)
     b.add_argument("--index", required=True)
     b.add_argument("--parts", type=int, default=32)
-    b.add_argument("--salt", type=int, default=1)
     b.add_argument("--k1", type=float, default=1.2)
     b.add_argument("--b", type=float, default=0.75)
     b.add_argument("--langs", default=None,

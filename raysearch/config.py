@@ -20,16 +20,10 @@ class IndexConfig:
         from cluster size on purpose: going from N to 4N nodes changes
         task parallelism, never the on-disk layout — this is what makes
         resume and the scaling gate independent of topology.
-    salt: build-shuffle salt factor S. When S > 1 the triples shuffle
-        keys on ``dpart * S + hash(doc_id) % S`` so one oversized
-        partition's aggregation is spread over S reducers, then a
-        second (narrow, compressed) shuffle on ``dpart`` merges the S
-        partial posting runs per term. S == 1 is a single shuffle.
     k1, b: BM25 parameters (baked into scoring, not the index).
     """
 
     num_parts: int = 8
-    salt: int = 1
     k1: float = 1.2
     b: float = 0.75
     # Opt-in positional postings (Lucene-style): each posting row
@@ -55,4 +49,7 @@ class IndexConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "IndexConfig":
-        return IndexConfig(**d)
+        # indexes written before the single-shuffle build also record
+        # a build-shuffle split factor; every value of it wrote the
+        # same segments, so it is dropped
+        return IndexConfig(**{k: v for k, v in d.items() if k != "salt"})

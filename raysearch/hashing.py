@@ -43,14 +43,6 @@ def auto_buckets(n_docs: int, docs_per_bucket: int = 8_000,
     return 1 << (want - 1).bit_length()
 
 
-def doc_salt(doc_ids: np.ndarray, salt: int) -> np.ndarray:
-    """Build-shuffle sub-key in [0, salt). Independent of doc_partition
-    (different avalanche input) so salting actually subdivides a part."""
-    with np.errstate(over="ignore"):
-        mixed = splitmix64(doc_ids.astype(np.uint64) ^ _C3)
-    return (mixed % np.uint64(max(1, salt))).astype(np.int64)
-
-
 def parquet_rows(path: str) -> int:
     """Row count straight from parquet footers — file OR directory of
     .parquet files (real tables are directories of shards). This is

@@ -1874,7 +1874,7 @@ def multifield_topk(sf_dir: str) -> pa.Table:
     statistics (title df/N/avgdl), exactly Lucene's per-field norms.
 
     Exactness of the distributed plan: both indexes share doc-hash
-    partitioning (same num_parts/salt), so part p holds the same docs
+    partitioning (same num_parts), so part p holds the same docs
     in both fields; the field-sum is computed part-locally over the
     union of the part's candidates and per-part top-k is final — no
     cross-part score re-aggregation, no post-hoc merge of per-field

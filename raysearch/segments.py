@@ -38,6 +38,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from raysearch import checkpoint
 from raysearch.codec import (
     binary_from_offsets,
     bulk_encode_segmented,
@@ -60,7 +61,6 @@ _SHA_HEX_LEN = 64
 BLOCK = 128
 
 PARTIAL_SCHEMA = pa.schema([
-    ("dpart", pa.int32()),
     ("kind", pa.int8()),
     ("term", pa.large_string()),
     ("df", pa.int64()),
@@ -183,12 +183,8 @@ def postings_from_sorted_triples(
 
 
 def build_partials(group: pa.Table) -> pa.Table:
-    """Stage B (per gkey group): triples -> encoded partial postings +
-    one packed doclen row. With salt S=1 a group is a whole partition
-    and the output is already final; with S>1 each of the S subgroups
-    produces sorted partial runs merged in stage C."""
-    dpart = int(group["dpart"][0].as_py())
-
+    """Triples of one part (one ``gkey`` group) -> its encoded posting
+    rows (term-sorted) plus one packed doclen row."""
     # terms arrive dictionary-encoded from the shuffle (triples.py);
     # decode once here — everything downstream wants plain strings
     tcol = group["term"]
@@ -209,8 +205,7 @@ def build_partials(group: pa.Table) -> pa.Table:
             post["tf"].to_numpy().astype(np.int64),
             post["dl"].to_numpy().astype(np.int64),
             pos=post["pos"] if has_pos else None)
-        tbl = tbl.add_column(0, "dpart", pa.array([dpart] * tbl.num_rows, pa.int32()))
-        tbl = tbl.add_column(1, "kind", pa.array([KIND_POSTING] * tbl.num_rows, pa.int8()))
+        tbl = tbl.add_column(0, "kind", pa.array([KIND_POSTING] * tbl.num_rows, pa.int8()))
         out_tables.append(tbl)
 
     dlen = group.filter(pc.equal(group["kind"], KIND_DOCLEN))
@@ -225,7 +220,6 @@ def build_partials(group: pa.Table) -> pa.Table:
         sha_buf = "".join(s if s is not None else "0" * _SHA_HEX_LEN
                           for s in shas).encode()
         dcols = {
-            "dpart": pa.array([dpart], pa.int32()),
             "kind": pa.array([KIND_DOCLEN], pa.int8()),
             "term": pa.array([""], pa.large_string()),
             "df": pa.array([len(docs)], pa.int64()),
@@ -246,93 +240,73 @@ def build_partials(group: pa.Table) -> pa.Table:
 
 
 def merge_partials(rows: pa.Table) -> tuple[pa.Table, pa.Table]:
-    """Stage C (per dpart): merge <=S partial runs into the final
-    (postings, doclens) tables for one segment.
-
-    When every term has a single run (salt=1) the encoded partials pass
-    through untouched; otherwise the duplicated terms' runs are decoded,
-    concatenated (doc sets are disjoint across salt subgroups) and
-    rebuilt through the same vectorized core.
-    """
+    """One part's ``build_partials`` output -> the segment's final
+    (postings, doclens) tables. The encoded posting rows pass through
+    untouched; the packed doclen row is unpacked."""
     has_pos = "pos_enc" in rows.column_names
     out_schema = POSTINGS_SCHEMA_POS if has_pos else POSTINGS_SCHEMA
-    post = rows.filter(pc.equal(rows["kind"], KIND_POSTING)) \
-               .sort_by([("term", "ascending")])
-    terms = post["term"]
-    n = post.num_rows
-    if n:
-        tnp = np.asarray(terms.to_pylist(), dtype=object)
-        dup_mask = np.zeros(n, dtype=bool)
-        same = tnp[1:] == tnp[:-1]
-        dup_mask[1:] |= same
-        dup_mask[:-1] |= same
-    else:
-        dup_mask = np.zeros(0, dtype=bool)
-    if dup_mask.any():
-        keep = post.filter(pa.array(~dup_mask))
-        dups = post.filter(pa.array(dup_mask))
-        # decode duplicated runs back to triples and rebuild; per-doc
-        # position blobs are byte-sliced along the tf array and ride
-        # the triples untouched (delta resets per doc, so a blob is
-        # valid wherever it lands after the doc-order re-sort)
-        t_list, d_list, f_list, l_list, p_list = [], [], [], [], []
-        for i in range(dups.num_rows):
-            d = decode_doc_ids(dups["docs_enc"][i].as_py())
-            t_list.append(np.full(len(d), dups["term"][i].as_py(),
-                                  dtype=object))
-            d_list.append(d)
-            f = decode_ints(dups["tfs_enc"][i].as_py())
-            f_list.append(f)
-            l_list.append(decode_ints(dups["dls_enc"][i].as_py()))
-            if has_pos:
-                blob = dups["pos_enc"][i].as_py()
-                boff = varint_run_byte_offsets(blob, f)
-                p_list.extend(blob[boff[j]:boff[j + 1]]
-                              for j in range(len(f)))
-        tcols = {
-            "term": pa.array(np.concatenate(t_list), pa.large_string()),
-            "doc_id": pa.array(np.concatenate(d_list), pa.int64()),
-            "tf": pa.array(np.concatenate(f_list), pa.int64()),
-            "dl": pa.array(np.concatenate(l_list), pa.int64()),
-        }
-        if has_pos:
-            tcols["pos"] = pa.array(p_list, pa.large_binary())
-        trip = pa.table(tcols).sort_by(
-            [("term", "ascending"), ("doc_id", "ascending")])
-        rebuilt = postings_from_sorted_triples(
-            trip["term"].combine_chunks(), trip["doc_id"].to_numpy(),
-            trip["tf"].to_numpy(), trip["dl"].to_numpy(),
-            pos=trip["pos"] if has_pos else None)
-        keep = keep.drop_columns(["dpart", "kind"]).cast(out_schema)
-        postings = pa.concat_tables([keep, rebuilt]) \
-                     .sort_by([("term", "ascending")])
-    else:
-        postings = post.drop_columns(["dpart", "kind"]).cast(out_schema)
-
+    postings = (rows.filter(pc.equal(rows["kind"], KIND_POSTING))
+                .drop_columns(["kind"]).cast(out_schema))
     dlen = rows.filter(pc.equal(rows["kind"], KIND_DOCLEN))
-    docs_l, dls_l, sha_l = [], [], []
-    for i in range(dlen.num_rows):
-        d = decode_doc_ids(dlen["docs_enc"][i].as_py())
-        docs_l.append(d)
-        dls_l.append(decode_ints(dlen["dls_enc"][i].as_py()))
-        blob = dlen["tfs_enc"][i].as_py().decode()
-        sha_l.append([blob[j * _SHA_HEX_LEN:(j + 1) * _SHA_HEX_LEN]
-                      for j in range(len(d))])
-    if docs_l:
-        docs = np.concatenate(docs_l)
-        order = np.argsort(docs, kind="stable")
-        shas = np.concatenate([np.asarray(s, dtype=object) for s in sha_l])
-        doclens = pa.table({
-            "doc_id": pa.array(docs[order], pa.int64()),
-            "dl": pa.array(np.concatenate(dls_l)[order].astype(np.int32),
-                           pa.int32()),
-            "sha": pa.array(shas[order].tolist(), pa.string()),
-        })
+    if dlen.num_rows:
+        docs = decode_doc_ids(dlen["docs_enc"][0].as_py())
+        dls = decode_ints(dlen["dls_enc"][0].as_py())
+        blob = dlen["tfs_enc"][0].as_py().decode()
+        shas = [blob[j * _SHA_HEX_LEN:(j + 1) * _SHA_HEX_LEN]
+                for j in range(len(docs))]
     else:
-        doclens = pa.table({"doc_id": pa.array([], pa.int64()),
-                            "dl": pa.array([], pa.int32()),
-                            "sha": pa.array([], pa.string())})
+        docs, dls, shas = np.zeros(0, np.int64), np.zeros(0, np.int64), []
+    doclens = pa.table({
+        "doc_id": pa.array(docs, pa.int64()),
+        "dl": pa.array(dls.astype(np.int32), pa.int32()),
+        "sha": pa.array(shas, pa.string()),
+    })
     return postings, doclens
+
+
+def rebuild_postings(tables: list[pa.Table], live=None) -> pa.Table:
+    """Decode every posting row of ``tables`` back to (term, doc, tf,
+    dl) triples and re-encode them through postings_from_sorted_triples
+    — the rebuild merge and compaction share. Runs of one term from
+    several tables combine (their doc sets must be disjoint). ``live``,
+    when given, maps a row's doc array to a keep mask; dropped docs
+    leave the rebuilt rows, and a term left with no docs leaves the
+    output. Per-doc position blobs are byte-sliced along the tf array
+    and ride their triples untouched (delta resets per doc, so a blob
+    is valid wherever it lands after the doc-order re-sort)."""
+    has_pos = "pos_enc" in tables[0].column_names
+    t_list, d_list, f_list, l_list, p_list = [], [], [], [], []
+    for tbl in tables:
+        terms = tbl["term"].to_pylist()
+        for i, term in enumerate(terms):
+            docs, tfs, dls = decode_posting_row(tbl, i)
+            blobs = split_posting_positions(tbl, i, tfs) if has_pos else []
+            if live is not None:
+                keep = live(docs)
+                docs, tfs, dls = docs[keep], tfs[keep], dls[keep]
+                blobs = [b for b, k in zip(blobs, keep) if k]
+            t_list.append(np.full(len(docs), term, dtype=object))
+            d_list.append(docs)
+            f_list.append(tfs)
+            l_list.append(dls)
+            p_list.extend(blobs)
+    if not d_list:
+        return (POSTINGS_SCHEMA_POS if has_pos
+                else POSTINGS_SCHEMA).empty_table()
+    tcols = {
+        "term": pa.array(np.concatenate(t_list), pa.large_string()),
+        "doc_id": pa.array(np.concatenate(d_list), pa.int64()),
+        "tf": pa.array(np.concatenate(f_list), pa.int64()),
+        "dl": pa.array(np.concatenate(l_list), pa.int64()),
+    }
+    if has_pos:
+        tcols["pos"] = pa.array(p_list, pa.large_binary())
+    trip = pa.table(tcols).sort_by(
+        [("term", "ascending"), ("doc_id", "ascending")])
+    return postings_from_sorted_triples(
+        trip["term"].combine_chunks(), trip["doc_id"].to_numpy(),
+        trip["tf"].to_numpy(), trip["dl"].to_numpy(),
+        pos=trip["pos"] if has_pos else None)
 
 
 # ---- segment IO ----
@@ -400,6 +374,24 @@ def write_segment_files(part_dir: str, postings: pa.Table,
         "sum_dl": int(pc.sum(doclens["dl"]).as_py() or 0),
         "total_tf": int(pc.sum(postings["cf"]).as_py() or 0),
     }
+
+
+def commit_segment(part_dir: str, part: int, postings: pa.Table,
+                   doclens: pa.Table, config_hash: str,
+                   input_id: str) -> dict:
+    """The one per-part commit every writer (build, append, merge,
+    compaction) ends with: atomic segment write, then the manifest
+    with its hot-term skew record (top terms by cf), written last.
+    Returns the part's stats row."""
+    s = write_segment_files(part_dir, postings, doclens)
+    hot = postings.sort_by([("cf", "descending")]).slice(0, 10)
+    skew = {"top_terms": [
+        {"term": t, "cf": c, "df": d} for t, c, d in
+        zip(hot["term"].to_pylist(), hot["cf"].to_pylist(),
+            hot["df"].to_pylist())]}
+    checkpoint.write_manifest(part_dir, part, config_hash,
+                              {"input_id": input_id}, s, skew)
+    return {"part": part, **s}
 
 
 # what a relevance scorer needs from a posting row — pass as

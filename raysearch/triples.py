@@ -26,15 +26,14 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from raysearch.config import IndexConfig
-from raysearch.hashing import doc_partition, doc_salt
+from raysearch.hashing import doc_partition
 from raysearch.tokenize import tokenize_column
 
 KIND_POSTING = 0
 KIND_DOCLEN = 1
 
 TRIPLE_SCHEMA = pa.schema([
-    ("gkey", pa.int64()),     # shuffle key: dpart * salt + doc_salt
-    ("dpart", pa.int32()),    # document-hash partition (segment id)
+    ("gkey", pa.int32()),     # shuffle key: document-hash part (segment id)
     ("kind", pa.int8()),      # 0 = posting triple, 1 = doclen record
     # dictionary-encoded through the shuffle: a block's terms repeat
     # heavily across documents, so shipping int32 codes + one
@@ -141,7 +140,7 @@ def make_triple_fn(config: IndexConfig, with_sha: bool = True):
     """Returns the map_batches UDF (a plain function -> stateless Ray
     tasks; no per-task state worth an actor here)."""
 
-    num_parts, salt = config.num_parts, config.salt
+    num_parts = config.num_parts
     with_positions = getattr(config, "with_positions", False)
 
     def make_triples(batch: pa.Table) -> pa.Table:
@@ -179,23 +178,17 @@ def make_triple_fn(config: IndexConfig, with_sha: bool = True):
             g_tf = grouped["count_all"].to_numpy().astype(np.int64)
             pos_blobs = None
         g_doc = doc_id[di]
-        g_dpart = doc_partition(g_doc, num_parts)
-        g_salt = doc_salt(g_doc, salt)
         n_trip = len(di)
 
         # doclen rows: one per input doc (including empty docs)
-        d_dpart = doc_partition(doc_id, num_parts)
-        d_salt = doc_salt(doc_id, salt)
         if with_sha:
             shas = _sha256_hex_column(content)
         else:
             shas = [None] * n
 
         cols = {
-            "gkey": pa.array(np.concatenate([g_dpart * salt + g_salt,
-                                             d_dpart * salt + d_salt]),
-                             pa.int64()),
-            "dpart": pa.array(np.concatenate([g_dpart, d_dpart]), pa.int32()),
+            "gkey": pa.array(doc_partition(np.concatenate([g_doc, doc_id]),
+                                           num_parts), pa.int32()),
             "kind": pa.array(np.concatenate([
                 np.zeros(n_trip, np.int8), np.ones(n, np.int8)]), pa.int8()),
             "term": pc.dictionary_encode(pa.concat_arrays([

@@ -94,25 +94,6 @@ def test_postings_sorted_and_consistent(built_t2, medium_corpus):
     assert df_seen == o.df
 
 
-def test_salted_build_identical_results(ray_session, small_corpus, tmp_path):
-    """salt S=2 must produce the same logical index (merge of sorted
-    salt runs) and identical query results."""
-    import ray.data
-
-    idx1, idx2 = str(tmp_path / "s1"), str(tmp_path / "s2")
-    ds = ray.data.from_arrow(small_corpus)
-    build_index(ds, idx1, IndexConfig(num_parts=4, salt=1), input_id="t1")
-    build_index(ds, idx2, IndexConfig(num_parts=4, salt=2), input_id="t1")
-    r1 = query_index(idx1, QUERIES, k=10, mode="bm25")
-    r2 = query_index(idx2, QUERIES, k=10, mode="bm25")
-    assert r1.equals(r2)
-    # postings byte-identical per part after the merge stage
-    for part in range(4):
-        p1 = read_postings(part_dirname(idx1, part))
-        p2 = read_postings(part_dirname(idx2, part))
-        assert p1.equals(p2)
-
-
 def test_precision_at_10_engine(ray_session, small_corpus, tmp_path):
     """Mirror of the reference accuracy harness
     (/root/reference/src/bin/test.rs:122-137): top-10 for query q must

@@ -1,7 +1,7 @@
 """Positional postings (config.with_positions): codec round trip,
-build correctness vs brute-force tokenization, salt-path merge
-identity, resume byte-identity, lifecycle (delete/compact, merge)
-preservation, and index-only proximity == text-scan proximity.
+build correctness vs brute-force tokenization, resume byte-identity,
+lifecycle (delete/compact, merge) preservation, and index-only
+proximity == text-scan proximity.
 
 The reference stores no positions at all (src/lib.rs:341-343); this is
 the opt-in Lucene-grade extension the proximity family verifies from.
@@ -12,7 +12,6 @@ import os
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 import pytest
 
 from raysearch.codec import (
@@ -86,32 +85,6 @@ def test_positional_build_matches_brute_force():
     got = _posting_positions_map(postings)
     want = _brute_positions(DOCS, IDS)
     assert {t: dict(v) for t, v in want.items()} == got
-
-
-def test_salted_positional_merge_identical_to_unsalted():
-    rng = np.random.default_rng(0)
-    vocab = ["cat", "dog", "mat", "the", "sat"]
-    docs = [" ".join(rng.choice(vocab, rng.integers(1, 12)))
-            for _ in range(40)]
-    ids = np.arange(100, 140)
-    batch = pa.table({"doc_id": pa.array(ids, pa.int64()),
-                      "content": pa.array(docs, pa.large_string())})
-
-    def build(cfg):
-        trip = make_triple_fn(cfg)(batch)
-        parts = {}
-        for gk in pc.unique(trip["gkey"]).to_pylist():
-            g = trip.filter(pc.equal(trip["gkey"], gk))
-            parts.setdefault(int(g["dpart"][0].as_py()), []) \
-                 .append(build_partials(g))
-        return {dp: merge_partials(pa.concat_tables(tb))[0]
-                for dp, tb in parts.items()}
-
-    a = build(IndexConfig(num_parts=2, salt=1, with_positions=True))
-    b = build(IndexConfig(num_parts=2, salt=3, with_positions=True))
-    assert set(a) == set(b)
-    for dp in a:
-        assert a[dp].equals(b[dp])
 
 
 def test_positional_resume_byte_identical(ray_session, small_corpus,

@@ -5,7 +5,7 @@ import pyarrow as pa
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from raysearch.hashing import doc_partition, doc_salt, splitmix64
+from raysearch.hashing import doc_partition, splitmix64
 from raysearch.score import accumulate_scores, query_term_weights, topk
 from raysearch.tokenize import tokenize_column, tokenize_plain, tokenize_query
 
@@ -38,12 +38,6 @@ def test_partition_in_range_and_deterministic(ids):
         d = doc_partition(arr, p)
         assert ((d >= 0) & (d < p)).all()
         assert np.array_equal(d, doc_partition(arr, p))
-    s = doc_salt(arr, 4)
-    assert ((s >= 0) & (s < 4)).all()
-    # salt must not be a function of the partition (independence probe)
-    if len(set(ids)) > 50:
-        assert len(set(zip(doc_partition(arr, 4).tolist(),
-                           s.tolist()))) > 4
 
 
 @given(st.lists(
