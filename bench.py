@@ -40,29 +40,6 @@ KEEP_FOR_QUALITY = ("pagerank_topk", "label_prop", "triangle_stats",
                     "knn_label_eval", "text_emb_consistency")
 
 
-def _proximity_quality(sf_dir: str) -> dict:
-    """Positional-postings evidence (round-4 VERDICT item 1 done):
-    the per-op timings already measure the DEFAULT positional plan —
-    index-only verification, zero documents.parquet bytes — so this
-    block times the retired text-scan plan (positions=False) for the
-    same three ops and asserts result identity. The *_scan_sec /
-    per-op delta IS the cost the positional index removes."""
-    from raysearch.pipelines import search_queries as SQ
-
-    out: dict = {"proximity_default_plan": "positional-index-only"}
-    for name, fn in (("phrase_topk", SQ.phrase_topk),
-                     ("near_topk", SQ.near_topk),
-                     ("slop_topk", SQ.slop_topk)):
-        t0 = time.perf_counter()
-        scan = fn(sf_dir, positions=False)
-        out[f"{name}_scan_sec"] = round(time.perf_counter() - t0, 3)
-        t0 = time.perf_counter()
-        pos = fn(sf_dir, positions=True)
-        out[f"{name}_positional_sec"] = round(time.perf_counter() - t0, 3)
-        out[f"{name}_plans_identical"] = pos.equals(scan)
-    return out
-
-
 # clustered ivf fixture: real embedding corpora cluster; sf0.1's 2000
 # near-uniform vectors sit BELOW the ivf crossover and are its
 # adversarial case (round-4 VERDICT item 5), so the consumer-agreement
@@ -510,7 +487,6 @@ def run_bench() -> dict:
     if qmap:
         quality = run_quality(sf_dir)
         quality.update(_ivf_consumer_quality(sf_dir, exact_results))
-        quality.update(_proximity_quality(sf_dir))
         quality.update(_clustered_ivf_quality())
         quality.update(_blockmax_quality())
 

@@ -68,9 +68,17 @@ def merge_indexes(index_dirs: list[str], out_dir: str) -> dict:
     """Merge indexes built with identical configs over disjoint corpora.
     Parallelized over partitions with map_parts; returns merged stats.
     Segment dirs already in ``out_dir`` that the merge does not write
-    are removed."""
+    are removed, and so are its tombstones: they name docs of its old
+    contents. An input with tombstones is rejected — the merge reads
+    segments, which still hold its deleted docs."""
     from raysearch.build import finalize_index
+    from raysearch.maintenance import clear_deletes, load_deletes
 
+    for d in index_dirs:
+        if len(load_deletes(d)):
+            raise ValueError(
+                f"input index {d} has tombstoned docs; run compact_index "
+                "on it before merging")
     stats_in = [statsmod.load_stats(d) for d in index_dirs]
     cfgs = {IndexConfig.from_dict(s["config"]).config_hash()
             for s in stats_in}
@@ -80,6 +88,7 @@ def merge_indexes(index_dirs: list[str], out_dir: str) -> dict:
     input_id = "merge(" + ",".join(
         s["lineage"]["input_id"] for s in stats_in) + ")"
     all_parts = sorted({p for s in stats_in for p in s["parts"]})
+    clear_deletes(out_dir)
     os.makedirs(os.path.join(out_dir, "segments"), exist_ok=True)
 
     def merge_batch(b: pa.Table) -> pa.Table:

@@ -54,44 +54,22 @@ def range_facet_counts(sf_dir: str) -> pa.Table:
     emitted — GROUP BY semantics).
 
     Plan: the hit set is the standard rounded top-k contract; each
-    hit's dl comes from ONE explain-style posting-intersection
-    fan-out (a hit by definition matches >= 1 query term, and dl
-    rides the posting rows), so the op reads ZERO documents.parquet
-    bytes and the driver sees k x Q narrow rows."""
-    from raysearch.fanout import map_parts
+    hit's dl comes from ONE candidate probe (_probe_candidates: a hit
+    by definition matches >= 1 of its query's terms, and dl rides the
+    posting rows), so the op reads ZERO documents.parquet bytes and
+    the driver sees k x Q narrow rows."""
+    from raysearch.pipelines.rankex import (_candidates_by_query,
+                                            _probe_candidates)
     from raysearch.pipelines.search_queries import (DOC_QUERIES,
                                                     bm25_topk,
                                                     cached_index)
     from raysearch.score import query_term_weights
-    from raysearch.segments import part_postings
-    from raysearch.stats import load_stats
 
     base = bm25_topk(sf_dir).to_pandas()
-    idx = cached_index(sf_dir)
-    all_terms = sorted({t for q in DOC_QUERIES
-                        for t, _ in query_term_weights(q)})
-    wanted = np.sort(np.unique(base.doc_id.to_numpy(np.int64)))
-    empty = pa.table({"doc_id": pa.array([], pa.int64()),
-                      "dl": pa.array([], pa.int64())})
-
-    def kern(batch: pa.Table) -> pa.Table:
-        out_d, out_l = [], []
-        for part in batch["part"].to_pylist():
-            post = part_postings(idx, int(part), all_terms)
-            for docs, _, dls in post.values():
-                if not len(docs):
-                    continue
-                p = np.clip(np.searchsorted(docs, wanted), 0,
-                            len(docs) - 1)
-                hit = docs[p] == wanted
-                if hit.any():
-                    out_d.extend(wanted[hit].tolist())
-                    out_l.extend(dls[p[hit]].tolist())
-        return pa.table({"doc_id": pa.array(out_d, pa.int64()),
-                         "dl": pa.array(out_l, pa.int64())})
-
-    dlmap = (map_parts(load_stats(idx)["parts"], kern, empty).to_pandas()
-             .drop_duplicates("doc_id"))
+    hits = _probe_candidates(cached_index(sf_dir),
+                             [query_term_weights(q) for q in DOC_QUERIES],
+                             _candidates_by_query(base))
+    dlmap = hits[["doc_id", "dl"]].drop_duplicates("doc_id")
     merged = base.merge(dlmap, on="doc_id", how="left")
     lab = np.asarray(FACET_LABELS, dtype=object)[
         np.digitize(merged.dl.to_numpy(np.int64), FACET_EDGES)]

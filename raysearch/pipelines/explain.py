@@ -15,8 +15,6 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from raysearch.fanout import map_parts
-
 
 def explain_topk(sf_dir: str) -> pa.Table:
     """Score explanation: for every (query, doc) in the BM25 top-10,
@@ -25,83 +23,39 @@ def explain_topk(sf_dir: str) -> pa.Table:
     sum is the hit's score (same float expression tree as the scorer,
     so the breakdown is the truth, not an approximation).
 
-    Plan: the ranked top-10 doc ids (k-bounded) ride the task closure
-    into the segment fan-out; each part intersects its decoded
-    query-term postings with the candidates (searchsorted) and emits
-    (query, doc, term, tf, contrib) rows — work bounded by the query
-    terms' df, output bounded by k x |terms|."""
+    Plan: the ranked top-10 doc ids (k-bounded) go to the shared
+    candidate probe (rankex._probe_candidates), which returns one
+    (query, doc, term, w, tf, dl) row per matching query term; the
+    driver turns each into its contribution — work bounded by the
+    query terms' df, output bounded by k x |terms|."""
     from raysearch.numutil import round6
+    from raysearch.pipelines.rankex import (_candidates_by_query,
+                                            _probe_candidates)
     from raysearch.pipelines.search_queries import (DOC_QUERIES,
                                                     bm25_topk,
                                                     cached_index)
     from raysearch.query import lexicon_df
     from raysearch.score import (bm25_contrib, bm25_idf,
                                  query_term_weights)
-    from raysearch.segments import part_postings
     from raysearch.stats import load_stats
 
     idx = cached_index(sf_dir)
     st = load_stats(idx)
-    parts = st["parts"]
     n_docs, avgdl = st["n_docs"], st["avgdl"]
     k1, b = st["config"]["k1"], st["config"]["b"]
 
-    base = bm25_topk(sf_dir)
-    cand: dict[int, np.ndarray] = {
-        int(qid): np.sort(g["doc_id"].to_numpy(np.int64))
-        for qid, g in base.to_pandas().groupby("query_id")}
-
     qweights = [query_term_weights(q) for q in DOC_QUERIES]
-    all_terms = sorted({t for qw in qweights for t, _ in qw})
-    df = lexicon_df(idx, all_terms)
-    empty = pa.table({"query_id": pa.array([], pa.int64()),
-                      "doc_id": pa.array([], pa.int64()),
-                      "term": pa.array([], pa.string()),
-                      "tf": pa.array([], pa.int64()),
-                      "contrib": pa.array([], pa.float64())})
-
-    def kern(batch: pa.Table) -> pa.Table:
-        out_q, out_d, out_t, out_f, out_c = [], [], [], [], []
-        for part in batch["part"].to_pylist():
-            post = part_postings(idx, int(part), all_terms)
-            for qid, qw in enumerate(qweights):
-                elig = cand.get(qid)
-                if elig is None or not len(elig):
-                    continue
-                for t, w in qw:
-                    if t not in post:
-                        continue
-                    docs, tfs, dls = post[t]
-                    pos = np.searchsorted(docs, elig)
-                    pos_c = np.clip(pos, 0, max(0, len(docs) - 1))
-                    hit = (docs[pos_c] == elig) if len(docs) else \
-                        np.zeros(len(elig), bool)
-                    if not hit.any():
-                        continue
-                    sel = pos_c[hit]
-                    contrib = bm25_contrib(
-                        tfs[sel], dls[sel],
-                        bm25_idf(df.get(t, 0), n_docs), w, k1, b,
-                        avgdl)
-                    n = int(hit.sum())
-                    out_q.extend([qid] * n)
-                    out_d.extend(elig[hit].tolist())
-                    out_t.extend([t] * n)
-                    out_f.extend(tfs[sel].tolist())
-                    out_c.extend(round6(contrib).tolist())
-        if not out_q:
-            return empty
-        return pa.table({
-            "query_id": pa.array(out_q, pa.int64()),
-            "doc_id": pa.array(np.asarray(out_d, np.int64), pa.int64()),
-            "term": pa.array(out_t, pa.string()),
-            "tf": pa.array(np.asarray(out_f, np.int64), pa.int64()),
-            "contrib": pa.array(np.asarray(out_c, np.float64),
-                                pa.float64())})
-
-    out = map_parts(parts, kern, empty).to_pandas()
-    out = out.sort_values(["query_id", "doc_id", "term"],
-                          ignore_index=True)
+    df = lexicon_df(idx, sorted({t for qw in qweights for t, _ in qw}))
+    out = _probe_candidates(
+        idx, qweights, _candidates_by_query(bm25_topk(sf_dir).to_pandas()))
+    tf, dl = out.tf.to_numpy(np.int64), out.dl.to_numpy(np.int64)
+    contrib = np.zeros(len(out), np.float64)
+    for (t, w), ix in out.groupby(["term", "w"]).indices.items():
+        contrib[ix] = bm25_contrib(tf[ix], dl[ix],
+                                   bm25_idf(df.get(t, 0), n_docs), w,
+                                   k1, b, avgdl)
+    out = out.assign(contrib=round6(contrib)).sort_values(
+        ["query_id", "doc_id", "term"], ignore_index=True)
     return pa.table({
         "query_id": pa.array(out.query_id.to_numpy(np.int64),
                              pa.int64()),

@@ -18,9 +18,16 @@ segments.part_postings read per part, the op's own
 ``score_query(qid, post) -> (doc_ids, scores) | None`` per query, a
 raw per-(part, query) top-buffer (or every row), one candidate frame;
 _ranked_from_candidates is the shared round6 -> (-score, doc_id) rank
-contract over it. Ops with another per-part schema (best_passage,
-ndcg, ltr, explain, pruning, ...) keep their kernel but read through
-part_postings and fan out with map_parts directly.
+contract over it. Two more shared probes fan out the same way:
+_probe_candidates returns one (query, doc, term, w, tf, dl[,
+first_pos]) row per candidate doc a query term posts, for the
+explain-style ops (explain, ndcg, ltr, range facets, hit positions) to
+reduce on the driver; _term_group_docs returns, per group of terms,
+the docs holding any (or all) of them with their distinct-term count
+(bool_and, blocklist, wildcard, the trigram regex candidates, the
+static boost list). Ops with yet another per-part schema (pruning,
+the positional proximity kernels, ...) keep their own map_parts
+kernel over part_postings.
 """
 
 from __future__ import annotations
@@ -134,6 +141,119 @@ def _part_topk(idx: str, terms: list[str], n_queries: int, score_query,
                         n_queries, score_query, buffer)
     return map_parts(load_stats(idx)["parts"], kern,
                      _EMPTY_CAND).to_pandas()
+
+
+_PROBE_TYPES = {"query_id": pa.int64(), "doc_id": pa.int64(),
+                "term": pa.string(), "w": pa.int64(), "tf": pa.int64(),
+                "dl": pa.int64(), "first_pos": pa.int64()}
+
+
+def _candidates_by_query(ranked: pd.DataFrame) -> dict[int, np.ndarray]:
+    """{query_id: unique doc ids} of a ranked (query_id, doc_id, ...)
+    frame: the candidate sets the probes take."""
+    return {int(qid): np.unique(docs.to_numpy(np.int64))
+            for qid, docs in ranked.groupby("query_id")["doc_id"]}
+
+
+def _probe_candidates(idx: str, qweights: list, cand_by_query: dict,
+                      columns: list[str] = SCORER_COLUMNS
+                      ) -> pd.DataFrame:
+    """The candidate probe of the explain-style ops: for each query's
+    unique candidate docs ``cand_by_query[qid]`` and each ``(term, w)``
+    of ``qweights[qid]``, one row (query_id, doc_id, term, w, tf, dl)
+    per candidate that term's posting row holds — plus ``first_pos``,
+    the doc's first position of the term, when ``columns`` reads
+    pos_enc. One map_parts fan-out, one part_postings read per part;
+    output is bounded by candidates x terms, and each op reduces the
+    rows on the driver."""
+    from raysearch.stats import load_stats
+
+    names = list(_PROBE_TYPES)[:6] + (
+        ["first_pos"] if "pos_enc" in columns else [])
+    empty = pa.table({n: pa.array([], _PROBE_TYPES[n]) for n in names})
+    terms = sorted({t for qid, qw in enumerate(qweights)
+                    if len(cand_by_query.get(qid, ())) for t, _ in qw})
+    if not terms:
+        return empty.to_pandas()
+
+    def kern(batch: pa.Table) -> pa.Table:
+        cols: dict[str, list] = {n: [] for n in names}
+        for part in batch["part"].to_pylist():
+            post = part_postings(idx, int(part), terms, columns)
+            for qid, qw in enumerate(qweights):
+                cand = cand_by_query.get(qid)
+                if cand is None or not len(cand):
+                    continue
+                for t, w in qw:
+                    row = post.get(t)
+                    if row is None:
+                        continue
+                    sel = np.isin(row[0], cand, assume_unique=True)
+                    n = int(sel.sum())
+                    if not n:
+                        continue
+                    cols["query_id"].append(np.full(n, qid, np.int64))
+                    cols["term"].append(np.full(n, t, object))
+                    cols["w"].append(np.full(n, w, np.int64))
+                    for name, arr in zip(("doc_id", "tf", "dl"), row):
+                        cols[name].append(arr[sel])
+                    if "first_pos" in cols:
+                        tfs = row[1]
+                        cols["first_pos"].append(
+                            row[3][(np.cumsum(tfs) - tfs)[sel]])
+        if not cols["query_id"]:
+            return empty
+        return pa.table({n: pa.array(np.concatenate(v), _PROBE_TYPES[n])
+                         for n, v in cols.items()})
+
+    return map_parts(load_stats(idx)["parts"], kern, empty).to_pandas()
+
+
+def _term_group_docs(idx: str, groups: list, all_of: bool = False
+                     ) -> pa.Table:
+    """Per part and per group of terms: the docs holding any of the
+    group's distinct terms (or, with ``all_of``, every one of them),
+    as (group, doc_id, n_terms) rows — n_terms is how many distinct
+    group terms the doc holds (a posting row lists a doc once, so a
+    doc's multiplicity across the group's rows is that count). One
+    map_parts fan-out, one part_postings read per part; the filter
+    runs in the task, so only surviving rows leave the part. Rows are
+    doc-ascending within each (part, group); doc-hash partitioning
+    makes every part's rows final."""
+    from raysearch.stats import load_stats
+
+    sets = [sorted(set(g)) for g in groups]
+    terms = sorted({t for ts in sets for t in ts})
+    empty = pa.table({"group": pa.array([], pa.int64()),
+                      "doc_id": pa.array([], pa.int64()),
+                      "n_terms": pa.array([], pa.int64())})
+    if not terms:
+        return empty
+
+    def kern(batch: pa.Table) -> pa.Table:
+        out_g, out_d, out_n = [], [], []
+        for part in batch["part"].to_pylist():
+            post = part_postings(idx, int(part), terms)
+            for gid, ts in enumerate(sets):
+                lists = [post[t][0] for t in ts if t in post]
+                if not lists or (all_of and len(lists) < len(ts)):
+                    continue
+                docs, cnt = np.unique(np.concatenate(lists),
+                                      return_counts=True)
+                if all_of:
+                    keep = cnt == len(ts)
+                    docs, cnt = docs[keep], cnt[keep]
+                out_g.append(np.full(len(docs), gid, np.int64))
+                out_d.append(docs)
+                out_n.append(cnt)
+        if not out_g:
+            return empty
+        return pa.table({
+            "group": pa.array(np.concatenate(out_g), pa.int64()),
+            "doc_id": pa.array(np.concatenate(out_d), pa.int64()),
+            "n_terms": pa.array(np.concatenate(out_n), pa.int64())})
+
+    return map_parts(load_stats(idx)["parts"], kern, empty)
 
 
 # ---- dismax ----
@@ -1097,12 +1217,13 @@ def best_passage_topk(sf_dir: str) -> pa.Table:
     would render) — computed ENTIRELY from the passage index, zero
     text bytes.
 
-    Plan: the doc-level top-k ids ride the passage-index fan-out; each
-    part scores its passages, keeps those whose PARENT is a candidate
-    (sorted-membership mask), and emits (query, parent, pidx, pscore)
-    rows — output bounded by k x Q x passages-per-doc. The driver
-    picks per (query, doc) the (round6(pscore) DESC, pidx ASC) champion
-    and attaches the doc-level rank."""
+    Plan: the doc-level top-k ids ride the passage-index fan-out
+    (_part_topk with every row kept); each part scores its passages
+    and keeps those whose PARENT is a candidate (sorted-membership
+    mask) — output bounded by k x Q x passages-per-doc. The driver
+    splits each passage id into (parent, pidx), picks per (query,
+    doc) the (round6(pscore) DESC, pidx ASC) champion and attaches the
+    doc-level rank."""
     from raysearch.numutil import round6
     from raysearch.pipelines.search_queries import (DOC_QUERIES,
                                                     bm25_topk)
@@ -1111,9 +1232,7 @@ def best_passage_topk(sf_dir: str) -> pa.Table:
     from raysearch.stats import load_stats
 
     base = bm25_topk(sf_dir).to_pandas()
-    cand: dict[int, np.ndarray] = {
-        int(qid): np.sort(g["doc_id"].to_numpy(np.int64))
-        for qid, g in base.groupby("query_id")}
+    cand = _candidates_by_query(base)
 
     idx = cached_passage_index(sf_dir)
     st = load_stats(idx)
@@ -1122,43 +1241,22 @@ def best_passage_topk(sf_dir: str) -> pa.Table:
     qweights = [query_term_weights(q) for q in DOC_QUERIES]
     all_terms = sorted({t for qw in qweights for t, _ in qw})
     df = lexicon_df(idx, all_terms)
-    empty = pa.table({"query_id": pa.array([], pa.int64()),
-                      "doc_id": pa.array([], pa.int64()),
-                      "pidx": pa.array([], pa.int64()),
-                      "pscore": pa.array([], pa.float64())})
 
-    def kern(batch: pa.Table) -> pa.Table:
-        out_q, out_d, out_p, out_s = [], [], [], []
-        for part in batch["part"].to_pylist():
-            post = part_postings(idx, int(part), all_terms)
-            for qid, qw in enumerate(qweights):
-                elig = cand.get(qid)
-                if elig is None or not len(elig):
-                    continue
-                pids, sc = score_postings(qw, post.get, df, n_pass,
-                                          avgdl, k1, b, mode="bm25")
-                if not len(pids):
-                    continue
-                parents = pids // PASSAGE_STRIDE
-                pos = np.searchsorted(elig, parents)
-                pos_c = np.clip(pos, 0, len(elig) - 1)
-                hit = elig[pos_c] == parents
-                if not hit.any():
-                    continue
-                n = int(hit.sum())
-                out_q.extend([qid] * n)
-                out_d.extend(parents[hit].tolist())
-                out_p.extend((pids[hit] % PASSAGE_STRIDE).tolist())
-                out_s.extend(float(x) for x in sc[hit])
-        if not out_q:
-            return empty
-        return pa.table({
-            "query_id": pa.array(out_q, pa.int64()),
-            "doc_id": pa.array(out_d, pa.int64()),
-            "pidx": pa.array(out_p, pa.int64()),
-            "pscore": pa.array(out_s, pa.float64())})
+    def score_query(qid, post):
+        elig = cand.get(qid)
+        if elig is None:
+            return None
+        pids, sc = score_postings(qweights[qid], post.get, df, n_pass,
+                                  avgdl, k1, b, mode="bm25")
+        keep = np.isin(pids // PASSAGE_STRIDE, elig)
+        return pids[keep], sc[keep]
 
-    rows = map_parts(st["parts"], kern, empty).to_pandas()
+    pas = _part_topk(idx, all_terms, len(qweights), score_query,
+                     buffer=None)
+    rows = pd.DataFrame({"query_id": pas.query_id,
+                         "doc_id": pas.doc_id // PASSAGE_STRIDE,
+                         "pidx": pas.doc_id % PASSAGE_STRIDE,
+                         "pscore": pas.score})
     rows["pscore"] = round6(rows["pscore"].to_numpy(np.float64))
     rows = rows.sort_values(["query_id", "doc_id", "pscore", "pidx"],
                             ascending=[True, True, False, True])
@@ -1352,64 +1450,24 @@ def ndcg_eval(sf_dir: str) -> pa.Table:
     legacy scorer's judgments (linear gain: rel / log2(rank + 1)).
 
     k-bounded by construction: the gains come from the two ranked
-    top-10 tables plus ONE explain-style fan-out that reads only the
-    query terms' postings intersected with the <= k x |queries| BM25
-    hit docs (a doc lives in exactly one part, so its overlap grade is
-    computed fully in that part — partials concatenate, never sum)."""
+    top-10 tables plus ONE candidate probe (_probe_candidates) of the
+    query terms' postings at the <= k x |queries| BM25 hit docs; a
+    doc's grade is the sum of w x tf over its probe rows."""
     from raysearch.numutil import round6
     from raysearch.pipelines.search_queries import (DOC_QUERIES,
                                                     bm25_topk,
                                                     cached_index,
                                                     overlap_topk)
     from raysearch.score import query_term_weights
-    from raysearch.stats import load_stats
 
     idx = cached_index(sf_dir)
     bm = bm25_topk(sf_dir).to_pandas()
     ov = overlap_topk(sf_dir).to_pandas()
     qweights = [query_term_weights(q) for q in DOC_QUERIES]
-    all_terms = sorted({t for qw in qweights for t, _ in qw})
-    cand: dict[int, np.ndarray] = {
-        int(qid): np.sort(g["doc_id"].to_numpy(np.int64))
-        for qid, g in bm.groupby("query_id")}
-
-    empty = pa.table({"query_id": pa.array([], pa.int64()),
-                      "doc_id": pa.array([], pa.int64()),
-                      "rel": pa.array([], pa.int64())})
-
-    def kern(batch: pa.Table) -> pa.Table:
-        out_q, out_d, out_r = [], [], []
-        for part in batch["part"].to_pylist():
-            post = part_postings(idx, int(part), all_terms)
-            for qid, qw in enumerate(qweights):
-                elig = cand.get(qid)
-                if elig is None or not len(elig):
-                    continue
-                rel = np.zeros(len(elig), np.int64)
-                for t, w in qw:
-                    got = post.get(t)
-                    if got is None:
-                        continue
-                    docs, tfs, _ = got
-                    pos = np.searchsorted(docs, elig)
-                    pos_c = np.clip(pos, 0, max(0, len(docs) - 1))
-                    hit = (docs[pos_c] == elig) if len(docs) else \
-                        np.zeros(len(elig), bool)
-                    rel[hit] += w * tfs[pos_c[hit]]
-                nz = rel > 0
-                if nz.any():
-                    out_q.extend([qid] * int(nz.sum()))
-                    out_d.extend(elig[nz].tolist())
-                    out_r.extend(rel[nz].tolist())
-        if not out_q:
-            return empty
-        return pa.table({
-            "query_id": pa.array(out_q, pa.int64()),
-            "doc_id": pa.array(out_d, pa.int64()),
-            "rel": pa.array(out_r, pa.int64())})
-
-    grades = map_parts(load_stats(idx)["parts"], kern, empty).to_pandas()
-
+    hits = _probe_candidates(idx, qweights, _candidates_by_query(bm))
+    grades = (hits.assign(rel=hits.w * hits.tf)
+              .groupby(["query_id", "doc_id"], as_index=False)["rel"]
+              .sum())
     bm = bm.merge(grades, on=["query_id", "doc_id"], how="left")
     bm["rel"] = bm["rel"].fillna(0).astype(np.int64)
     rows = []
@@ -1486,79 +1544,29 @@ def ltr_features(sf_dir: str) -> pa.Table:
 
     Plan: rides two existing k-bounded pipelines (bm25_topk for the
     candidates + hit_positions_topk for n_hits/first_pos) plus ONE
-    explain-style posting∩candidate fan-out for overlap, dl and the
-    distinct-term count — work ∝ query-term df, output = k x Q rows."""
+    candidate probe (_probe_candidates) for overlap (sum of w x tf),
+    dl and the distinct-term count (probe rows per doc) — work ∝
+    query-term df, output = k x Q rows."""
     from raysearch.pipelines.search_queries import (DOC_QUERIES,
+                                                    bm25_topk,
                                                     cached_index,
                                                     hit_positions_topk)
     from raysearch.score import query_term_weights
-    from raysearch.stats import load_stats
 
     base = hit_positions_topk(sf_dir).to_pandas()
     # base: query_id, doc_id, rank, first_pos, n_hits — but not the
     # bm25 score; re-attach it from the ranked pipeline
-    from raysearch.pipelines.search_queries import bm25_topk
-
     bm = bm25_topk(sf_dir).to_pandas()
     base = base.merge(bm[["query_id", "doc_id", "score"]],
                       on=["query_id", "doc_id"])
 
     idx = cached_index(sf_dir)
     qweights = [query_term_weights(q) for q in DOC_QUERIES]
-    all_terms = sorted({t for qw in qweights for t, _ in qw})
-    cand: dict[int, np.ndarray] = {
-        int(qid): np.sort(g["doc_id"].to_numpy(np.int64))
-        for qid, g in base.groupby("query_id")}
-    empty = pa.table({"query_id": pa.array([], pa.int64()),
-                      "doc_id": pa.array([], pa.int64()),
-                      "overlap": pa.array([], pa.int64()),
-                      "dl": pa.array([], pa.int64()),
-                      "n_terms_matched": pa.array([], pa.int64())})
-
-    def kern(batch: pa.Table) -> pa.Table:
-        out_q, out_d, out_o, out_l, out_m = [], [], [], [], []
-        for part in batch["part"].to_pylist():
-            post = part_postings(idx, int(part), all_terms)
-            for qid, qw in enumerate(qweights):
-                elig = cand.get(qid)
-                if elig is None or not len(elig):
-                    continue
-                ov = np.zeros(len(elig), np.int64)
-                dl = np.zeros(len(elig), np.int64)
-                nm = np.zeros(len(elig), np.int64)
-                for t, w in qw:
-                    got = post.get(t)
-                    if got is None:
-                        continue
-                    docs, tfs, dls = got
-                    pos = np.searchsorted(docs, elig)
-                    pos_c = np.clip(pos, 0, max(0, len(docs) - 1))
-                    hit = (docs[pos_c] == elig) if len(docs) else \
-                        np.zeros(len(elig), bool)
-                    if not hit.any():
-                        continue
-                    sel = pos_c[hit]
-                    ov[hit] += w * tfs[sel]
-                    dl[hit] = dls[sel]
-                    nm[hit] += 1
-                found = np.flatnonzero(nm > 0)
-                if not len(found):
-                    continue
-                out_q.extend([qid] * len(found))
-                out_d.extend(elig[found].tolist())
-                out_o.extend(ov[found].tolist())
-                out_l.extend(dl[found].tolist())
-                out_m.extend(nm[found].tolist())
-        if not out_q:
-            return empty
-        return pa.table({
-            "query_id": pa.array(out_q, pa.int64()),
-            "doc_id": pa.array(out_d, pa.int64()),
-            "overlap": pa.array(out_o, pa.int64()),
-            "dl": pa.array(out_l, pa.int64()),
-            "n_terms_matched": pa.array(out_m, pa.int64())})
-
-    feats = map_parts(load_stats(idx)["parts"], kern, empty).to_pandas()
+    hits = _probe_candidates(idx, qweights, _candidates_by_query(base))
+    feats = (hits.assign(overlap=hits.w * hits.tf)
+             .groupby(["query_id", "doc_id"], as_index=False)
+             .agg(overlap=("overlap", "sum"), dl=("dl", "first"),
+                  n_terms_matched=("term", "size")))
     out = base.merge(feats, on=["query_id", "doc_id"], how="inner")
     out = out.sort_values(["query_id", "rank"], ignore_index=True)
     return pa.table({

@@ -210,28 +210,17 @@ def topk_rounded_for_index(idx: str, mode: str, rank_lo: int = 1,
     deep-pagination entry (rank_lo..rank_hi window; the per-part raw
     buffer must exceed rank_hi by the rounding-tie slack), and the
     synonym-expansion entry (pre-tokenized ``queries`` override)."""
+    from raysearch.pipelines.rankex import _ranked_from_candidates
     from raysearch.query import query_index
 
     raw = query_index(idx, queries if queries is not None
                       else DOC_QUERIES, k=buffer, mode=mode,
                       boost=boost, keep=keep, decay=decay,
                       rank_feature=rank_feature, asof=asof)
-    df = raw.to_pandas()
-    df["score"] = round6(df["score"].to_numpy(np.float64))
-    df = df.sort_values(["query_id", "score", "doc_id"],
-                        ascending=[True, False, True])
-    df["rank"] = df.groupby("query_id").cumcount() + 1
-    df = df[(df["rank"] >= rank_lo) & (df["rank"] <= rank_hi)]
-    out = {
-        "query_id": pa.array(df.query_id.to_numpy(np.int64), pa.int64()),
-        "doc_id": pa.array(df.doc_id.to_numpy(np.int64), pa.int64()),
-        "rank": pa.array(df["rank"].to_numpy(np.int64), pa.int64()),
-    }
-    if mode in ("overlap", "boolean"):
-        out["score"] = pa.array(df.score.to_numpy(np.int64), pa.int64())
-    else:
-        out["score"] = pa.array(df.score.to_numpy(np.float64), pa.float64())
-    return pa.table(out)
+    out = _ranked_from_candidates(
+        raw.to_pandas(), score_int=mode in ("overlap", "boolean"),
+        topk=rank_hi)
+    return out.filter(pc.greater_equal(out["rank"], rank_lo))
 
 
 def bm25_topk(sf_dir: str) -> pa.Table:
@@ -255,14 +244,14 @@ BOOST_FACTOR = 1.5
 
 def static_boost_ids(index_dir: str, term: str) -> np.ndarray:
     """Sorted doc ids containing ``term`` — the static boost list,
-    read FROM the index's posting lists via the distributed per-part
-    candidate fan-out (a term ANDed with itself is its posting list).
+    read FROM the index's posting lists via the shared term-group
+    probe (rankex._term_group_docs) with the term as its one group.
     The term is normalized through the QUERY tokenizer so a
     capitalized/padded input matches the same postings the query
     side would ('Parser' boosts 'parser' docs, never a silent no-op);
     a multi-word input is rejected rather than silently dropped.
     Shared by boosted_topk and `cli query --boost-term`."""
-    from raysearch.stats import load_stats
+    from raysearch.pipelines.rankex import _term_group_docs
     from raysearch.tokenize import tokenize_query
 
     toks = tokenize_query(term)
@@ -270,8 +259,8 @@ def static_boost_ids(index_dir: str, term: str) -> np.ndarray:
         raise ValueError(
             f"boost term must normalize to exactly one token, "
             f"got {toks!r} from {term!r}")
-    return _and_candidate_ids(index_dir, load_stats(index_dir)["parts"],
-                              [(toks[0], toks[0])])
+    return np.unique(
+        _term_group_docs(index_dir, [toks])["doc_id"].to_numpy())
 
 
 @fmt_doc(t=BOOST_TERM, f=BOOST_FACTOR, k=TOPK)
@@ -372,8 +361,8 @@ PHRASE_QUERIES: list[list[str]] = [
 # With config.with_positions the segment rows carry pos_enc and the
 # whole proximity family verifies FROM THE INDEX: one term-filtered,
 # row-group-pruned postings read per segment, zero documents.parquet
-# bytes. The global-coordinate trick makes every text-scan kernel
-# reusable verbatim: a term occurrence becomes
+# bytes. The global-coordinate trick lets one flat searchsorted
+# kernel verify every candidate doc at once: a term occurrence becomes
 # (candidate_doc_rank << 32) | within_doc_position — ascending by
 # construction (docs ascending per posting list, positions ascending
 # per doc) — so within-doc gaps are plain int64 differences and the
@@ -449,8 +438,9 @@ def _pair_rows_positional(idx: str, parts, ordered: bool) -> pd.DataFrame:
     """Index-only verification for the 2-term proximity queries:
     ordered=False -> near_topk semantics (min |gap|, within-W count),
     ordered=True -> slop_topk semantics (nearest b AFTER a, count in
-    (a, a+W], hit iff some ordered pair within W). Same searchsorted
-    math as the retired text-scan kernels, on gpos coordinates."""
+    (a, a+W], hit iff some ordered pair within W). Nearest-neighbour
+    searchsorted math on gpos coordinates, the candidate rank as the
+    doc-boundary guard."""
     all_terms = sorted({t for q in NEAR_QUERIES for t in q})
     big = np.iinfo(np.int64).max
     W = SLOP_W if ordered else NEAR_W
@@ -531,126 +521,32 @@ def _pair_rows_positional(idx: str, parts, ordered: bool) -> pd.DataFrame:
     return map_parts(parts, kern, empty).to_pandas()
 
 
-def phrase_topk(sf_dir: str, positions: bool = True) -> pa.Table:
-    """Quoted-phrase search over the segment index. Default plan
-    (positions=True): build the POSITIONAL index variant and verify
-    adjacency entirely from pos_enc — one term-filtered postings read
-    per segment, candidate intersection AND adjacency check in the
-    same kernel, ZERO documents.parquet bytes (the round-4 VERDICT's
-    per-query text-read cost, work ∝ min(df) on raw text, is gone;
-    work is now ∝ the terms' posting+position bytes). positions=False
-    keeps the legacy two-phase plan — candidates from the plain index,
-    adjacency re-verified on a doc_id-filtered documents read — as the
-    fallback for indexes built without positions and as the bench
-    comparison point. Both rank identically: score = overlapping
+def phrase_topk(sf_dir: str) -> pa.Table:
+    """Quoted-phrase search over the POSITIONAL segment index:
+    adjacency is verified entirely from pos_enc — one term-filtered
+    postings read per segment, candidate intersection AND adjacency
+    check in the same kernel, ZERO documents.parquet bytes (work ∝ the
+    terms' posting+position bytes). Ranked by score = overlapping
     phrase tf, (tf DESC, doc_id), top-10, hits only.
 
     Scale contract: per-phrase work is bounded by the MINIMUM df over
     the phrase's terms — the selectivity the inverted index provides
     (this synthetic corpus's 31-word vocabulary makes that bound
     loose; real vocabularies make AND-intersection sharp)."""
-    import ray.data
     from raysearch.stats import load_stats
 
     empty = pa.table({"phrase_id": pa.array([], pa.int64()),
                       "doc_id": pa.array([], pa.int64()),
                       "rank": pa.array([], pa.int64()),
                       "tf": pa.array([], pa.int64())})
-    if positions:
-        idx = cached_index(sf_dir, with_positions=True)
-        counts = _phrase_rows_positional(idx, load_stats(idx)["parts"])
-        return _rank_phrase_counts(counts, empty)
-    idx = cached_index(sf_dir)
-    parts = load_stats(idx)["parts"]
-    all_terms = sorted({t for ph in PHRASE_QUERIES for t in ph})
-
-    def candidates(batch: pa.Table) -> pa.Table:
-        pids, dids = [], []
-        for part in batch["part"].to_pylist():
-            docs = {t: row[0] for t, row in
-                    part_postings(idx, int(part), all_terms).items()}
-            for pid, ph in enumerate(PHRASE_QUERIES):
-                if any(t not in docs for t in ph):
-                    continue
-                cand = docs[ph[0]]
-                for t in ph[1:]:
-                    cand = cand[np.isin(cand, docs[t],
-                                        assume_unique=True)]
-                    if not len(cand):
-                        break
-                if len(cand):
-                    pids.append(np.full(len(cand), pid, dtype=np.int64))
-                    dids.append(cand)
-        if not pids:
-            return pa.table({"phrase_id": pa.array([], pa.int64()),
-                             "doc_id": pa.array([], pa.int64())})
-        return pa.table({
-            "phrase_id": pa.array(np.concatenate(pids), pa.int64()),
-            "doc_id": pa.array(np.concatenate(dids), pa.int64())})
-
-    cand = map_parts(parts, candidates,
-                     pa.table({"phrase_id": pa.array([], pa.int64()),
-                               "doc_id": pa.array([], pa.int64())}))
-    empty = pa.table({"phrase_id": pa.array([], pa.int64()),
-                      "doc_id": pa.array([], pa.int64()),
-                      "rank": pa.array([], pa.int64()),
-                      "tf": pa.array([], pa.int64())})
-    if cand.num_rows == 0:
-        return empty
-    cand_ids = np.unique(cand["doc_id"].to_numpy())
-
-    def verify(b: pa.Table) -> pa.Table:
-        from raysearch.pipelines.textops import _list_parents, _tokens
-
-        toks = _tokens(b)
-        flat = toks.flatten().to_numpy(zero_copy_only=False)
-        parents = _list_parents(toks)
-        doc_ids = b["doc_id"].to_numpy()
-        codes, uniq = pd.factorize(flat, sort=False)
-        code_of = {t: c for c, t in enumerate(uniq)}
-        pids, dids, tfs = [], [], []
-        for pid, ph in enumerate(PHRASE_QUERIES):
-            pcodes = [code_of.get(t, -1) for t in ph]
-            m = len(ph)
-            if -1 in pcodes or len(flat) < m:
-                continue
-            n = len(flat) - m + 1
-            match = codes[:n] == pcodes[0]
-            for j in range(1, m):
-                match &= codes[j:j + n] == pcodes[j]
-            # adjacency must not cross a document boundary
-            match &= parents[:n] == parents[m - 1:]
-            tf = np.bincount(parents[:n][match], minlength=len(doc_ids))
-            hit = np.flatnonzero(tf)
-            pids.append(np.full(len(hit), pid, dtype=np.int64))
-            dids.append(doc_ids[hit])
-            tfs.append(tf[hit].astype(np.int64))
-        if not pids:
-            return pa.table({"phrase_id": pa.array([], pa.int64()),
-                             "doc_id": pa.array([], pa.int64()),
-                             "tf": pa.array([], pa.int64())})
-        return pa.table({
-            "phrase_id": pa.array(np.concatenate(pids), pa.int64()),
-            "doc_id": pa.array(np.concatenate(dids), pa.int64()),
-            "tf": pa.array(np.concatenate(tfs), pa.int64())})
-
-    import pyarrow.dataset as pads
-
-    docs_ds = ray.data.read_parquet(
-        _docs_path(sf_dir), columns=["doc_id", "text"],
-        filter=pads.field("doc_id").isin(cand_ids))
-    counts = _concat_ds(
-        docs_ds.map_batches(verify, batch_format="pyarrow",
-                            zero_copy_batch=True),
-        pa.table({"phrase_id": pa.array([], pa.int64()),
-                  "doc_id": pa.array([], pa.int64()),
-                  "tf": pa.array([], pa.int64())})).to_pandas()
+    idx = cached_index(sf_dir, with_positions=True)
+    counts = _phrase_rows_positional(idx, load_stats(idx)["parts"])
     return _rank_phrase_counts(counts, empty)
 
 
 def _rank_phrase_counts(counts: pd.DataFrame, empty: pa.Table) -> pa.Table:
-    """(tf DESC, doc_id) per phrase, top-k, hits only — shared by the
-    positional and text-scan phrase plans (identical output)."""
+    """(tf DESC, doc_id) per phrase, top-k, hits only — shared by
+    phrase_topk and phrase_prefix_topk."""
     if counts.empty:
         return empty
     counts = counts.sort_values(["phrase_id", "tf", "doc_id"],
@@ -913,61 +809,17 @@ def hit_positions_topk(sf_dir: str) -> pa.Table:
     Scale contract: work ∝ the query terms' posting+position bytes
     restricted to k candidate docs per query — never a corpus scan.
     The reference has no positions at all (src/lib.rs:341-343)."""
-    from raysearch.stats import load_stats
+    from raysearch.pipelines.rankex import (_candidates_by_query,
+                                            _probe_candidates)
 
     idx = cached_index(sf_dir, with_positions=True)
     res = topk_rounded_for_index(idx, "bm25").to_pandas()
-    qterms = [sorted({t for t, _ in query_term_weights(q)})
-              for q in DOC_QUERIES]
-    cand_by_q = {int(qid): np.unique(g.doc_id.to_numpy(np.int64))
-                 for qid, g in res.groupby("query_id")}
-    all_terms = sorted({t for ts in qterms for t in ts})
-    parts = load_stats(idx)["parts"]
-    empty = pa.table({"query_id": pa.array([], pa.int64()),
-                      "doc_id": pa.array([], pa.int64()),
-                      "first_pos": pa.array([], pa.int64()),
-                      "n_hits": pa.array([], pa.int64())})
-
-    def kern(batch: pa.Table) -> pa.Table:
-        out_q, out_d, out_p, out_n = [], [], [], []
-        for part in batch["part"].to_pylist():
-            data = part_postings(idx, part, all_terms,
-                                 SCORER_COLUMNS_POS)
-            for qid, terms in enumerate(qterms):
-                cand = cand_by_q.get(qid)
-                if cand is None or not len(cand):
-                    continue
-                first = np.full(len(cand), np.iinfo(np.int64).max,
-                                np.int64)
-                nh = np.zeros(len(cand), np.int64)
-                for t in terms:
-                    if t not in data:
-                        continue
-                    docs, tfs, _, pos = data[t]
-                    sel = np.isin(docs, cand, assume_unique=True)
-                    if not sel.any():
-                        continue
-                    starts = np.zeros(len(docs), np.int64)
-                    np.cumsum(tfs[:-1], out=starts[1:])
-                    ranks = np.searchsorted(cand, docs[sel])
-                    np.minimum.at(first, ranks, pos[starts[sel]])
-                    np.add.at(nh, ranks, tfs[sel])
-                hit = np.flatnonzero(nh > 0)
-                if not len(hit):
-                    continue
-                out_q.append(np.full(len(hit), qid, np.int64))
-                out_d.append(cand[hit])
-                out_p.append(first[hit] + 1)   # 0-based ordinal -> 1-based
-                out_n.append(nh[hit])
-        if not out_q:
-            return empty
-        return pa.table({
-            "query_id": pa.array(np.concatenate(out_q), pa.int64()),
-            "doc_id": pa.array(np.concatenate(out_d), pa.int64()),
-            "first_pos": pa.array(np.concatenate(out_p), pa.int64()),
-            "n_hits": pa.array(np.concatenate(out_n), pa.int64())})
-
-    rows = map_parts(parts, kern, empty).to_pandas()
+    hits = _probe_candidates(
+        idx, [query_term_weights(q) for q in DOC_QUERIES],
+        _candidates_by_query(res), SCORER_COLUMNS_POS)
+    rows = hits.groupby(["query_id", "doc_id"], as_index=False).agg(
+        first_pos=("first_pos", "min"), n_hits=("tf", "sum"))
+    rows["first_pos"] += 1   # 0-based ordinal -> 1-based
     merged = res.merge(rows, on=["query_id", "doc_id"], how="inner") \
         .sort_values(["query_id", "rank"], ignore_index=True)
     return pa.table({
@@ -1731,34 +1583,15 @@ def blocklist_docs(sf_dir: str) -> pa.Table:
     total df, not corpus size — the selectivity the inverted index
     exists to provide. Segments partition documents disjointly
     (doc-hash partitioning), so per-part counts are FINAL: zero
-    exchanges, the result streams straight out of the parts fan-out.
-    The blocklist itself rides the task closure (tiny); a large
-    blocklist would ray.put once like the snippet candidate set."""
-    from raysearch.stats import load_stats
+    exchanges, the result streams straight out of the shared
+    term-group probe (rankex._term_group_docs, one group). The
+    blocklist itself rides the task closure (tiny); a large blocklist
+    would ray.put once like the snippet candidate set."""
+    from raysearch.pipelines.rankex import _term_group_docs
 
-    idx = cached_index(sf_dir)
-    parts = load_stats(idx)["parts"]
-    terms = sorted(set(BLOCK_TERMS))
-
-    def hits(batch: pa.Table) -> pa.Table:
-        dids = []
-        for part in batch["part"].to_pylist():
-            dids += [row[0] for row in
-                     part_postings(idx, int(part), terms).values()]
-        if not dids:
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "n_blocked": pa.array([], pa.int64())})
-        # each (term, doc) appears once per posting list, so the
-        # multiplicity of a doc across lists IS its distinct-term count
-        u, c = np.unique(np.concatenate(dids), return_counts=True)
-        return pa.table({"doc_id": pa.array(u, pa.int64()),
-                         "n_blocked": pa.array(c.astype(np.int64),
-                                               pa.int64())})
-
-    out = map_parts(parts, hits,
-                    pa.table({"doc_id": pa.array([], pa.int64()),
-                              "n_blocked": pa.array([], pa.int64())}))
-    return out.sort_by("doc_id")
+    out = _term_group_docs(cached_index(sf_dir), [BLOCK_TERMS])
+    return pa.table({"doc_id": out["doc_id"],
+                     "n_blocked": out["n_terms"]}).sort_by("doc_id")
 
 
 def sql_blocklist_docs() -> str:
@@ -1994,46 +1827,20 @@ def bool_and_docs(sf_dir: str) -> pa.Table:
     computed purely by posting-list intersection (term-filtered,
     row-group-pruned segment reads), never a corpus scan.
 
-    Scale contract: per-part work is bounded by the rarest query
-    term's df (intersection shrinks monotonically and early-exits on
-    empty); segments partition documents disjointly, so per-part
-    intersections are FINAL — zero exchanges, results stream from the
-    parts fan-out exactly like ``blocklist_docs``."""
-    from raysearch.stats import load_stats
+    Scale contract: per-part work is bounded by the query terms'
+    total df (the shared term-group probe, rankex._term_group_docs
+    with all_of, keeps the docs that hold every distinct term);
+    segments partition documents disjointly, so per-part results are
+    FINAL — zero exchanges, exactly like ``blocklist_docs``."""
+    from raysearch.pipelines.rankex import _term_group_docs
 
-    idx = cached_index(sf_dir)
-    parts = load_stats(idx)["parts"]
-    qterms = [sorted({t for t, _ in query_term_weights(q)})
-              for q in DOC_QUERIES]
-    all_terms = sorted({t for ts in qterms for t in ts})
-
-    def hits(batch: pa.Table) -> pa.Table:
-        out_q: list[int] = []
-        out_d: list[int] = []
-        for part in batch["part"].to_pylist():
-            docs = {t: row[0] for t, row in
-                    part_postings(idx, int(part), all_terms).items()}
-            for qid, ts in enumerate(qterms):
-                if any(t not in docs for t in ts):
-                    continue
-                cur = docs[ts[0]]
-                for t in ts[1:]:
-                    cur = np.intersect1d(cur, docs[t],
-                                         assume_unique=True)
-                    if len(cur) == 0:
-                        break
-                out_q.extend([qid] * len(cur))
-                out_d.extend(int(x) for x in cur)
-        return pa.table({
-            "query_id": pa.array(out_q, pa.int64()),
-            "doc_id": pa.array(out_d, pa.int64()),
-        })
-
-    out = map_parts(parts, hits,
-                    pa.table({"query_id": pa.array([], pa.int64()),
-                              "doc_id": pa.array([], pa.int64())}))
-    return out.sort_by([("query_id", "ascending"),
-                        ("doc_id", "ascending")])
+    out = _term_group_docs(
+        cached_index(sf_dir),
+        [[t for t, _ in query_term_weights(q)] for q in DOC_QUERIES],
+        all_of=True)
+    return pa.table({"query_id": out["group"],
+                     "doc_id": out["doc_id"]}).sort_by(
+        [("query_id", "ascending"), ("doc_id", "ascending")])
 
 
 def _bool_qterms_values() -> str:
@@ -2247,57 +2054,22 @@ NEAR_QUERIES = [
 NEAR_W = 4
 
 
-def _and_candidate_ids(idx: str, parts, queries) -> np.ndarray:
-    """Phase-1 candidate generation shared by near_topk / slop_topk:
-    per segment, AND-intersect the two terms' posting lists for every
-    2-term query — work proportional to min(df), never a corpus scan —
-    and return the distinct candidate doc ids."""
-    all_terms = sorted({t for q in queries for t in q})
-
-    def candidates(batch: pa.Table) -> pa.Table:
-        dids = []
-        for part in batch["part"].to_pylist():
-            docs = {t: row[0] for t, row in
-                    part_postings(idx, int(part), all_terms).items()}
-            for ta, tb in queries:
-                if ta not in docs or tb not in docs:
-                    continue
-                cand = docs[ta][np.isin(docs[ta], docs[tb],
-                                        assume_unique=True)]
-                if len(cand):
-                    dids.append(cand)
-        if not dids:
-            return pa.table({"doc_id": pa.array([], pa.int64())})
-        return pa.table({
-            "doc_id": pa.array(np.concatenate(dids), pa.int64())})
-
-    cand = map_parts(parts, candidates,
-                     pa.table({"doc_id": pa.array([], pa.int64())}))
-    return np.unique(cand["doc_id"].to_numpy()) \
-        if cand.num_rows else np.array([], np.int64)
-
-
 @fmt_doc(w=NEAR_W, k=TOPK)
-def near_topk(sf_dir: str, positions: bool = True) -> pa.Table:
+def near_topk(sf_dir: str) -> pa.Table:
     """NEAR/{w} proximity search — the unordered within-window
     operator (Lucene SpanNearQuery shape): for each 2-term query, the
     top-{k} documents ranked by (min token gap ASC, within-{w}
     pair count DESC, doc_id), hits only.
 
-    Default plan (positions=True): index-only verification from the
-    POSITIONAL index — candidate intersection and the gap/window math
-    run in one kernel over pos_enc, zero documents.parquet bytes.
-    positions=False keeps the legacy two-phase plan (candidates by
-    AND-intersecting posting lists — work ∝ min(df) — then position
-    verification on a candidate-id-filtered documents read), the
-    fallback for plain indexes and the bench comparison point. Both
-    generalize the reference's lookup-then-score loop
-    (src/lib.rs:374-411) to position predicates and rank identically.
-    Kernels are fully vectorized either way: sorted (global-coordinate)
-    positions, per-occurrence nearest-neighbor gaps via searchsorted
-    with doc-boundary guards, np.minimum.at / np.add.at scatters onto
-    docs. No per-token Python anywhere."""
-    import ray.data
+    Plan: index-only verification from the POSITIONAL index —
+    candidate intersection (work ∝ min(df)) and the gap/window math
+    run in one kernel over pos_enc, zero documents.parquet bytes. It
+    generalizes the reference's lookup-then-score loop
+    (src/lib.rs:374-411) to position predicates. The kernel is fully
+    vectorized: sorted (global-coordinate) positions, per-occurrence
+    nearest-neighbor gaps via searchsorted with doc-boundary guards,
+    np.minimum.at / np.add.at scatters onto docs. No per-token Python
+    anywhere."""
     from raysearch.stats import load_stats
 
     empty = pa.table({"query_id": pa.array([], pa.int64()),
@@ -2305,101 +2077,17 @@ def near_topk(sf_dir: str, positions: bool = True) -> pa.Table:
                       "rank": pa.array([], pa.int64()),
                       "min_dist": pa.array([], pa.int64()),
                       "win_count": pa.array([], pa.int64())})
-    if positions:
-        idx = cached_index(sf_dir, with_positions=True)
-        rows = _pair_rows_positional(idx, load_stats(idx)["parts"],
-                                     ordered=False)
-        return _rank_pair_rows(rows, empty, ordered=False)
-    idx = cached_index(sf_dir)
-    parts = load_stats(idx)["parts"]
-    cand_ids = _and_candidate_ids(idx, parts, NEAR_QUERIES)
-    if not len(cand_ids):
-        return empty
-
-    def verify(b: pa.Table) -> pa.Table:
-        from raysearch.pipelines.textops import _list_parents, _tokens
-
-        toks = _tokens(b)
-        flat = toks.flatten().to_numpy(zero_copy_only=False)
-        parents = _list_parents(toks)
-        doc_ids = b["doc_id"].to_numpy()
-        codes, uniq = pd.factorize(flat, sort=False)
-        code_of = {t: c for c, t in enumerate(uniq)}
-        out_q, out_d, out_m, out_w = [], [], [], []
-        for qid, (ta, tb) in enumerate(NEAR_QUERIES):
-            ca, cb = code_of.get(ta, -1), code_of.get(tb, -1)
-            if ca < 0 or cb < 0:
-                continue
-            ia = np.flatnonzero(codes == ca)     # sorted global pos
-            ib = np.flatnonzero(codes == cb)
-            if not len(ia) or not len(ib):
-                continue
-            pa_, pb_ = parents[ia], parents[ib]
-            # nearest b at-or-after / before each a, doc-guarded
-            lo = np.searchsorted(ib, ia)          # first ib >= ia
-            gap = np.full(len(ia), np.iinfo(np.int64).max, np.int64)
-            right_ok = lo < len(ib)
-            r = np.flatnonzero(right_ok)
-            r = r[pb_[lo[r]] == pa_[r]]
-            gap[r] = ib[lo[r]] - ia[r]
-            left_ok = lo > 0
-            ll = np.flatnonzero(left_ok)
-            ll = ll[pb_[lo[ll] - 1] == pa_[ll]]
-            gap[ll] = np.minimum(gap[ll], ia[ll] - ib[lo[ll] - 1])
-            valid = gap < np.iinfo(np.int64).max
-            if not valid.any():
-                continue
-            # per-doc min gap
-            mind = np.full(len(doc_ids), np.iinfo(np.int64).max,
-                           np.int64)
-            np.minimum.at(mind, pa_[valid], gap[valid])
-            # within-W pair count: b-occurrences in [a-W, a+W],
-            # clipped to the a-occurrence's own doc's b-span
-            hi_i = np.searchsorted(ib, ia + NEAR_W, side="right")
-            lo_i = np.searchsorted(ib, ia - NEAR_W, side="left")
-            doc_lo = np.searchsorted(pb_, pa_, side="left")
-            doc_hi = np.searchsorted(pb_, pa_, side="right")
-            cnt = (np.minimum(hi_i, doc_hi)
-                   - np.maximum(lo_i, doc_lo)).clip(min=0)
-            wc = np.zeros(len(doc_ids), np.int64)
-            np.add.at(wc, pa_, cnt)
-            hit = np.flatnonzero(mind < np.iinfo(np.int64).max)
-            out_q.append(np.full(len(hit), qid, dtype=np.int64))
-            out_d.append(doc_ids[hit])
-            out_m.append(mind[hit])
-            out_w.append(wc[hit])
-        if not out_q:
-            return pa.table({"query_id": pa.array([], pa.int64()),
-                             "doc_id": pa.array([], pa.int64()),
-                             "min_dist": pa.array([], pa.int64()),
-                             "win_count": pa.array([], pa.int64())})
-        return pa.table({
-            "query_id": pa.array(np.concatenate(out_q), pa.int64()),
-            "doc_id": pa.array(np.concatenate(out_d), pa.int64()),
-            "min_dist": pa.array(np.concatenate(out_m), pa.int64()),
-            "win_count": pa.array(np.concatenate(out_w), pa.int64())})
-
-    import pyarrow.dataset as pads
-
-    docs_ds = ray.data.read_parquet(
-        _docs_path(sf_dir), columns=["doc_id", "text"],
-        filter=pads.field("doc_id").isin(cand_ids))
-    rows = _concat_ds(
-        docs_ds.map_batches(verify, batch_format="pyarrow",
-                            zero_copy_batch=True),
-        pa.table({"query_id": pa.array([], pa.int64()),
-                  "doc_id": pa.array([], pa.int64()),
-                  "min_dist": pa.array([], pa.int64()),
-                  "win_count": pa.array([], pa.int64())})).to_pandas()
+    idx = cached_index(sf_dir, with_positions=True)
+    rows = _pair_rows_positional(idx, load_stats(idx)["parts"],
+                                 ordered=False)
     return _rank_pair_rows(rows, empty, ordered=False)
 
 
 def _rank_pair_rows(rows: pd.DataFrame, empty: pa.Table,
                     ordered: bool) -> pa.Table:
-    """Shared ranking for the 2-term proximity family (identical for
-    the positional and text-scan plans): near = (min_dist ASC,
-    win_count DESC, doc_id); slop = (pair_count DESC, min_gap ASC,
-    doc_id). Top-k per query, hits only."""
+    """Shared ranking for the 2-term proximity family: near =
+    (min_dist ASC, win_count DESC, doc_id); slop = (pair_count DESC,
+    min_gap ASC, doc_id). Top-k per query, hits only."""
     if rows.empty:
         return empty
     c3, c4 = (("min_gap", "pair_count") if ordered
@@ -2520,26 +2208,21 @@ SLOP_W = 3
 
 
 @fmt_doc(w=SLOP_W, k=TOPK)
-def slop_topk(sf_dir: str, positions: bool = True) -> pa.Table:
+def slop_topk(sf_dir: str) -> pa.Table:
     """Ordered proximity search ("a b"~{w}, the Lucene sloppy-phrase
     shape): for each 2-term query, documents where the FIRST term is
     followed by the second within {w} tokens (order matters, unlike
     near_topk), top-{k} ranked by (within-{w} ordered-pair count DESC,
     min ordered gap ASC, doc_id).
 
-    Default plan (positions=True): index-only verification from the
-    POSITIONAL index (zero documents.parquet bytes); positions=False
-    keeps the legacy two-phase plan (AND-intersected candidates —
-    work ∝ min(df) — then verification on a candidate-id-filtered
-    documents read). Either kernel looks only RIGHTWARD: for each
-    a-occurrence, the nearest b strictly after it (searchsorted,
+    Plan: index-only verification from the POSITIONAL index (zero
+    documents.parquet bytes). The kernel looks only RIGHTWARD: for
+    each a-occurrence, the nearest b strictly after it (searchsorted,
     doc-boundary-guarded) gives the ordered gap, and the b-count in
     (a, a+{w}] clipped to a's own doc gives the pair count. A doc is
     a hit only if some ordered pair lands within {w} — min-gap-only
     docs (b too far right) are filtered exactly like the oracle's
     HAVING."""
-    import pyarrow.dataset as pads
-    import ray.data
     from raysearch.stats import load_stats
 
     empty = pa.table({"query_id": pa.array([], pa.int64()),
@@ -2547,81 +2230,9 @@ def slop_topk(sf_dir: str, positions: bool = True) -> pa.Table:
                       "rank": pa.array([], pa.int64()),
                       "min_gap": pa.array([], pa.int64()),
                       "pair_count": pa.array([], pa.int64())})
-    if positions:
-        idx = cached_index(sf_dir, with_positions=True)
-        rows = _pair_rows_positional(idx, load_stats(idx)["parts"],
-                                     ordered=True)
-        return _rank_pair_rows(rows, empty, ordered=True)
-    idx = cached_index(sf_dir)
-    parts = load_stats(idx)["parts"]
-    cand_ids = _and_candidate_ids(idx, parts, NEAR_QUERIES)
-    if not len(cand_ids):
-        return empty
-
-    def verify(b: pa.Table) -> pa.Table:
-        from raysearch.pipelines.textops import _list_parents, _tokens
-
-        toks = _tokens(b)
-        flat = toks.flatten().to_numpy(zero_copy_only=False)
-        parents = _list_parents(toks)
-        doc_ids = b["doc_id"].to_numpy()
-        codes, uniq = pd.factorize(flat, sort=False)
-        code_of = {t: c for c, t in enumerate(uniq)}
-        out_q, out_d, out_m, out_w = [], [], [], []
-        big = np.iinfo(np.int64).max
-        for qid, (ta, tb) in enumerate(NEAR_QUERIES):
-            ca, cb = code_of.get(ta, -1), code_of.get(tb, -1)
-            if ca < 0 or cb < 0:
-                continue
-            ia = np.flatnonzero(codes == ca)     # sorted global pos
-            ib = np.flatnonzero(codes == cb)
-            if not len(ia) or not len(ib):
-                continue
-            pa_, pb_ = parents[ia], parents[ib]
-            # nearest b STRICTLY AFTER each a, same-doc-guarded
-            lo = np.searchsorted(ib, ia, side="right")
-            gap = np.full(len(ia), big, np.int64)
-            r = np.flatnonzero(lo < len(ib))
-            r = r[pb_[lo[r]] == pa_[r]]
-            gap[r] = ib[lo[r]] - ia[r]
-            # ordered pairs within (a, a+W], clipped to a's doc
-            hi_i = np.searchsorted(ib, ia + SLOP_W, side="right")
-            doc_hi = np.searchsorted(pb_, pa_, side="right")
-            cnt = (np.minimum(hi_i, doc_hi) - lo).clip(min=0)
-            wc = np.zeros(len(doc_ids), np.int64)
-            np.add.at(wc, pa_, cnt)
-            mind = np.full(len(doc_ids), big, np.int64)
-            valid = gap < big
-            if valid.any():
-                np.minimum.at(mind, pa_[valid], gap[valid])
-            hit = np.flatnonzero(wc > 0)   # the oracle's HAVING
-            if not len(hit):
-                continue
-            out_q.append(np.full(len(hit), qid, dtype=np.int64))
-            out_d.append(doc_ids[hit])
-            out_m.append(mind[hit])
-            out_w.append(wc[hit])
-        if not out_q:
-            return pa.table({"query_id": pa.array([], pa.int64()),
-                             "doc_id": pa.array([], pa.int64()),
-                             "min_gap": pa.array([], pa.int64()),
-                             "pair_count": pa.array([], pa.int64())})
-        return pa.table({
-            "query_id": pa.array(np.concatenate(out_q), pa.int64()),
-            "doc_id": pa.array(np.concatenate(out_d), pa.int64()),
-            "min_gap": pa.array(np.concatenate(out_m), pa.int64()),
-            "pair_count": pa.array(np.concatenate(out_w), pa.int64())})
-
-    docs_ds = ray.data.read_parquet(
-        _docs_path(sf_dir), columns=["doc_id", "text"],
-        filter=pads.field("doc_id").isin(cand_ids))
-    rows = _concat_ds(
-        docs_ds.map_batches(verify, batch_format="pyarrow",
-                            zero_copy_batch=True),
-        pa.table({"query_id": pa.array([], pa.int64()),
-                  "doc_id": pa.array([], pa.int64()),
-                  "min_gap": pa.array([], pa.int64()),
-                  "pair_count": pa.array([], pa.int64())})).to_pandas()
+    idx = cached_index(sf_dir, with_positions=True)
+    rows = _pair_rows_positional(idx, load_stats(idx)["parts"],
+                                 ordered=True)
     return _rank_pair_rows(rows, empty, ordered=True)
 
 

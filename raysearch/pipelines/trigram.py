@@ -30,8 +30,6 @@ import re
 import numpy as np
 import pyarrow as pa
 
-from raysearch.fanout import map_parts
-
 _DOCS = "documents.parquet"
 
 # (pattern, required-literal alternatives): the regex matches only if
@@ -132,10 +130,12 @@ def regex_trigram_docs(sf_dir: str) -> pa.Table:
     pattern (query_id, doc_id rows).
 
     Plan (two k-/selectivity-bounded stages, zero corpus scans):
-    1. CANDIDATES — per trigram-index part, intersect the posting
-       lists of each required literal's trigrams (work ∝ min df) and
-       union across the literal alternatives; per-part candidate sets
-       are final (doc-hash partitioning) and concatenate.
+    1. CANDIDATES — the shared term-group probe
+       (rankex._term_group_docs with all_of) keeps, per trigram-index
+       part, the docs holding every trigram of a required literal;
+       the union across a query's literal alternatives is its
+       candidate set (per-part sets are final under doc-hash
+       partitioning and concatenate).
     2. VERIFY — ONE candidate-filtered documents read (predicate
        pushdown on doc_id) runs the real regex engine per candidate
        only; compiled patterns live in the task closure. Trigram
@@ -145,54 +145,23 @@ def regex_trigram_docs(sf_dir: str) -> pa.Table:
     import pyarrow.compute as pc
     import ray.data
 
+    from raysearch.pipelines.rankex import _term_group_docs
     from raysearch.pipelines.search_queries import _concat_ds
-    from raysearch.segments import part_postings
-    from raysearch.stats import load_stats
 
-    idx = cached_trigram_index(sf_dir)
-    parts = load_stats(idx)["parts"]
-    alts = [(qid, [literal_trigrams(l) for l in lits])
-            for qid, (_, lits) in enumerate(REGEX_QUERIES)]
-    all_grams = sorted({g for _, la in alts for gs in la for g in gs})
+    # one all_of group per (query, literal alternative)
+    alts = [(qid, literal_trigrams(l))
+            for qid, (_, lits) in enumerate(REGEX_QUERIES) for l in lits]
     empty = pa.table({"query_id": pa.array([], pa.int64()),
                       "doc_id": pa.array([], pa.int64())})
-
-    def cand_kern(batch: pa.Table) -> pa.Table:
-        out_q, out_d = [], []
-        for part in batch["part"].to_pylist():
-            post = {g: row[0] for g, row in
-                    part_postings(idx, int(part), all_grams).items()}
-            for qid, lit_alts in alts:
-                hits = []
-                for grams in lit_alts:
-                    if any(g not in post for g in grams):
-                        continue
-                    # rarest-first AND: intersection only shrinks
-                    lists = sorted((post[g] for g in grams), key=len)
-                    cur = lists[0]
-                    for arr in lists[1:]:
-                        cur = cur[np.isin(cur, arr, assume_unique=True)]
-                        if not len(cur):
-                            break
-                    if len(cur):
-                        hits.append(cur)
-                if not hits:
-                    continue
-                cand = np.unique(np.concatenate(hits))
-                out_q.extend([qid] * len(cand))
-                out_d.extend(cand.tolist())
-        if not out_q:
-            return empty
-        return pa.table({"query_id": pa.array(out_q, pa.int64()),
-                         "doc_id": pa.array(out_d, pa.int64())})
-
-    cand = map_parts(parts, cand_kern, empty).to_pandas()
-    if cand.empty:
+    hits = _term_group_docs(cached_trigram_index(sf_dir),
+                            [grams for _, grams in alts], all_of=True)
+    if not hits.num_rows:
         return empty
-
-    per_q = {int(qid): np.sort(g["doc_id"].to_numpy(np.int64))
-             for qid, g in cand.groupby("query_id")}
-    all_ids = np.unique(cand["doc_id"].to_numpy(np.int64))
+    qids = np.asarray([q for q, _ in alts], np.int64)[
+        hits["group"].to_numpy()]
+    docs = hits["doc_id"].to_numpy()
+    per_q = {int(q): np.unique(docs[qids == q]) for q in np.unique(qids)}
+    all_ids = np.unique(docs)
     patterns = [(qid, p) for qid, (p, _) in enumerate(REGEX_QUERIES)]
 
     def verify_kern(batch: pa.Table) -> pa.Table:

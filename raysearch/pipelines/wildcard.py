@@ -7,10 +7,11 @@ term map private inside the index HashMap, src/lib.rs:341).
   with the distinct matching-term count — prefix -> terms via a
   RANGE-FILTERED lexicon read (term >= p AND term < p_hi pushes into
   parquet row groups of the term-sorted lexicon; work is bounded by
-  the matching VOCABULARY, never the corpus), then the blocklist_docs
-  parts fan-out over posting lists (term-filtered, row-group-pruned
-  segment reads; per-part results final under doc-hash partitioning —
-  zero exchanges).
+  the matching VOCABULARY, never the corpus), then the term-group
+  probe blocklist_docs also uses (rankex._term_group_docs, one group
+  per prefix) over posting lists (term-filtered, row-group-pruned
+  segment reads; per-part results final under doc-hash partitioning
+  — zero exchanges).
 - term_suggest: top-k completions per prefix by (df DESC, term ASC)
   straight from the range-scanned lexicon — k-bounded driver work.
 
@@ -26,7 +27,6 @@ import os
 import numpy as np
 import pyarrow as pa
 
-from raysearch.fanout import map_parts
 from raysearch.numutil import fmt_doc
 
 # multi-term ("s" -> scan/slow/small/sort/spark/stream), single-term
@@ -62,50 +62,17 @@ def wildcard_docs(sf_dir: str) -> pa.Table:
     """Prefix retrieval: for every prefix in PREFIXES, each document
     containing >= 1 term with that prefix and its DISTINCT matching-
     term count — posting lists only, no corpus scan."""
+    from raysearch.pipelines.rankex import _term_group_docs
     from raysearch.pipelines.search_queries import cached_index
-    from raysearch.segments import part_postings
-    from raysearch.stats import load_stats
 
     idx = cached_index(sf_dir)
-    parts = load_stats(idx)["parts"]
-    by_prefix = {p: sorted(_lexicon_range(idx, p)["term"].to_pylist())
-                 for p in PREFIXES}
-    all_terms = sorted({t for ts in by_prefix.values() for t in ts})
-    if not all_terms:
-        # every prefix missed the vocabulary: skip the fan-out
-        # entirely (a term-filtered read with an EMPTY term list is
-        # an ArrowTypeError, and the result is empty regardless)
-        return pa.table({"prefix": pa.array([], pa.string()),
-                         "doc_id": pa.array([], pa.int64()),
-                         "n_terms": pa.array([], pa.int64())})
-
-    def hits(batch: pa.Table) -> pa.Table:
-        out_p, out_d, out_n = [], [], []
-        for part in batch["part"].to_pylist():
-            term_docs = {t: row[0] for t, row in
-                         part_postings(idx, int(part), all_terms).items()}
-            for p, ts in by_prefix.items():
-                dids = [term_docs[t] for t in ts if t in term_docs]
-                if not dids:
-                    continue
-                # one posting entry per (term, doc): a doc's
-                # multiplicity across this prefix's lists IS its
-                # distinct matching-term count
-                u, c = np.unique(np.concatenate(dids),
-                                 return_counts=True)
-                out_p.extend([p] * len(u))
-                out_d.extend(u.tolist())
-                out_n.extend(c.tolist())
-        return pa.table({
-            "prefix": pa.array(out_p, pa.string()),
-            "doc_id": pa.array(np.asarray(out_d, np.int64), pa.int64()),
-            "n_terms": pa.array(np.asarray(out_n, np.int64),
-                                pa.int64())})
-
-    empty = pa.table({"prefix": pa.array([], pa.string()),
-                      "doc_id": pa.array([], pa.int64()),
-                      "n_terms": pa.array([], pa.int64())})
-    return map_parts(parts, hits, empty).sort_by(
+    out = _term_group_docs(idx, [_lexicon_range(idx, p)["term"].to_pylist()
+                                 for p in PREFIXES])
+    return pa.table({
+        "prefix": pa.array(np.asarray(PREFIXES, object)[
+            out["group"].to_numpy()], pa.string()),
+        "doc_id": out["doc_id"],
+        "n_terms": out["n_terms"]}).sort_by(
         [("prefix", "ascending"), ("doc_id", "ascending")])
 
 

@@ -84,18 +84,6 @@ def term_upper_bound(weight: int, idf: float, k1: float, mode: str,
     return weight * idf * (k1 + 1.0)
 
 
-def _block_ub_arr(bmax: np.ndarray, w: int, idf: float, k1: float,
-                  b: float, mode: str) -> np.ndarray:
-    """Per-BLOCK score upper bound from the block max tf. The bound is
-    dl-free (denominator minimized at dl -> 0: tf*(k1+1)/(tf +
-    k1*(1-b)) is the largest the tf-norm can get for that tf), so it
-    is conservative for every entry in the block."""
-    bm = bmax.astype(np.float64)
-    if mode == "overlap":
-        return w * bm
-    return (w * idf) * (bm * (k1 + 1.0)) / (bm + k1 * (1.0 - b))
-
-
 def _take_blocks(row: Posting, counts: np.ndarray,
                  chosen: np.ndarray) -> Posting:
     """The entries of the ``chosen`` (sorted) blocks of one decoded
@@ -289,7 +277,10 @@ def pruned_topk_blockmax(
         bf, bm = view.meta(t)
         starts_l.append(bf)
         ends_l.append(np.append(bf[1:], _DOC_INF))
-        ubs_l.append(_block_ub_arr(bm, w, idfs[t], k1, b, mode))
+        # the block's largest contribution: its max tf at dl = 0 (the
+        # tf-norm is largest at the smallest dl), so it bounds every
+        # entry in the block; a scalar dl broadcasts bit-identically
+        ubs_l.append(contrib(t, w, bf, bm, np.int64(0)))
     coords = np.unique(np.concatenate(starts_l + ends_l))
     dlt = np.zeros(len(coords), np.float64)
     for s_arr, e_arr, u_arr in zip(starts_l, ends_l, ubs_l):

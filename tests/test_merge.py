@@ -159,3 +159,50 @@ def test_append_and_merge_accept_legacy_salt_config(ray_session,
     assert stats["vocab_size"] == load_stats(full)["vocab_size"]
     assert query_index(str(tmp_path / "m"), QUERIES, k=10).equals(
         query_index(full, QUERIES, k=10))
+
+
+def _two_half_indexes(tmp_path, n_docs=400):
+    import ray.data
+
+    from raysearch.corpus import generate_corpus
+
+    corpus = generate_corpus(n_docs, seed=11, labeled=True)
+    cfg = IndexConfig(num_parts=4)
+    srcs = [str(tmp_path / f"h{i}") for i in range(2)]
+    for i, sl in enumerate((corpus.slice(0, n_docs // 2),
+                            corpus.slice(n_docs // 2))):
+        build_index(ray.data.from_arrow(sl), srcs[i], cfg,
+                    input_id=f"h{i}")
+    full = str(tmp_path / "full")
+    build_index(ray.data.from_arrow(corpus), full, cfg, input_id="full")
+    return corpus, srcs, full
+
+
+def test_merge_into_out_clears_old_tombstones(ray_session, tmp_path):
+    """Tombstones in ``out_dir`` name docs of its previous contents; a
+    fresh merge over it must not keep hiding those doc ids."""
+    from raysearch.maintenance import delete_docs, load_deletes
+
+    corpus, srcs, full = _two_half_indexes(tmp_path)
+    out = str(tmp_path / "out")
+    merge_indexes(srcs, out)
+    delete_docs(out, corpus["doc_id"].to_pylist()[:100])
+    merge_indexes(srcs, out)
+
+    assert len(load_deletes(out)) == 0
+    assert query_index(out, QUERIES, k=10).equals(
+        query_index(full, QUERIES, k=10))
+
+
+def test_merge_rejects_input_with_tombstones(ray_session, tmp_path):
+    """A doc deleted in an input is still in its segments; merging them
+    would bring it back, so the merge refuses and names the input."""
+    from raysearch.maintenance import delete_docs
+
+    corpus, srcs, _ = _two_half_indexes(tmp_path)
+    delete_docs(srcs[1], corpus["doc_id"].to_pylist()[-5:])
+    out = str(tmp_path / "out")
+    with pytest.raises(ValueError, match="compact_index") as exc:
+        merge_indexes(srcs, out)
+    assert srcs[1] in str(exc.value)
+    assert not os.path.exists(os.path.join(out, "segments"))

@@ -1,7 +1,7 @@
 """Positional postings (config.with_positions): codec round trip,
 build correctness vs brute-force tokenization, resume byte-identity,
 lifecycle (delete/compact, merge) preservation, and index-only
-proximity == text-scan proximity.
+proximity == its DuckDB oracle.
 
 The reference stores no positions at all (src/lib.rs:341-343); this is
 the opt-in Lucene-grade extension the proximity family verifies from.
@@ -180,13 +180,32 @@ def test_merge_indexes_preserves_positions(ray_session, small_corpus,
         assert pm.equals(pf), f"part {p} differs after merge"
 
 
-@pytest.mark.parametrize("op", ["phrase", "near", "slop"])
-def test_proximity_positional_equals_scan(ray_session, tmp_path, op):
+def _assert_equals_oracle(eng, sql: str, sf: str) -> None:
+    import duckdb
     import pandas as pd
+
+    con = duckdb.connect()
+    con.execute("CREATE VIEW documents AS SELECT * FROM "
+                f"read_parquet('{sf}/documents.parquet')")
+    ora = con.execute(sql).df()
+    cols = sorted(eng.columns)
+    assert sorted(ora.columns) == cols
+    pd.testing.assert_frame_equal(
+        eng[cols].sort_values(cols, ignore_index=True),
+        ora[cols].sort_values(cols, ignore_index=True)
+        .astype(eng[cols].dtypes.to_dict()),
+        check_exact=True)
+
+
+@pytest.mark.parametrize("op", ["phrase", "near", "slop"])
+def test_proximity_positional_equals_oracle(ray_session, tmp_path, op):
+    """The index-only proximity ops == their DuckDB oracles on a
+    synthetic 400-doc corpus and on the sf0.001 testdata."""
     import pyarrow.parquet as pq
 
     from raysearch.corpus import generate_corpus
     from raysearch.pipelines.search_queries import (
+        ORACLE_SQL,
         near_topk,
         phrase_topk,
         slop_topk,
@@ -201,17 +220,15 @@ def test_proximity_positional_equals_scan(ray_session, tmp_path, op):
                   "lang": pa.array(["en"] * corpus.num_rows),
                   "source": pa.array(["t"] * corpus.num_rows)}),
         os.path.join(sf, "documents.parquet"))
+    name = f"{op}_topk"
     fn = {"phrase": phrase_topk, "near": near_topk, "slop": slop_topk}[op]
-    pos = fn(sf, positions=True).to_pandas()
-    scan = fn(sf, positions=False).to_pandas()
-    pd.testing.assert_frame_equal(pos, scan, check_exact=True)
+    _assert_equals_oracle(fn(sf).to_pandas(), ORACLE_SQL[name], sf)
     # the synthetic corpus has no guaranteed hits; the real testdata
     # exercises the non-empty path for all three ops
     sf_real = "/root/testdata/sf0.001"
     if os.path.isdir(sf_real):
-        pos = fn(sf_real, positions=True).to_pandas()
-        scan = fn(sf_real, positions=False).to_pandas()
-        pd.testing.assert_frame_equal(pos, scan, check_exact=True)
+        pos = fn(sf_real).to_pandas()
+        _assert_equals_oracle(pos, ORACLE_SQL[name], sf_real)
         assert len(pos) > 0
 
 
@@ -219,9 +236,6 @@ def test_hit_positions_topk_oracle_parity(ray_session):
     """hit_positions_topk (index-only token-position highlighting) ==
     its DuckDB oracle at sf0.001; first_pos is 1-based and every BM25
     hit carries >= 1 query-term occurrence."""
-    import duckdb
-    import pandas as pd
-
     from raysearch.pipelines.search_queries import (
         ORACLE_SQL,
         hit_positions_topk,
@@ -231,16 +245,7 @@ def test_hit_positions_topk_oracle_parity(ray_session):
     if not os.path.isdir(sf):
         pytest.skip("testdata missing")
     eng = hit_positions_topk(sf).to_pandas()
-    con = duckdb.connect()
-    con.execute("CREATE VIEW documents AS SELECT * FROM "
-                f"read_parquet('{sf}/documents.parquet')")
-    ora = con.execute(ORACLE_SQL["hit_positions_topk"]).df()
-    cols = sorted(eng.columns)
-    pd.testing.assert_frame_equal(
-        eng[cols].sort_values(cols, ignore_index=True),
-        ora[cols].sort_values(cols, ignore_index=True)
-        .astype(eng[cols].dtypes.to_dict()),
-        check_exact=True)
+    _assert_equals_oracle(eng, ORACLE_SQL["hit_positions_topk"], sf)
     assert (eng.first_pos >= 1).all() and (eng.n_hits >= 1).all()
     # exactly the BM25 top-k rows, positionally annotated
     from raysearch.pipelines.search_queries import bm25_topk
