@@ -153,8 +153,7 @@ def _make_segment_writer(index_dir: str, config: IndexConfig,
     return write_segment
 
 
-def _segment_rows(source, config: IndexConfig, writer,
-                  with_sha: bool) -> list[dict]:
+def _segment_rows(source, config: IndexConfig, writer) -> list[dict]:
     """The one triples -> segments pipeline (build_index and
     maintenance.append_index): triple map, the single groupby on the
     part key, one stats row per written part. A parquet ``source``
@@ -167,7 +166,7 @@ def _segment_rows(source, config: IndexConfig, writer,
     import ray.data
 
     width = _exchange_width(config.num_parts)
-    triple_fn = make_triple_fn(config, with_sha=with_sha)
+    triple_fn = make_triple_fn(config)
     if isinstance(source, (str, list)):
         triples = ray.data.read_parquet(
             source, columns=["doc_id", "lang", "content"],
@@ -271,8 +270,6 @@ def _write_lexicon(index_dir: str, n_rows_hint: int | None = None) -> int:
     if os.path.isdir(tmp_dir):
         shutil.rmtree(tmp_dir)
 
-    if os.environ.get("RAYSEARCH_LEXICON_DISTRIBUTED"):
-        n_rows_hint = None  # operational override: always shuffle
     if n_rows_hint is not None and n_rows_hint <= _LEXICON_DRIVER_MAX_ROWS:
         from concurrent.futures import ThreadPoolExecutor
 
@@ -329,8 +326,6 @@ def build_index(
     index_dir: str,
     config: IndexConfig | None = None,
     input_id: str | None = None,
-    with_sha: bool = True,
-    verify_resume_bytes: bool = True,
     supported_langs: frozenset[str] | None = None,
     dedup_input: bool = False,
 ) -> BuildResult:
@@ -391,8 +386,7 @@ def build_index(
     valid = frozenset(
         p for p in range(config.num_parts)
         if checkpoint.validate_manifest(
-            part_dirname(index_dir, p), config_hash, input_id,
-            verify_bytes=verify_resume_bytes))
+            part_dirname(index_dir, p), config_hash, input_id))
     # full-resume shortcut: stats.json (written last) lists the parts
     # that actually exist (hash-empty partitions produce no segment);
     # if they all validate, skip launching any Ray work at all
@@ -404,8 +398,7 @@ def build_index(
             return BuildResult(index_dir, st, 0, len(st.get("parts", [])))
 
     writer = _make_segment_writer(index_dir, config, input_id, valid)
-    rows = _segment_rows(source if plain_source else ds, config, writer,
-                         with_sha)
+    rows = _segment_rows(source if plain_source else ds, config, writer)
     stats = finalize_index(
         index_dir, rows, config.to_dict(),
         {"input_id": input_id, "config_hash": config_hash})

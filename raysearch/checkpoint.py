@@ -65,8 +65,10 @@ def load_manifest(part_dir: str) -> dict | None:
 
 
 def validate_manifest(part_dir: str, config_hash: str,
-                      lineage_id: str, verify_bytes: bool = True) -> dict | None:
-    """Returns the manifest iff this partition can be skipped on resume."""
+                      lineage_id: str) -> dict | None:
+    """Returns the manifest iff this partition can be skipped on
+    resume: every file it lists exists with its recorded size and
+    sha256."""
     m = load_manifest(part_dir)
     if m is None or m.get("version") != MANIFEST_VERSION:
         return None
@@ -78,6 +80,6 @@ def validate_manifest(part_dir: str, config_hash: str,
         p = os.path.join(part_dir, name)
         if not os.path.exists(p) or os.path.getsize(p) != rec["bytes"]:
             return None
-        if verify_bytes and _file_sha256(p) != rec["sha256"]:
+        if _file_sha256(p) != rec["sha256"]:
             return None
     return m

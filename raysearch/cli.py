@@ -81,7 +81,6 @@ def _require_index(path: str) -> None:
 
 def cmd_query(args) -> None:
     _require_index(args.index)
-    ray = _ray_session()
     from raysearch.query import query_index, read_queries
 
     if args.queries_file:
@@ -101,6 +100,7 @@ def cmd_query(args) -> None:
         from raysearch.pipelines.queryparse import (DslError,
                                                     dsl_query_index)
 
+        ray = _ray_session()
         try:
             out = dsl_query_index(args.index, queries, k=args.k)
         except DslError as e:
@@ -108,20 +108,31 @@ def cmd_query(args) -> None:
         _emit_query_results(args, out)
         ray.shutdown()
         return
+    decay = (_float_pair(args.decay, "--decay expects ORIGIN,SCALE "
+                         "(e.g. 50,40)") if args.decay else None)
+    rank_feature = (_float_pair(args.rank_feature, "--rank-feature "
+                                "expects W,PIVOT (e.g. 2,50)")
+                    if args.rank_feature else None)
     from raysearch.score import check_query_options
 
     try:  # before the distributed boost-list derivation: fail fast
-        check_query_options(args.mode, args.prune, args.boost_term,
-                            args.decay, args.rank_feature)
+        check_query_options(
+            args.mode, args.prune,
+            (None, args.boost_factor) if args.boost_term else None,
+            decay, rank_feature)
     except ValueError as e:  # name the flag the user typed
-        raise SystemExit(str(e).replace("rank_feature",
-                                        "--rank-feature")) from None
+        msg = str(e)
+        for knob, flag in (("boost factor", "--boost-factor"),
+                           ("decay scale", "--decay SCALE"),
+                           ("rank_feature w and pivot",
+                            "--rank-feature W and PIVOT"),
+                           ("rank_feature", "--rank-feature")):
+            msg = msg.replace(knob, flag)
+        raise SystemExit(msg) from None
+    # Ray starts only once the flags are known to be valid
+    ray = _ray_session()
     boost = None
     if args.boost_term:
-        if args.boost_factor <= 0:
-            raise SystemExit(
-                "--boost-factor must be > 0 (0 zeroes boosted docs "
-                "and a negative factor inverts their ranking)")
         # Lucene-style static boost list sourced from the index: docs
         # containing --boost-term score x --boost-factor, applied
         # pre-truncation in every segment scorer (exact ranking)
@@ -129,33 +140,21 @@ def cmd_query(args) -> None:
 
         boost = (static_boost_ids(args.index, args.boost_term),
                  args.boost_factor)
-    decay = None
-    if args.decay:
-        try:
-            origin, scale = (float(x) for x in args.decay.split(","))
-        except ValueError:
-            raise SystemExit("--decay expects ORIGIN,SCALE "
-                             "(e.g. 50,40)") from None
-        if scale <= 0:
-            raise SystemExit("--decay SCALE must be > 0")
-        decay = (origin, scale)
-    rank_feature = None
-    if args.rank_feature:
-        try:
-            w, pivot = (float(x) for x in args.rank_feature.split(","))
-        except ValueError:
-            raise SystemExit("--rank-feature expects W,PIVOT "
-                             "(e.g. 2,50)") from None
-        if w <= 0 or pivot <= 0:
-            raise SystemExit("--rank-feature W and PIVOT must be > 0 "
-                             "(w <= 0 inverts or erases the prior; "
-                             "pivot <= 0 breaks the saturation curve)")
-        rank_feature = (w, pivot)
     out = query_index(args.index, queries, k=args.k, mode=args.mode,
                       prune=args.prune, boost=boost, decay=decay,
                       rank_feature=rank_feature)
     _emit_query_results(args, out)
     ray.shutdown()
+
+
+def _float_pair(text: str, usage: str) -> tuple[float, float]:
+    """``"A,B"`` as two floats; anything else exits with ``usage``.
+    Their values are checked by score.check_query_options."""
+    try:
+        a, b = (float(x) for x in text.split(","))
+    except ValueError:
+        raise SystemExit(usage) from None
+    return a, b
 
 
 def _emit_query_results(args, out) -> None:

@@ -239,7 +239,6 @@ def append_index(
     index_dir: str,
     input_id: str | None = None,
     num_parts: int | None = None,
-    with_sha: bool = True,
 ) -> dict:
     """Add new documents to an existing index as fresh segments.
 
@@ -301,7 +300,7 @@ def append_index(
             append_id))
     writer = _make_segment_writer(index_dir, cfg2, append_id, valid,
                                   part_offset=part_offset)
-    rows = _segment_rows(source, cfg2, writer, with_sha)
+    rows = _segment_rows(source, cfg2, writer)
     # any orphaned segment dir (e.g. a crashed append with a different
     # source) is pruned by the finalize
     base_input = stats.get("lineage", {}).get("input_id", "<unknown>")

@@ -16,8 +16,9 @@ import numpy as np
 import pyarrow as pa
 
 from raysearch.config import IndexConfig
-from raysearch.score import (check_query_options, dirichlet_scores,
-                             query_term_weights, score_postings, topk)
+from raysearch.score import (DIRICHLET_MU, check_query_options,
+                             dirichlet_scores, query_term_weights,
+                             score_postings, topk)
 from raysearch.tokenize import tokenize_doc
 
 
@@ -64,14 +65,15 @@ class Oracle:
                         for t, p in self._np_postings.items()}
         return self._cf
 
-    def search(self, query: str, k: int = 10, mode: str = "bm25",
-               mu: float = 2000.0) -> list[tuple[int, float]]:
+    def search(self, query: str, k: int = 10, mode: str = "bm25"
+               ) -> list[tuple[int, float]]:
         qw = query_term_weights(query)
         sim = check_query_options(mode)
         cf = self.cf if sim.needs_cf else None
         if sim.contrib is None:
             docs, scores = dirichlet_scores(
-                qw, self._np_postings.get, cf, self.total_tokens, mu)
+                qw, self._np_postings.get, cf, self.total_tokens,
+                DIRICHLET_MU)
         else:
             docs, scores = score_postings(
                 qw, self._np_postings.get, self.df, self.n_docs,

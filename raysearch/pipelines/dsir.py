@@ -20,9 +20,9 @@ Two streaming passes, both combiner-shaped:
 1. COUNT: per-batch bincounts of bucket hits (target and raw) — at
    most B rows leave a batch — then one groupby over bucket
    cardinality (<= B rows total).
-2. SCORE: actor-pool map_batches; the per-bucket log-likelihood-ratio
-   table (one float64[B] array) ships via ray.put once and is
-   ray.get ZERO-COPY per actor in __init__; per-doc sums are
+2. SCORE: a plain function map_batches stage; the per-bucket
+   log-likelihood-ratio table (one float64[B] array) ships via
+   ray.put once and is ray.get ZERO-COPY per batch; per-doc sums are
    np.add.at over doc offsets.
 
 Laplace smoothing (+1 per bucket) keeps unseen-in-target buckets
@@ -108,35 +108,31 @@ def _train(sf_dir: str):
     return ray.put(llr)
 
 
-class DsirScorer:
-    """Actor-pool stage: the float64[B] LLR table is ray.get ONCE per
-    actor here (zero-copy numpy view over the object-store buffer)."""
+def _dsir_scored(batch: pa.Table, llr_ref) -> pa.Table:
+    """(doc_id, n_bigrams, dsir_logratio) of one batch: the summed
+    LLR of its hashed bigrams. A plain function stage that ray.gets
+    the float64[B] LLR table itself (a zero-copy numpy view; Ray Data
+    does not resolve refs in fn_kwargs)."""
+    import ray
 
-    def __init__(self, llr_ref) -> None:
-        import ray
-
-        self.llr = ray.get(llr_ref)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        doc_idx, _, bg = _doc_bigrams(batch)
-        if len(bg) == 0:
-            return pa.table({
-                "doc_id": pa.array([], pa.int64()),
-                "n_bigrams": pa.array([], pa.int64()),
-                "dsir_logratio": pa.array([], pa.float64())})
-        v = self.llr[_buckets(bg)]
-        n_docs = batch.num_rows
-        sums = np.zeros(n_docs)
-        np.add.at(sums, doc_idx, v)
-        cnt = np.zeros(n_docs, dtype=np.int64)
-        np.add.at(cnt, doc_idx, 1)
-        keep = cnt > 0
+    doc_idx, _, bg = _doc_bigrams(batch)
+    if len(bg) == 0:
         return pa.table({
-            "doc_id": pa.array(batch["doc_id"].to_numpy()[keep],
-                               pa.int64()),
-            "n_bigrams": pa.array(cnt[keep], pa.int64()),
-            "dsir_logratio": pa.array(round6(sums[keep]), pa.float64()),
-        })
+            "doc_id": pa.array([], pa.int64()),
+            "n_bigrams": pa.array([], pa.int64()),
+            "dsir_logratio": pa.array([], pa.float64())})
+    v = ray.get(llr_ref)[_buckets(bg)]
+    n_docs = batch.num_rows
+    sums = np.zeros(n_docs)
+    np.add.at(sums, doc_idx, v)
+    cnt = np.zeros(n_docs, dtype=np.int64)
+    np.add.at(cnt, doc_idx, 1)
+    keep = cnt > 0
+    return pa.table({
+        "doc_id": pa.array(batch["doc_id"].to_numpy()[keep], pa.int64()),
+        "n_bigrams": pa.array(cnt[keep], pa.int64()),
+        "dsir_logratio": pa.array(round6(sums[keep]), pa.float64()),
+    })
 
 
 def _score_ds(sf_dir: str):
@@ -144,16 +140,15 @@ def _score_ds(sf_dir: str):
     dsir_weights and dsir_resample)."""
     llr_ref = _train(sf_dir)
     return _read_docs(sf_dir, with_lang=False).map_batches(
-        DsirScorer, fn_constructor_kwargs={"llr_ref": llr_ref},
-        batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=(1, 8), num_cpus=1)
+        _dsir_scored, fn_kwargs={"llr_ref": llr_ref},
+        batch_format="pyarrow", zero_copy_batch=True)
 
 
 def dsir_weights(sf_dir: str) -> pa.Table:
     """(doc_id, n_bigrams, dsir_logratio) per document with >= 1
     bigram: the summed hashed-bigram log importance ratio
-    target-vs-raw. Autoscaling actor pool (a fixed pool equal to the
-    session CPUs starves the upstream read — see lm.py)."""
+    target-vs-raw, scored by a plain function stage over the
+    broadcast LLR table."""
     return pa.concat_tables(
         _score_ds(sf_dir).iter_batches(batch_format="pyarrow"))
 

@@ -29,31 +29,21 @@ def explain_topk(sf_dir: str) -> pa.Table:
     driver turns each into its contribution — work bounded by the
     query terms' df, output bounded by k x |terms|."""
     from raysearch.numutil import round6
-    from raysearch.pipelines.rankex import (_candidates_by_query,
+    from raysearch.pipelines.rankex import (_candidates_by_query, _plan,
                                             _probe_candidates)
     from raysearch.pipelines.search_queries import (DOC_QUERIES,
                                                     bm25_topk,
                                                     cached_index)
-    from raysearch.query import lexicon_df
-    from raysearch.score import (bm25_contrib, bm25_idf,
-                                 query_term_weights)
-    from raysearch.stats import load_stats
 
     idx = cached_index(sf_dir)
-    st = load_stats(idx)
-    n_docs, avgdl = st["n_docs"], st["avgdl"]
-    k1, b = st["config"]["k1"], st["config"]["b"]
-
-    qweights = [query_term_weights(q) for q in DOC_QUERIES]
-    df = lexicon_df(idx, sorted({t for qw in qweights for t, _ in qw}))
+    plan = _plan(idx, DOC_QUERIES)
     out = _probe_candidates(
-        idx, qweights, _candidates_by_query(bm25_topk(sf_dir).to_pandas()))
+        idx, plan.qweights,
+        _candidates_by_query(bm25_topk(sf_dir).to_pandas()))
     tf, dl = out.tf.to_numpy(np.int64), out.dl.to_numpy(np.int64)
     contrib = np.zeros(len(out), np.float64)
     for (t, w), ix in out.groupby(["term", "w"]).indices.items():
-        contrib[ix] = bm25_contrib(tf[ix], dl[ix],
-                                   bm25_idf(df.get(t, 0), n_docs), w,
-                                   k1, b, avgdl)
+        contrib[ix] = plan.contrib(t, w, tf[ix], dl[ix])
     out = out.assign(contrib=round6(contrib)).sort_values(
         ["query_id", "doc_id", "term"], ignore_index=True)
     return pa.table({

@@ -51,19 +51,12 @@ def collapse_topk(sf_dir: str) -> pa.Table:
     from raysearch.pipelines.search_queries import (DOC_QUERIES, TOPK,
                                                     _docs_path,
                                                     cached_index)
-    from raysearch.query import lexicon_df
-    from raysearch.score import query_term_weights, score_postings
+    from raysearch.query import plan_query
     from raysearch.segments import part_postings
     from raysearch.stats import load_stats
 
     idx = cached_index(sf_dir)
-    st = load_stats(idx)
-    parts = st["parts"]
-    n_docs, avgdl = st["n_docs"], st["avgdl"]
-    k1, b = st["config"]["k1"], st["config"]["b"]
-    qweights = [query_term_weights(q) for q in DOC_QUERIES]
-    all_terms = sorted({t for qw in qweights for t, _ in qw})
-    df = lexicon_df(idx, all_terms)
+    plan, parts = plan_query(idx, load_stats(idx), DOC_QUERIES)
     docs_file = _docs_path(sf_dir)
 
     empty = pa.table({
@@ -72,15 +65,12 @@ def collapse_topk(sf_dir: str) -> pa.Table:
         "doc_id": pa.array([], pa.int64()),
         "score": pa.array([], pa.float64())})
 
-    def score_query(qid, post):
-        return score_postings(qweights[qid], post.get, df, n_docs, avgdl,
-                              k1, b, mode="bm25")
-
     # every matched row of a part, NOT top-k truncated: collapse needs
     # every group's champion, which may rank arbitrarily deep
     part_scores = _part_kernel(
-        lambda p: part_postings(idx, p, all_terms), len(qweights),
-        score_query, None)
+        lambda p: part_postings(idx, p, plan.all_terms),
+        len(plan.qweights),
+        lambda qid, post: plan.score(plan.qweights[qid], post.get), None)
 
     def kern(batch: pa.Table) -> pa.Table:
         rows = part_scores(batch)

@@ -8,10 +8,12 @@ perplexity-style pre-training filter, two streaming passes:
    int64 counts) for each of c1/c2 — ray.put once; numpy arrays come
    out of ray.get ZERO-COPY from the object store, unlike pandas
    Series which would re-deserialize per consumer.
-2. SCORE: an ACTOR-POOL map_batches stage (BigramScorer) that
-   ray.gets the model once per actor in __init__ (never per batch)
-   and looks grams up with np.searchsorted on their md5 hashes; the
-   per-doc mean ln(c2/c1) is np.add.at over doc offsets. Documents
+2. SCORE: a plain-function map_batches stage (_ngram_logprob) that
+   ray.gets the broadcast model (zero-copy) and looks grams up with
+   np.searchsorted on their md5 hashes; the per-doc mean ln(c2/c1)
+   is np.add.at over doc offsets. No actor pool: an actor would hold
+   a CPU for the whole stage and, on a 1-CPU session, starve the
+   upstream read forever. Documents
    with no bigrams (< 2 tokens) are excluded on both sides.
 
 Counts come from the corpus being scored, so every observed bigram
@@ -174,74 +176,75 @@ def _lookup_capped(h_sorted: np.ndarray, n: np.ndarray,
     return out
 
 
-class BigramScorer:
-    """Actor-pool scoring stage: the broadcast model is ray.get ONCE
-    per actor here in __init__ (zero-copy numpy views over the shared
-    object-store buffer), never per batch."""
+def _ngram_logprob(batch: pa.Table, model_ref, capped: bool = False,
+                   order: int = 2) -> pa.Table:
+    """Per-doc (doc_id, n_<order>grams, logprob) of one batch: mean
+    ln c(gram) / c(its context) under the broadcast model (h1, n1, h2,
+    n2) — contexts are first words for bigrams, leading bigrams for
+    trigrams. A plain function stage: it ray.gets the model ref itself
+    (zero-copy numpy views of the object-store buffer; Ray Data does
+    not resolve refs in fn_kwargs)."""
+    import ray
 
-    def __init__(self, model_ref, capped: bool = False) -> None:
-        import ray
+    from raysearch.pipelines.textops import md5_prefix_ints
 
-        self.h1, self.n1, self.h2, self.n2 = ray.get(model_ref)
-        self.capped = capped
+    doc_idx, ctx, grams = (_doc_bigrams if order == 2
+                           else _doc_trigrams)(batch)
+    count_col = "n_bigrams" if order == 2 else "n_trigrams"
+    if len(grams) == 0:
+        return pa.table({"doc_id": pa.array([], pa.int64()),
+                         count_col: pa.array([], pa.int64()),
+                         "logprob": pa.array([], pa.float64())})
+    h1, n1, h2, n2 = ray.get(model_ref)
+    look = _lookup_capped if capped else _lookup
+    lp = np.log(look(h2, n2, md5_prefix_ints(grams, _HASH_HEX))
+                / look(h1, n1, md5_prefix_ints(ctx, _HASH_HEX)))
+    if capped:
+        # a dropped gram over a kept frequent context already reads
+        # ln(1/c1) < 0, but a dropped gram over a dropped context
+        # would read ln(1/1) = 0 and a kept gram over a dropped
+        # context could read > 0 — impossible under the exact model
+        # (c2 <= c1 always), so clamp preserves the invariant
+        lp = np.minimum(lp, 0.0)
+    n_docs = batch.num_rows
+    sums = np.zeros(n_docs)
+    np.add.at(sums, doc_idx, lp)
+    cnt = np.zeros(n_docs, dtype=np.int64)
+    np.add.at(cnt, doc_idx, 1)
+    keep = cnt > 0
+    return pa.table({
+        "doc_id": pa.array(batch["doc_id"].to_numpy()[keep], pa.int64()),
+        count_col: pa.array(cnt[keep], pa.int64()),
+        "logprob": pa.array(round6(sums[keep] / cnt[keep]), pa.float64()),
+    })
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from raysearch.pipelines.textops import md5_prefix_ints
 
-        doc_idx, w1, bg = _doc_bigrams(batch)
-        n_docs = batch.num_rows
-        if len(bg) == 0:
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "n_bigrams": pa.array([], pa.int64()),
-                             "logprob": pa.array([], pa.float64())})
-        look = _lookup_capped if self.capped else _lookup
-        lp = np.log(
-            look(self.h2, self.n2, md5_prefix_ints(bg, _HASH_HEX))
-            / look(self.h1, self.n1, md5_prefix_ints(w1, _HASH_HEX)))
-        if self.capped:
-            # a dropped bigram over a kept frequent w1 already reads
-            # ln(1/c1) < 0, but a dropped bigram over a dropped w1
-            # would read ln(1/1) = 0 and a kept bigram over a dropped
-            # w1 could read > 0 — impossible under the exact model
-            # (c2 <= c1 always), so clamp preserves the invariant
-            lp = np.minimum(lp, 0.0)
-        sums = np.zeros(n_docs)
-        np.add.at(sums, doc_idx, lp)
-        cnt = np.zeros(n_docs, dtype=np.int64)
-        np.add.at(cnt, doc_idx, 1)
-        keep = cnt > 0
-        doc_ids = batch["doc_id"].to_numpy()[keep]
-        return pa.table({
-            "doc_id": pa.array(doc_ids, pa.int64()),
-            "n_bigrams": pa.array(cnt[keep], pa.int64()),
-            "logprob": pa.array(round6(sums[keep] / cnt[keep]),
-                                pa.float64()),
-        })
+def _score_docs(sf_dir: str, model_ref, capped: bool,
+                order: int) -> pa.Table:
+    """Every document of ``sf_dir`` through _ngram_logprob."""
+    return pa.concat_tables(_read_docs(sf_dir).map_batches(
+        _ngram_logprob,
+        fn_kwargs={"model_ref": model_ref, "capped": capped,
+                   "order": order},
+        batch_format="pyarrow", zero_copy_batch=True,
+    ).iter_batches(batch_format="pyarrow"))
 
 
 def bigram_logprob(sf_dir: str,
                    vocab_cap: int | None = None) -> pa.Table:
-    """(doc_id, n_bigrams, logprob): mean ln c2(w1w2)/c1(w1) per doc.
-    Scoring runs as an autoscaling actor pool (never fixed-size: a
-    fixed pool equal to session CPUs starves the upstream read).
-    ``vocab_cap`` bounds the broadcast model at cap grams per kind
-    (constant bytes at any corpus scale; default None = exact)."""
-    model_ref = _train(sf_dir, vocab_cap=vocab_cap)
-
-    out = _read_docs(sf_dir).map_batches(
-        BigramScorer,
-        fn_constructor_kwargs={"model_ref": model_ref,
-                               "capped": vocab_cap is not None},
-        batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=(1, 8), num_cpus=1)
-    return pa.concat_tables(out.iter_batches(batch_format="pyarrow"))
+    """(doc_id, n_bigrams, logprob): mean ln c2(w1w2)/c1(w1) per doc,
+    scored by _ngram_logprob over the broadcast model. ``vocab_cap``
+    bounds the broadcast model at cap grams per kind (constant bytes
+    at any corpus scale; default None = exact)."""
+    return _score_docs(sf_dir, _train(sf_dir, vocab_cap=vocab_cap),
+                       vocab_cap is not None, 2)
 
 
 def bigram_score_ctes() -> str:
     """The t/b/c2/c1/s bigram-scoring CTE chain — the ONE SQL source
     of the LM score, composed by sql_bigram_logprob AND by
     perplexity.sql_perplexity_buckets so the two oracles can never
-    drift from each other (the engines already share BigramScorer)."""
+    drift from each other (the engines already share _ngram_logprob)."""
     return r"""t AS (SELECT doc_id, regexp_extract_all(lower(text), '\S+') AS toks
            FROM documents),
 b AS (
@@ -322,46 +325,6 @@ def _train3(sf_dir: str, vocab_cap: int | None = None):
     return ray.put((h1, n1, h2, n2))
 
 
-class TrigramScorer:
-    """Actor-pool scoring stage for the trigram model: broadcast
-    model ray.get ONCE per actor (zero-copy numpy views)."""
-
-    def __init__(self, model_ref, capped: bool = False) -> None:
-        import ray
-
-        self.h1, self.n1, self.h2, self.n2 = ray.get(model_ref)
-        self.capped = capped
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from raysearch.pipelines.textops import md5_prefix_ints
-
-        doc_idx, ctx, tg = _doc_trigrams(batch)
-        n_docs = batch.num_rows
-        if len(tg) == 0:
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "n_trigrams": pa.array([], pa.int64()),
-                             "logprob": pa.array([], pa.float64())})
-        look = _lookup_capped if self.capped else _lookup
-        lp = np.log(
-            look(self.h2, self.n2, md5_prefix_ints(tg, _HASH_HEX))
-            / look(self.h1, self.n1,
-                   md5_prefix_ints(ctx, _HASH_HEX)))
-        if self.capped:
-            lp = np.minimum(lp, 0.0)  # c3 <= c2ctx under the exact model
-        sums = np.zeros(n_docs)
-        np.add.at(sums, doc_idx, lp)
-        cnt = np.zeros(n_docs, dtype=np.int64)
-        np.add.at(cnt, doc_idx, 1)
-        keep = cnt > 0
-        doc_ids = batch["doc_id"].to_numpy()[keep]
-        return pa.table({
-            "doc_id": pa.array(doc_ids, pa.int64()),
-            "n_trigrams": pa.array(cnt[keep], pa.int64()),
-            "logprob": pa.array(round6(sums[keep] / cnt[keep]),
-                                pa.float64()),
-        })
-
-
 def trigram_logprob(sf_dir: str,
                     vocab_cap: int | None = None) -> pa.Table:
     """(doc_id, n_trigrams, logprob): mean ln c3(w1w2w3)/c2(w1w2 as
@@ -372,15 +335,8 @@ def trigram_logprob(sf_dir: str,
     Docs with < 3 tokens are excluded on both sides. ``vocab_cap``
     bounds the broadcast model at cap grams per kind (constant bytes
     at any corpus scale; default None = exact)."""
-    model_ref = _train3(sf_dir, vocab_cap=vocab_cap)
-
-    out = _read_docs(sf_dir).map_batches(
-        TrigramScorer,
-        fn_constructor_kwargs={"model_ref": model_ref,
-                               "capped": vocab_cap is not None},
-        batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=(1, 8), num_cpus=1)
-    return pa.concat_tables(out.iter_batches(batch_format="pyarrow"))
+    return _score_docs(sf_dir, _train3(sf_dir, vocab_cap=vocab_cap),
+                       vocab_cap is not None, 3)
 
 
 def sql_trigram_logprob() -> str:

@@ -1,20 +1,21 @@
 """Multimodal columns: opaque ``binary`` payloads with typed metadata,
-processed by actor-pool map_batches stages.
+processed by plain function map_batches stages.
 
-Two decode paths are REAL with no external codec library: PPMDecoder
+Two decode paths are REAL with no external codec library: ppm_decode
 parses binary P6 PPM images (header from the payload, raw RGB pixels
-in numpy) and WavDecoder reads RIFF/WAVE 16-bit PCM through the
+in numpy) and wav_batch reads RIFF/WAVE 16-bit PCM through the
 stdlib ``wave`` module. Compressed formats (JPEG/PNG/MP3/...) need
 libraries this environment lacks, so THAT kernel stays stubbed
 (deterministic fake, or NotImplementedError in strict mode) — while
 everything Ray-side is real and tested: the binary-column schema,
-small-batch sizing for wide rows, the actor signature (codec "loaded"
-once in __init__), and the output layout (one metadata row per
-payload, features as a fixed-width list<float> column).
+small-batch sizing for wide rows, and the output layout (one metadata
+row per payload, features as a fixed-width list<float> column). No
+stage holds state worth an actor, so none pins a CPU the upstream
+read needs.
 
 ``blob_meta`` is the exactly-checkable slice of this: payload byte
-length + sha256 computed by the same actor-pool stage shape, with a
-DuckDB oracle (octet_length / sha256).
+length + sha256 computed by the same decode stage, with a DuckDB
+oracle (octet_length / sha256).
 """
 
 from __future__ import annotations
@@ -36,62 +37,52 @@ MEDIA_SCHEMA = pa.schema([
 FEATURE_DIM = 16
 
 
-class MediaDecoder:
-    """Actor-pool stage for binary media columns.
-
-    strict=False (default) uses a deterministic fake decode so the
-    pipeline plumbing is fully testable; strict=True raises
-    NotImplementedError where a real codec (PIL / torchaudio / ffmpeg)
-    would be called — the seam to swap in when the libs exist.
-    """
-
-    def __init__(self, strict: bool = False, feature_dim: int = FEATURE_DIM):
-        self.strict = strict
-        self.feature_dim = feature_dim
-        # real impl would load the codec/model ONCE here (per actor)
-
-    def decode(self, payload: bytes, media_type: str) -> np.ndarray:
-        if self.strict:
-            raise NotImplementedError(
-                "media codecs are not available in this environment; "
-                "plug a real decoder here")
-        # deterministic fake: sha256 bytes -> fixed-width float features
-        h = hashlib.sha256(payload).digest()
-        raw = np.frombuffer((h * ((4 * self.feature_dim) // len(h) + 1))
-                            [: 4 * self.feature_dim], dtype=np.uint32)
-        return (raw.astype(np.float64) / np.float64(2**32)).astype(np.float32)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch["payload"].to_pylist()
-        types = batch["media_type"].to_pylist()
-        feats = [self.decode(p, t) for p, t in zip(payloads, types)]
-        return pa.table({
-            "media_id": batch["media_id"],
-            "media_type": batch["media_type"],
-            "n_bytes": pa.array([len(p) for p in payloads], pa.int64()),
-            "sha256": pa.array(
-                [hashlib.sha256(p).hexdigest() for p in payloads],
-                pa.string()),
-            "features": pa.array([f.tolist() for f in feats],
-                                 pa.list_(pa.float32(), FEATURE_DIM)),
-        })
+def decode_payload(payload: bytes, media_type: str,
+                   strict: bool = False) -> np.ndarray:
+    """One payload's fixed-width float features. strict=False (default)
+    is a deterministic fake decode so the pipeline plumbing is fully
+    testable; strict=True raises NotImplementedError where a real
+    codec (PIL / torchaudio / ffmpeg, chosen by ``media_type``) would
+    be called — the seam to swap in when the libs exist."""
+    if strict:
+        raise NotImplementedError(
+            "media codecs are not available in this environment; "
+            "plug a real decoder here")
+    # deterministic fake: sha256 bytes -> fixed-width float features
+    h = hashlib.sha256(payload).digest()
+    raw = np.frombuffer((h * ((4 * FEATURE_DIM) // len(h) + 1))
+                        [: 4 * FEATURE_DIM], dtype=np.uint32)
+    return (raw.astype(np.float64) / np.float64(2**32)).astype(np.float32)
 
 
-def decode_media(ds, concurrency: int = 4, batch_size: int = 64,
-                 strict: bool = False):
+def decode_batch(batch: pa.Table, strict: bool = False) -> pa.Table:
+    """The decode stage over a MEDIA_SCHEMA batch: one metadata row
+    per payload, features as a fixed-width list<float> column."""
+    payloads = batch["payload"].to_pylist()
+    types = batch["media_type"].to_pylist()
+    feats = [decode_payload(p, t, strict) for p, t in zip(payloads, types)]
+    return pa.table({
+        "media_id": batch["media_id"],
+        "media_type": batch["media_type"],
+        "n_bytes": pa.array([len(p) for p in payloads], pa.int64()),
+        "sha256": pa.array(
+            [hashlib.sha256(p).hexdigest() for p in payloads],
+            pa.string()),
+        "features": pa.array([f.tolist() for f in feats],
+                             pa.list_(pa.float32(), FEATURE_DIM)),
+    })
+
+
+def decode_media(ds, batch_size: int = 64, strict: bool = False):
     """Run the decode stage: small batch_size because payloads are
-    wide; actor pool so codec init happens once per worker. The pool
-    autoscales from 1 so it can never reserve every session CPU and
-    starve the upstream read (the 4-CPU deadlock)."""
-    return ds.map_batches(
-        MediaDecoder, fn_constructor_kwargs={"strict": strict},
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=(1, concurrency), num_cpus=1)
+    wide."""
+    return ds.map_batches(decode_batch, fn_kwargs={"strict": strict},
+                          batch_format="pyarrow", batch_size=batch_size)
 
 
 def blob_meta(sf_dir: str) -> pa.Table:
     """Treat each document's text as an opaque binary payload and run
-    it through the media actor-pool stage: (doc_id, n_bytes, sha256)."""
+    it through the media decode stage: (doc_id, n_bytes, sha256)."""
     import ray.data
 
     def to_media(b: pa.Table) -> pa.Table:
@@ -107,7 +98,7 @@ def blob_meta(sf_dir: str) -> pa.Table:
                                columns=["doc_id", "text"])
     out = decode_media(ds.map_batches(to_media, batch_format="pyarrow",
                                       zero_copy_batch=True),
-                       concurrency=2, batch_size=128)
+                       batch_size=128)
     tbl = pa.concat_tables(out.iter_batches(batch_format="pyarrow"))
     return pa.table({
         "doc_id": tbl["media_id"],
@@ -116,77 +107,78 @@ def blob_meta(sf_dir: str) -> pa.Table:
     })
 
 
-class PPMDecoder:
+def _ppm_header(p: bytes) -> tuple[int, int, int, int]:
+    """Parse (width, height, maxval, pixel_offset) from a P6 header.
+    Raises ValueError on malformed payloads."""
+    toks, i, n = [], 0, len(p)
+    while len(toks) < 4 and i < n:
+        c = p[i:i + 1]
+        if c in (b"#",):
+            while i < n and p[i:i + 1] != b"\n":
+                i += 1
+        elif c in (b" ", b"\t", b"\r", b"\n"):
+            i += 1
+        else:
+            j = i
+            while j < n and p[j:j + 1] not in (b" ", b"\t", b"\r",
+                                               b"\n"):
+                j += 1
+            toks.append(p[i:j])
+            i = j
+    if len(toks) < 4 or toks[0] != b"P6":
+        raise ValueError("not a binary P6 PPM payload")
+    w, h, maxval = int(toks[1]), int(toks[2]), int(toks[3])
+    return w, h, maxval, i + 1  # single whitespace after maxval
+
+
+def ppm_decode(payload: bytes) -> tuple[int, int, np.ndarray]:
     """REAL image decode — no codec library needed: binary P6 PPM is
     a whitespace-tokenized header (magic, width, height, maxval;
     ``#`` comments allowed) followed by raw h*w*3 RGB bytes, so numpy
     alone decodes actual pixels. This closes the decode seam for one
     real format; compressed formats (JPEG/PNG/...) keep the
-    strict-mode stub in MediaDecoder. Same actor-pool shape: header
-    parser built once per actor, per-batch decode vectorized after
-    the (tiny) header scan."""
+    strict-mode stub in decode_payload. Returns (width, height,
+    pixels[h, w, 3])."""
+    w, h, maxval, off = _ppm_header(payload)
+    if w <= 0 or h <= 0:
+        raise ValueError(f"invalid PPM dimensions {w}x{h}")
+    if not 0 < maxval <= 255:
+        # maxval > 255 means 2-byte big-endian samples (spec);
+        # reading them as uint8 would silently produce garbage
+        raise ValueError(
+            f"unsupported PPM maxval {maxval} (8-bit only)")
+    need = w * h * 3
+    if len(payload) - off < need:
+        raise ValueError("truncated PPM pixel data")
+    px = np.frombuffer(payload, np.uint8, count=need, offset=off)
+    return w, h, px.reshape(h, w, 3)
 
-    _WS = b" \t\r\n"
 
-    def _header(self, p: bytes) -> tuple[int, int, int, int]:
-        """Parse (width, height, maxval, pixel_offset) from a P6
-        header. Raises ValueError on malformed payloads."""
-        toks, i, n = [], 0, len(p)
-        while len(toks) < 4 and i < n:
-            c = p[i:i + 1]
-            if c in (b"#",):
-                while i < n and p[i:i + 1] != b"\n":
-                    i += 1
-            elif c in (b" ", b"\t", b"\r", b"\n"):
-                i += 1
-            else:
-                j = i
-                while j < n and p[j:j + 1] not in (b" ", b"\t", b"\r",
-                                                   b"\n"):
-                    j += 1
-                toks.append(p[i:j])
-                i = j
-        if len(toks) < 4 or toks[0] != b"P6":
-            raise ValueError("not a binary P6 PPM payload")
-        w, h, maxval = int(toks[1]), int(toks[2]), int(toks[3])
-        return w, h, maxval, i + 1  # single whitespace after maxval
+def ppm_batch(batch: pa.Table, step: int = 1) -> pa.Table:
+    """The image stage: per payload, the dims and per-channel pixel
+    means of the decoded image — or, with ``step`` 2, of its
+    nearest-neighbor 2x downsample (img[::2, ::2], reported as
+    out_w / out_h)."""
+    from raysearch.numutil import round6
 
-    def decode(self, payload: bytes) -> tuple[int, int, np.ndarray]:
-        w, h, maxval, off = self._header(payload)
-        if w <= 0 or h <= 0:
-            raise ValueError(f"invalid PPM dimensions {w}x{h}")
-        if not 0 < maxval <= 255:
-            # maxval > 255 means 2-byte big-endian samples (spec);
-            # reading them as uint8 would silently produce garbage
-            raise ValueError(
-                f"unsupported PPM maxval {maxval} (8-bit only)")
-        need = w * h * 3
-        if len(payload) - off < need:
-            raise ValueError("truncated PPM pixel data")
-        px = np.frombuffer(payload, np.uint8, count=need, offset=off)
-        return w, h, px.reshape(h, w, 3)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from raysearch.numutil import round6
-
-        ids, ws, hs, means = [], [], [], []
-        for mid, p in zip(batch["media_id"].to_pylist(),
-                          batch["payload"].to_pylist()):
-            w, h, img = self.decode(p)
-            ids.append(mid)
-            ws.append(w)
-            hs.append(h)
-            means.append(round6(img.astype(np.float64)
-                                .mean(axis=(0, 1))))
-        m = np.asarray(means, np.float64).reshape(len(ids), 3)
-        return pa.table({
-            "doc_id": pa.array(ids, pa.int64()),
-            "width": pa.array(ws, pa.int64()),
-            "height": pa.array(hs, pa.int64()),
-            "mean_r": pa.array(m[:, 0], pa.float64()),
-            "mean_g": pa.array(m[:, 1], pa.float64()),
-            "mean_b": pa.array(m[:, 2], pa.float64()),
-        })
+    ids, ws, hs, means = [], [], [], []
+    for mid, p in zip(batch["media_id"].to_pylist(),
+                      batch["payload"].to_pylist()):
+        img = ppm_decode(p)[2][::step, ::step]
+        ids.append(mid)
+        hs.append(img.shape[0])
+        ws.append(img.shape[1])
+        means.append(round6(img.astype(np.float64).mean(axis=(0, 1))))
+    m = np.asarray(means, np.float64).reshape(len(ids), 3)
+    w_col, h_col = ("width", "height") if step == 1 else ("out_w", "out_h")
+    return pa.table({
+        "doc_id": pa.array(ids, pa.int64()),
+        w_col: pa.array(ws, pa.int64()),
+        h_col: pa.array(hs, pa.int64()),
+        "mean_r": pa.array(m[:, 0], pa.float64()),
+        "mean_g": pa.array(m[:, 1], pa.float64()),
+        "mean_b": pa.array(m[:, 2], pa.float64()),
+    })
 
 
 def _ppm_payloads(b: pa.Table) -> pa.Table:
@@ -214,7 +206,7 @@ def _ppm_payloads(b: pa.Table) -> pa.Table:
 def ppm_stats(sf_dir: str) -> pa.Table:
     """Real-decode image statistics: each document becomes a valid
     binary P6 PPM (dims from doc_id, pixels tiled from the text
-    bytes), the PPMDecoder actor pool parses the HEADER FROM THE
+    bytes), the ppm_batch stage parses the HEADER FROM THE
     PAYLOAD (it never sees the dims out-of-band) and reports
     per-channel pixel means. The DuckDB oracle recomputes the same
     means from the tiling rule under the module's ASCII corpus
@@ -225,8 +217,8 @@ def ppm_stats(sf_dir: str) -> pa.Table:
                                columns=["doc_id", "text"])
     out = (ds.map_batches(_ppm_payloads, batch_format="pyarrow",
                           zero_copy_batch=True)
-           .map_batches(PPMDecoder, batch_format="pyarrow",
-                        batch_size=128, concurrency=(1, 4), num_cpus=1))
+           .map_batches(ppm_batch, batch_format="pyarrow",
+                        batch_size=128))
     return (pa.concat_tables(out.iter_batches(batch_format="pyarrow"))
             .sort_by([("doc_id", "ascending")]))
 
@@ -266,36 +258,12 @@ def ppm_resize(sf_dir: str) -> pa.Table:
     from the tiling rule and averages the same bytes."""
     import ray.data
 
-    from raysearch.numutil import round6
-
-    class _Resizer(PPMDecoder):
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids, ws, hs, means = [], [], [], []
-            for mid, p in zip(batch["media_id"].to_pylist(),
-                              batch["payload"].to_pylist()):
-                _, _, img = self.decode(p)
-                small = img[::2, ::2]
-                ids.append(mid)
-                hs.append(small.shape[0])
-                ws.append(small.shape[1])
-                means.append(round6(small.astype(np.float64)
-                                    .mean(axis=(0, 1))))
-            m = np.asarray(means, np.float64).reshape(len(ids), 3)
-            return pa.table({
-                "doc_id": pa.array(ids, pa.int64()),
-                "out_w": pa.array(ws, pa.int64()),
-                "out_h": pa.array(hs, pa.int64()),
-                "mean_r": pa.array(m[:, 0], pa.float64()),
-                "mean_g": pa.array(m[:, 1], pa.float64()),
-                "mean_b": pa.array(m[:, 2], pa.float64()),
-            })
-
     ds = ray.data.read_parquet(os.path.join(sf_dir, _DOCS),
                                columns=["doc_id", "text"])
     out = (ds.map_batches(_ppm_payloads, batch_format="pyarrow",
                           zero_copy_batch=True)
-           .map_batches(_Resizer, batch_format="pyarrow",
-                        batch_size=128, concurrency=(1, 4), num_cpus=1))
+           .map_batches(ppm_batch, fn_kwargs={"step": 2},
+                        batch_format="pyarrow", batch_size=128))
     return (pa.concat_tables(out.iter_batches(batch_format="pyarrow"))
             .sort_by([("doc_id", "ascending")]))
 
@@ -331,51 +299,48 @@ GROUP BY doc_id ORDER BY doc_id
 WAV_BASE_SAMPLES = 400
 
 
-class WavDecoder:
+def wav_batch(batch: pa.Table) -> pa.Table:
     """REAL audio decode via the stdlib ``wave`` module — a genuine
     RIFF/WAVE parser, no external codec: per payload it reads the
     header (channels, sample rate, frame count) and the 16-bit PCM
-    frames, and reports the RMS amplitude. Same actor-pool stage
-    shape as the image decoders."""
+    frames, and reports the RMS amplitude."""
+    import io
+    import wave
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import io
-        import wave
+    from raysearch.numutil import round6
 
-        from raysearch.numutil import round6
-
-        ids, rates, frames, rms = [], [], [], []
-        for mid, p in zip(batch["media_id"].to_pylist(),
-                          batch["payload"].to_pylist()):
-            with wave.open(io.BytesIO(p)) as w:
-                if w.getnchannels() != 1 or w.getsampwidth() != 2:
-                    # reinterpreting stereo/8-bit frames as mono int16
-                    # would yield a silently wrong RMS — fail loudly
-                    # (same contract as PPMDecoder's ValueError)
-                    raise ValueError(
-                        f"unsupported WAV layout: channels="
-                        f"{w.getnchannels()} sampwidth="
-                        f"{w.getsampwidth()} (mono 16-bit only)")
-                n = w.getnframes()
-                pcm = np.frombuffer(w.readframes(n), np.int16)
-            ids.append(mid)
-            rates.append(w.getframerate())
-            frames.append(n)
-            rms.append(round6(float(np.sqrt(
-                np.mean(pcm.astype(np.float64) ** 2)))))
-        return pa.table({
-            "doc_id": pa.array(ids, pa.int64()),
-            "sample_rate": pa.array(rates, pa.int64()),
-            "n_frames": pa.array(frames, pa.int64()),
-            "rms": pa.array(rms, pa.float64()),
-        })
+    ids, rates, frames, rms = [], [], [], []
+    for mid, p in zip(batch["media_id"].to_pylist(),
+                      batch["payload"].to_pylist()):
+        with wave.open(io.BytesIO(p)) as w:
+            if w.getnchannels() != 1 or w.getsampwidth() != 2:
+                # reinterpreting stereo/8-bit frames as mono int16
+                # would yield a silently wrong RMS — fail loudly
+                # (same contract as ppm_decode's ValueError)
+                raise ValueError(
+                    f"unsupported WAV layout: channels="
+                    f"{w.getnchannels()} sampwidth="
+                    f"{w.getsampwidth()} (mono 16-bit only)")
+            n = w.getnframes()
+            pcm = np.frombuffer(w.readframes(n), np.int16)
+        ids.append(mid)
+        rates.append(w.getframerate())
+        frames.append(n)
+        rms.append(round6(float(np.sqrt(
+            np.mean(pcm.astype(np.float64) ** 2)))))
+    return pa.table({
+        "doc_id": pa.array(ids, pa.int64()),
+        "sample_rate": pa.array(rates, pa.int64()),
+        "n_frames": pa.array(frames, pa.int64()),
+        "rms": pa.array(rms, pa.float64()),
+    })
 
 
 def wav_stats(sf_dir: str) -> pa.Table:
     """Real-decode audio statistics: each document becomes a valid
     mono 16-bit PCM WAV (rate and length from doc_id, samples
-    (byte - 128) * 256 tiled from the text bytes), the WavDecoder
-    actor pool parses the RIFF header FROM the payload via the stdlib
+    (byte - 128) * 256 tiled from the text bytes), the wav_batch
+    stage parses the RIFF header FROM the payload via the stdlib
     wave module and reports rate / frame count / RMS. Oracle
     recomputes RMS from the tiling rule (exact-integer squares under
     float64, ASCII corpus contract)."""
@@ -413,8 +378,8 @@ def wav_stats(sf_dir: str) -> pa.Table:
                                columns=["doc_id", "text"])
     out = (ds.map_batches(to_wav, batch_format="pyarrow",
                           zero_copy_batch=True)
-           .map_batches(WavDecoder, batch_format="pyarrow",
-                        batch_size=128, concurrency=(1, 4), num_cpus=1))
+           .map_batches(wav_batch, batch_format="pyarrow",
+                        batch_size=128))
     return (pa.concat_tables(out.iter_batches(batch_format="pyarrow"))
             .sort_by([("doc_id", "ascending")]))
 
@@ -518,57 +483,51 @@ FROM f
 HEADER_BYTES = 8
 
 
-class HeaderParser:
-    """Actor-pool stage: EXIF-style fixed-header parse over the opaque
-    binary payload column — the exactly-checkable slice of real media
-    ingestion (magic/version/flags live at fixed offsets in every
-    container format; no codec needed to read them). Parsing is
-    vectorized: the first HEADER_BYTES of every payload concatenate
-    into ONE flat uint8 matrix, fields come out as numpy bit-shifts."""
-
-    def __init__(self, header_bytes: int = HEADER_BYTES):
-        self.header_bytes = header_bytes
-        # a real container parser would mmap its magic tables ONCE here
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        hb = self.header_bytes
-        payloads = batch["payload"].to_pylist()
-        ids = batch["media_id"].to_numpy()
-        keep = [i for i, p in enumerate(payloads) if len(p) >= hb]
-        if not keep:
-            return pa.table({
-                "doc_id": pa.array([], pa.int64()),
-                "magic": pa.array([], pa.int64()),
-                "version": pa.array([], pa.int64()),
-                "flags": pa.array([], pa.int64()),
-                "body_len": pa.array([], pa.int64()),
-                "header_hex": pa.array([], pa.string())})
-        heads = b"".join(payloads[i][:hb] for i in keep)
-        arr = np.frombuffer(heads, np.uint8).reshape(-1, hb)
-        a64 = arr.astype(np.int64)
-        magic = ((a64[:, 0] << 24) | (a64[:, 1] << 16)
-                 | (a64[:, 2] << 8) | a64[:, 3])
+def parse_headers(batch: pa.Table) -> pa.Table:
+    """EXIF-style fixed-header parse over the opaque binary payload
+    column — the exactly-checkable slice of real media ingestion
+    (magic/version/flags live at fixed offsets in every container
+    format; no codec needed to read them). Parsing is vectorized: the
+    first HEADER_BYTES of every payload concatenate into ONE flat
+    uint8 matrix, fields come out as numpy bit-shifts."""
+    hb = HEADER_BYTES
+    payloads = batch["payload"].to_pylist()
+    ids = batch["media_id"].to_numpy()
+    keep = [i for i, p in enumerate(payloads) if len(p) >= hb]
+    if not keep:
         return pa.table({
-            "doc_id": pa.array(ids[keep].astype(np.int64), pa.int64()),
-            "magic": pa.array(magic, pa.int64()),
-            "version": pa.array(a64[:, 4], pa.int64()),
-            "flags": pa.array(a64[:, 5], pa.int64()),
-            "body_len": pa.array(
-                np.array([len(payloads[i]) - hb for i in keep],
-                         np.int64), pa.int64()),
-            "header_hex": pa.array(
-                [payloads[i][:hb].hex() for i in keep], pa.string()),
-        })
+            "doc_id": pa.array([], pa.int64()),
+            "magic": pa.array([], pa.int64()),
+            "version": pa.array([], pa.int64()),
+            "flags": pa.array([], pa.int64()),
+            "body_len": pa.array([], pa.int64()),
+            "header_hex": pa.array([], pa.string())})
+    heads = b"".join(payloads[i][:hb] for i in keep)
+    arr = np.frombuffer(heads, np.uint8).reshape(-1, hb)
+    a64 = arr.astype(np.int64)
+    magic = ((a64[:, 0] << 24) | (a64[:, 1] << 16)
+             | (a64[:, 2] << 8) | a64[:, 3])
+    return pa.table({
+        "doc_id": pa.array(ids[keep].astype(np.int64), pa.int64()),
+        "magic": pa.array(magic, pa.int64()),
+        "version": pa.array(a64[:, 4], pa.int64()),
+        "flags": pa.array(a64[:, 5], pa.int64()),
+        "body_len": pa.array(
+            np.array([len(payloads[i]) - hb for i in keep],
+                     np.int64), pa.int64()),
+        "header_hex": pa.array(
+            [payloads[i][:hb].hex() for i in keep], pa.string()),
+    })
 
 
 def media_header(sf_dir: str) -> pa.Table:
     """Fixed-header parse of every document payload (>= 8 bytes):
     big-endian uint32 magic from bytes 0-3, version byte 4, flags
     byte 5, body_len = payload length - 8, and the 8-byte header as
-    lowercase hex — the same actor-pool stage shape as MediaDecoder
-    but with a full DuckDB byte-arithmetic oracle (engine parses
-    BYTES, the oracle parses CHARACTER CODES — equal under the
-    documented ASCII corpus contract, textops module docstring)."""
+    lowercase hex — the same stage shape as decode_batch but with a
+    full DuckDB byte-arithmetic oracle (engine parses BYTES, the
+    oracle parses CHARACTER CODES — equal under the documented ASCII
+    corpus contract, textops module docstring)."""
     import ray.data
 
     def to_media(b: pa.Table) -> pa.Table:
@@ -583,9 +542,8 @@ def media_header(sf_dir: str) -> pa.Table:
                                columns=["doc_id", "text"])
     out = (ds.map_batches(to_media, batch_format="pyarrow",
                           zero_copy_batch=True)
-           .map_batches(HeaderParser, batch_format="pyarrow",
-                        batch_size=128, concurrency=(1, 2),
-                        num_cpus=1))
+           .map_batches(parse_headers, batch_format="pyarrow",
+                        batch_size=128))
     tbl = pa.concat_tables(out.iter_batches(batch_format="pyarrow"))
     return tbl.sort_by([("doc_id", "ascending")])
 

@@ -11,13 +11,13 @@ Two passes over the documents table, both budget-clean at 100 TB:
    plus per-class doc counts; ONE (kind, class, token) groupby merges
    them. The model is (class, token) counts + per-class token totals
    + per-class doc priors + the global vocab size: vocab x classes
-   cardinality, broadcast ONCE via ray.put and ray.get per actor
+   cardinality, broadcast ONCE via ray.put and ray.get per batch
    (zero-copy). At open-vocabulary scale pass ``vocab_cap=K`` — the
    likelihood tables keep the exact top-K tokens per class while the
    smoothing scalars (tot_c, V) stay exact, so model bytes are
    constant in corpus size (see _train_nb); this corpus's vocabulary
    is tiny, so the default is the exact model.
-2. CLASSIFY — an actor-pool map pass scores every document against
+2. CLASSIFY — a plain function map pass scores every document against
    every class with add-one (Laplace) smoothing,
    score(d, c) = ln P(c) + sum_tok tf * ln((n_tc + 1) / (tot_c + V)),
    vectorized per batch (one md5-hash per unique token, one
@@ -208,62 +208,57 @@ def _class_counts(h_sorted: np.ndarray, n: np.ndarray,
     return out
 
 
-class NBClassifier:
-    """Actor-pool classify stage: model ray.get ONCE per actor."""
+def _nb_confusion(batch: pa.Table, model_ref) -> pa.Table:
+    """The classify stage: (true_lang, pred_lang, n) counts of one
+    batch under the broadcast model. A plain function stage that
+    ray.gets the model ref itself (Ray Data does not resolve refs in
+    fn_kwargs)."""
+    import ray
 
-    def __init__(self, model_ref) -> None:
-        import ray
-
-        (self.classes, self.per_class, self.priors,
-         self.vocab) = ray.get(model_ref)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        toks = _tokens(batch)
-        flat = toks.flatten().to_numpy(zero_copy_only=False)
-        parents = _list_parents(toks)
-        n_rows = batch.num_rows
-        if not len(flat) or not self.classes:
-            return pa.table({"true_lang": pa.array([], pa.string()),
-                             "pred_lang": pa.array([], pa.string()),
-                             "n": pa.array([], pa.int64())})
-        # candidate classes = those with >= 1 training token: the
-        # oracle's inner JOIN ctot drops token-less classes from the
-        # candidate set entirely, so a class nobody could have trained
-        # a likelihood for must never win the argmax here either
-        cand = [ci for ci in range(len(self.classes))
-                if self.per_class[ci][2] > 0]
-        if not cand:
-            return pa.table({"true_lang": pa.array([], pa.string()),
-                             "pred_lang": pa.array([], pa.string()),
-                             "n": pa.array([], pa.int64())})
-        h = md5_prefix_ints(flat, _HASH_HEX)
-        scores = np.empty((n_rows, len(cand)), np.float64)
-        for k, ci in enumerate(cand):
-            hc, nc, tot = self.per_class[ci]
-            lp = np.log((_class_counts(hc, nc, h) + 1.0)
-                        / (tot + self.vocab))
-            col = np.zeros(n_rows, np.float64)
-            np.add.at(col, parents, lp)
-            scores[:, k] = col + np.log(self.priors[ci])
-        # rounded argmax, ties to the smallest class name (classes are
-        # sorted, argmax keeps the first max) — the oracle's
-        # (round6 DESC, cand ASC) row_number order
-        pred = np.argmax(round6(scores), axis=1)
-        ntok = np.zeros(n_rows, np.int64)
-        np.add.at(ntok, parents, 1)
-        keep = ntok > 0                     # token-less docs unscored
-        labels = np.asarray(batch[NB_LABEL].to_pylist(), dtype=object)
-        cand_names = np.array([self.classes[ci] for ci in cand],
-                              object)
-        pair = labels[keep] + "\x1f" + cand_names[pred[keep]]
-        up, nn = np.unique(pair, return_counts=True)
-        tl = [p.split("\x1f", 1)[0] for p in up]
-        pl = [p.split("\x1f", 1)[1] for p in up]
-        return pa.table({
-            "true_lang": pa.array(tl, pa.string()),
-            "pred_lang": pa.array(pl, pa.string()),
-            "n": pa.array(nn.astype(np.int64), pa.int64()),
-        })
+    classes, per_class, priors, vocab = ray.get(model_ref)
+    toks = _tokens(batch)
+    flat = toks.flatten().to_numpy(zero_copy_only=False)
+    parents = _list_parents(toks)
+    n_rows = batch.num_rows
+    if not len(flat) or not classes:
+        return pa.table({"true_lang": pa.array([], pa.string()),
+                         "pred_lang": pa.array([], pa.string()),
+                         "n": pa.array([], pa.int64())})
+    # candidate classes = those with >= 1 training token: the
+    # oracle's inner JOIN ctot drops token-less classes from the
+    # candidate set entirely, so a class nobody could have trained
+    # a likelihood for must never win the argmax here either
+    cand = [ci for ci in range(len(classes)) if per_class[ci][2] > 0]
+    if not cand:
+        return pa.table({"true_lang": pa.array([], pa.string()),
+                         "pred_lang": pa.array([], pa.string()),
+                         "n": pa.array([], pa.int64())})
+    h = md5_prefix_ints(flat, _HASH_HEX)
+    scores = np.empty((n_rows, len(cand)), np.float64)
+    for k, ci in enumerate(cand):
+        hc, nc, tot = per_class[ci]
+        lp = np.log((_class_counts(hc, nc, h) + 1.0) / (tot + vocab))
+        col = np.zeros(n_rows, np.float64)
+        np.add.at(col, parents, lp)
+        scores[:, k] = col + np.log(priors[ci])
+    # rounded argmax, ties to the smallest class name (classes are
+    # sorted, argmax keeps the first max) — the oracle's
+    # (round6 DESC, cand ASC) row_number order
+    pred = np.argmax(round6(scores), axis=1)
+    ntok = np.zeros(n_rows, np.int64)
+    np.add.at(ntok, parents, 1)
+    keep = ntok > 0                     # token-less docs unscored
+    labels = np.asarray(batch[NB_LABEL].to_pylist(), dtype=object)
+    cand_names = np.array([classes[ci] for ci in cand], object)
+    pair = labels[keep] + "\x1f" + cand_names[pred[keep]]
+    up, nn = np.unique(pair, return_counts=True)
+    tl = [p.split("\x1f", 1)[0] for p in up]
+    pl = [p.split("\x1f", 1)[1] for p in up]
+    return pa.table({
+        "true_lang": pa.array(tl, pa.string()),
+        "pred_lang": pa.array(pl, pa.string()),
+        "n": pa.array(nn.astype(np.int64), pa.int64()),
+    })
 
 
 @fmt_doc(label=NB_LABEL)
@@ -272,7 +267,7 @@ def nb_lang_eval(sf_dir: str,
     """Multinomial-NB {label} classifier trained ON the corpus and
     evaluated against the labeled column: the confusion matrix
     (true_lang, pred_lang, n). Train = one counts pass + one groupby;
-    classify = actor-pool map with the broadcast model; the result
+    classify = a plain function map over the broadcast model; the result
     aggregate is classes^2-cardinality. ``vocab_cap`` bounds the
     broadcast likelihood tables at cap tokens per class with exact
     smoothing scalars (see _train_nb; default None = exact model,
@@ -281,10 +276,9 @@ def nb_lang_eval(sf_dir: str,
 
     model_ref = _train_nb(sf_dir, vocab_cap=vocab_cap)
     agg = (_read_docs(sf_dir)
-           .map_batches(NBClassifier,
-                        fn_constructor_kwargs={"model_ref": model_ref},
-                        batch_format="pyarrow", zero_copy_batch=True,
-                        concurrency=(1, 8), num_cpus=1)
+           .map_batches(_nb_confusion,
+                        fn_kwargs={"model_ref": model_ref},
+                        batch_format="pyarrow", zero_copy_batch=True)
            .groupby(["true_lang", "pred_lang"])
            .aggregate(Sum("n", alias_name="n"))).to_pandas()
     if "true_lang" not in agg.columns or not len(agg):

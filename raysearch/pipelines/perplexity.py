@@ -4,7 +4,7 @@ their language-model score — the standard corpus-quality partition a
 crawl pipeline applies before choosing what to train on.
 
 Composition: the score IS the bigram-LM mean log-probability from
-lm.bigram_logprob (same trained model, same actor-pool scorer, same
+lm.bigram_logprob (same trained model, same scoring stage, same
 round6 quantization — the score column here is bit-identical to that
 operator's). Thresholds are the per-language tertile ORDER STATISTICS
 of a deterministic hash sample, CCNet's own recipe (it fits its KenLM
@@ -22,8 +22,9 @@ percentile cutoffs on a sample too):
   head. A lang with NO sampled docs buckets everything 'tail'
   (deterministic on both sides via LEFT JOIN semantics).
 
-Scale shape: scoring is the existing autoscaling actor pool (model
-broadcast once per actor); sample rows are the only thing the driver
+Scale shape: scoring is bigram_logprob's plain function stage over
+the broadcast model (no actor pool, so a 1-CPU session never starves
+its read); sample rows are the only thing the driver
 fits thresholds on (cap-bounded); the threshold table is 2 floats per
 language — in a sink-shaped deployment the bucket pass is a map-only
 stage against that broadcast table. Docs with < 2 tokens have no
@@ -39,7 +40,7 @@ import pandas as pd
 import pyarrow as pa
 
 from raysearch.numutil import round6
-from raysearch.pipelines.lm import _DOCS, BigramScorer, _train
+from raysearch.pipelines.lm import _DOCS, _ngram_logprob, _train
 
 PPLB_RATE_MAX = 0.25
 PPLB_SAMPLE_CAP = 2_000_000
@@ -52,35 +53,29 @@ def _sample_rate(sf_dir: str) -> float:
     return round6(min(PPLB_RATE_MAX, PPLB_SAMPLE_CAP / n)) if n else 0.0
 
 
-class _LangScorer(BigramScorer):
-    """bigram scorer + the doc's lang and its sample-membership flag,
-    carried batch-locally (the parent's keep-filter is re-joined on
-    doc_id inside the batch)."""
+def _lang_scored(batch: pa.Table, model_ref, rate: float,
+                 capped: bool = False) -> pa.Table:
+    """bigram_logprob's scoring stage (lm._ngram_logprob) + the doc's
+    lang and its sample-membership flag, carried batch-locally (the
+    scorer's keep-filter is re-joined on doc_id inside the batch)."""
+    from raysearch.pipelines.textops import md5_prefix_ints
 
-    def __init__(self, model_ref, rate, capped: bool = False) -> None:
-        super().__init__(model_ref, capped=capped)
-        self.rate = rate
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from raysearch.pipelines.textops import md5_prefix_ints
-
-        out = super().__call__(batch).to_pandas()
-        meta = pd.DataFrame({
-            "doc_id": batch["doc_id"].to_numpy(),
-            "lang": batch["lang"].to_pylist()})
-        j = out.merge(meta, on="doc_id")
-        ids = j.doc_id.to_numpy(np.int64)
-        sid = np.array([str(int(i)) for i in ids], dtype=object)
-        h = md5_prefix_ints(sid, 11)
-        frac = (h.astype(np.float64) + 0.5) / float(1 << 44)
-        return pa.table({
-            "doc_id": pa.array(ids, pa.int64()),
-            "lang": pa.array(j.lang.tolist(), pa.string()),
-            "logprob": pa.array(j.logprob.to_numpy(np.float64),
-                                pa.float64()),
-            "samp": pa.array((frac < self.rate).astype(np.int8),
-                             pa.int8()),
-        })
+    out = _ngram_logprob(batch, model_ref, capped).to_pandas()
+    meta = pd.DataFrame({
+        "doc_id": batch["doc_id"].to_numpy(),
+        "lang": batch["lang"].to_pylist()})
+    j = out.merge(meta, on="doc_id")
+    ids = j.doc_id.to_numpy(np.int64)
+    sid = np.array([str(int(i)) for i in ids], dtype=object)
+    h = md5_prefix_ints(sid, 11)
+    frac = (h.astype(np.float64) + 0.5) / float(1 << 44)
+    return pa.table({
+        "doc_id": pa.array(ids, pa.int64()),
+        "lang": pa.array(j.lang.tolist(), pa.string()),
+        "logprob": pa.array(j.logprob.to_numpy(np.float64),
+                            pa.float64()),
+        "samp": pa.array((frac < rate).astype(np.int8), pa.int8()),
+    })
 
 
 def perplexity_buckets(sf_dir: str,
@@ -97,11 +92,10 @@ def perplexity_buckets(sf_dir: str,
     ds = ray.data.read_parquet(
         os.path.join(sf_dir, _DOCS),
         columns=["doc_id", "text", "lang"]).map_batches(
-        _LangScorer,
-        fn_constructor_kwargs={"model_ref": model_ref, "rate": rate,
-                               "capped": vocab_cap is not None},
-        batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=(1, 8), num_cpus=1)
+        _lang_scored,
+        fn_kwargs={"model_ref": model_ref, "rate": rate,
+                   "capped": vocab_cap is not None},
+        batch_format="pyarrow", zero_copy_batch=True)
     scored = pa.concat_tables(
         ds.iter_batches(batch_format="pyarrow")).to_pandas()
     if not len(scored):

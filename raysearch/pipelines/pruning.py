@@ -64,18 +64,13 @@ def impact_topk(sf_dir: str) -> pa.Table:
     from raysearch.pipelines.rankex import _ranked_from_candidates
     from raysearch.pipelines.search_queries import (DOC_QUERIES,
                                                     cached_index)
-    from raysearch.query import lexicon_df
-    from raysearch.score import query_term_weights, score_postings
+    from raysearch.query import plan_query
     from raysearch.segments import part_postings
     from raysearch.stats import load_stats
 
     idx = cached_index(sf_dir)
-    st = load_stats(idx)
-    n_docs, avgdl = st["n_docs"], st["avgdl"]
-    k1, b = st["config"]["k1"], st["config"]["b"]
-    qweights = [query_term_weights(q) for q in DOC_QUERIES]
-    all_terms = sorted({t for qw in qweights for t, _ in qw})
-    df = lexicon_df(idx, all_terms)
+    plan, parts = plan_query(idx, load_stats(idx), DOC_QUERIES)
+    all_terms = plan.all_terms
 
     def kern(batch: pa.Table) -> pa.Table:
         out_t, out_d, out_tf, out_dl = [], [], [], []
@@ -95,7 +90,7 @@ def impact_topk(sf_dir: str) -> pa.Table:
             "tf": pa.array(out_tf, pa.int64()),
             "dl": pa.array(out_dl, pa.int64())})
 
-    surv = map_parts(st["parts"], kern, _EMPTY_SURV).to_pandas()
+    surv = map_parts(parts, kern, _EMPTY_SURV).to_pandas()
 
     # global per-term truncation over the merged per-part top-Ps
     kept = {term: _top_p(g.doc_id.to_numpy(np.int64),
@@ -104,9 +99,8 @@ def impact_topk(sf_dir: str) -> pa.Table:
             for term, g in surv.groupby("term", sort=True)}
 
     # score each query over survivor rows only — the live scorer's
-    # per-term loop and float tree (score.score_postings)
-    per_query = [score_postings(qw, kept.get, df, n_docs, avgdl, k1, b)
-                 for qw in qweights]
+    # per-query body and float tree (SegmentScorer.score)
+    per_query = [plan.score(qw, kept.get) for qw in plan.qweights]
     cand = pd.DataFrame({
         "query_id": np.repeat(np.arange(len(per_query), dtype=np.int64),
                               [len(d) for d, _ in per_query]),

@@ -224,16 +224,11 @@ def dsl_query_index(idx: str, dsl_queries: list[str],
     broadcast the ASTs, per-part set algebra over term-filtered
     posting reads, positive-term BM25 over the survivors, k-bounded
     candidate merge under the shared rounding/tie contract."""
-    from raysearch.pipelines.rankex import (_part_topk,
+    from raysearch.pipelines.rankex import (_part_topk, _plan,
                                             _ranked_from_candidates)
     from raysearch.pipelines.search_queries import _TOPK_BUFFER
-    from raysearch.query import keep_postings, lexicon_df
-    from raysearch.score import score_postings
-    from raysearch.stats import load_stats
+    from raysearch.query import keep_postings
 
-    st = load_stats(idx)
-    n_docs, avgdl = st["n_docs"], st["avgdl"]
-    k1, b = st["config"]["k1"], st["config"]["b"]
     buffer = _TOPK_BUFFER if k is None else max(_TOPK_BUFFER, k + 20)
     asts = [parse_dsl(q) for q in dsl_queries]
     per_q = [expr_terms(a) for a in asts]
@@ -244,7 +239,7 @@ def dsl_query_index(idx: str, dsl_queries: list[str],
             agg[t] = agg.get(t, 0) + 1
         qweights.append(sorted(agg.items()))
     all_terms = sorted({t for allt, _ in per_q for t in allt})
-    df = lexicon_df(idx, sorted({t for qw in qweights for t, _ in qw}))
+    plan = _plan(idx, qweights)
     empty_i64 = np.array([], dtype=np.int64)
 
     def score_query(qid, post):
@@ -258,10 +253,9 @@ def dsl_query_index(idx: str, dsl_queries: list[str],
         # score only the SURVIVORS: each positive term's posting row
         # narrows to the matching set before accumulation, so scoring
         # work is ∝ |cand|, not Σ df (cand is sorted unique)
-        return score_postings(
-            qweights[qid],
-            lambda t: keep_postings(post[t], cand) if t in post else None,
-            df, n_docs, avgdl, k1, b, mode="bm25")
+        return plan.score(
+            plan.qweights[qid],
+            lambda t: keep_postings(post[t], cand) if t in post else None)
 
     return _ranked_from_candidates(
         _part_topk(idx, all_terms, len(asts), score_query, buffer),

@@ -14,20 +14,25 @@ docstring for the per-part distinct-parent truncation proof).
 The ops whose per-part output is (query_id, doc_id, score) — here and
 in search_queries, spanex, grouping and queryparse — share one plan,
 _part_topk: map_parts over the index's parts, one
-segments.part_postings read per part, the op's own
-``score_query(qid, post) -> (doc_ids, scores) | None`` per query, a
-raw per-(part, query) top-buffer (or every row), one candidate frame;
+segments.part_postings read per part, the op's own ``score_query(qid,
+post) -> (doc_ids, scores) | None`` per query, a raw per-(part, query)
+top-buffer (or every row), one candidate frame;
 _ranked_from_candidates is the shared round6 -> (-score, doc_id) rank
-contract over it. Two more shared probes fan out the same way:
-_probe_candidates returns one (query, doc, term, w, tf, dl[,
+contract over it. Their stats, df and query weights come from one
+place, query.plan_query (_plan here): each op plans its queries once
+and scores through the plan's one unpruned per-query body,
+``plan.score(plan.qweights[qid], lookup)`` — the same body query_index
+runs — or, for a single term's addends (dismax, percolation, span-NOT,
+explain), ``plan.contrib``. Two more shared probes fan out the same
+way: _probe_candidates returns one (query, doc, term, w, tf, dl[,
 first_pos]) row per candidate doc a query term posts, for the
 explain-style ops (explain, ndcg, ltr, range facets, hit positions) to
 reduce on the driver; _term_group_docs returns, per group of terms,
 the docs holding any (or all) of them with their distinct-term count
 (bool_and, blocklist, wildcard, the trigram regex candidates, the
-static boost list). Ops with yet another per-part schema (pruning,
-the positional proximity kernels, ...) keep their own map_parts
-kernel over part_postings.
+static boost list). Ops with yet another per-part schema (pruning, the
+positional proximity kernels, ...) keep their own map_parts kernel
+over part_postings.
 """
 
 from __future__ import annotations
@@ -95,6 +100,17 @@ def _ranked_from_candidates(cand: pd.DataFrame, score_int: bool = False,
             np.int64 if score_int else np.float64),
             pa.int64() if score_int else pa.float64()),
     })
+
+
+def _plan(idx: str, queries: list):
+    """The BM25 SegmentScorer of ``queries`` (raw strings or
+    [(term, weight), ...] lists) over index ``idx``: query.plan_query,
+    the one source of every op's stats, df and query weights. Ops
+    score through ``plan.score(plan.qweights[qid], lookup)``."""
+    from raysearch.query import plan_query
+    from raysearch.stats import load_stats
+
+    return plan_query(idx, load_stats(idx), queries)[0]
 
 
 def _part_kernel(load, n_queries: int, score_query, buffer: int | None):
@@ -274,28 +290,19 @@ def dismax_topk(sf_dir: str) -> pa.Table:
     query-term df; zero exchanges."""
     from raysearch.pipelines.search_queries import (DOC_QUERIES,
                                                     cached_index)
-    from raysearch.query import lexicon_df
-    from raysearch.score import bm25_contrib, bm25_idf, query_term_weights
-    from raysearch.stats import load_stats
 
     idx = cached_index(sf_dir)
-    st = load_stats(idx)
-    n_docs, avgdl = st["n_docs"], st["avgdl"]
-    k1, b = st["config"]["k1"], st["config"]["b"]
-    qweights = [query_term_weights(q) for q in DOC_QUERIES]
-    all_terms = sorted({t for qw in qweights for t, _ in qw})
-    df = lexicon_df(idx, all_terms)
+    plan = _plan(idx, DOC_QUERIES)
 
     def score_query(qid, post):
         per_docs, per_c = [], []
-        for t, w in qweights[qid]:
+        for t, w in plan.qweights[qid]:
             got = post.get(t)
             if got is None:
                 continue
             docs, tfs, dls = got
             per_docs.append(docs)
-            per_c.append(bm25_contrib(
-                tfs, dls, bm25_idf(df.get(t, 0), n_docs), w, k1, b, avgdl))
+            per_c.append(plan.contrib(t, w, tfs, dls))
         if not per_docs:
             return None
         all_c = np.concatenate(per_c)
@@ -307,7 +314,7 @@ def dismax_topk(sf_dir: str) -> pa.Table:
         return uniq, smax + DISMAX_TIE * (ssum - smax)
 
     return _ranked_from_candidates(
-        _part_topk(idx, all_terms, len(qweights), score_query))
+        _part_topk(idx, plan.all_terms, len(plan.qweights), score_query))
 
 
 def sql_dismax_topk() -> str:
@@ -696,21 +703,12 @@ def maxp_topk(sf_dir: str) -> pa.Table:
     driver merge is then max-of-maxes (order-independent, exact) +
     the shared round6 rank contract."""
     from raysearch.pipelines.search_queries import DOC_QUERIES
-    from raysearch.query import lexicon_df
-    from raysearch.score import query_term_weights, score_postings
-    from raysearch.stats import load_stats
 
     idx = cached_passage_index(sf_dir)
-    st = load_stats(idx)
-    n_pass, avgdl = st["n_docs"], st["avgdl"]
-    k1, b = st["config"]["k1"], st["config"]["b"]
-    qweights = [query_term_weights(q) for q in DOC_QUERIES]
-    all_terms = sorted({t for qw in qweights for t, _ in qw})
-    df = lexicon_df(idx, all_terms)
+    plan = _plan(idx, DOC_QUERIES)  # passage-level stats
 
     def score_query(qid, post):
-        pids, sc = score_postings(qweights[qid], post.get, df, n_pass,
-                                  avgdl, k1, b, mode="bm25")
+        pids, sc = plan.score(plan.qweights[qid], post.get)
         if not len(pids):
             return None
         uniq, inv = np.unique(pids // PASSAGE_STRIDE, return_inverse=True)
@@ -718,7 +716,7 @@ def maxp_topk(sf_dir: str) -> pa.Table:
         np.maximum.at(pmax, inv, sc)
         return uniq, pmax
 
-    cand = _part_topk(idx, all_terms, len(qweights), score_query)
+    cand = _part_topk(idx, plan.all_terms, len(plan.qweights), score_query)
     # cross-part parent merge: exact max-of-maxes
     cand = (cand.groupby(["query_id", "doc_id"], as_index=False)
             .agg(score=("score", "max")))
@@ -745,20 +743,9 @@ def percolate_scored(sf_dir: str) -> pa.Table:
                                                     _concat_ds,
                                                     _docs_path,
                                                     cached_index)
-    from raysearch.query import lexicon_df
-    from raysearch.score import (bm25_contrib, bm25_idf,
-                                 query_term_weights)
-    from raysearch.stats import load_stats
 
-    idx = cached_index(sf_dir)
-    st = load_stats(idx)
-    n_docs, avgdl = float(st["n_docs"]), float(st["avgdl"])
-    k1, b = st["config"]["k1"], st["config"]["b"]
-    qweights = [query_term_weights(q) for q in DOC_QUERIES]
-    qterms = [sorted({t for t, _ in qw}) for qw in qweights]
-    all_terms = sorted({t for qw in qweights for t, _ in qw})
-    df = lexicon_df(idx, all_terms)
-    idf = {t: bm25_idf(df.get(t, 0), n_docs) for t in all_terms}
+    plan = _plan(cached_index(sf_dir), DOC_QUERIES)
+    qterms = [sorted({t for t, _ in qw}) for qw in plan.qweights]
     empty = pa.table({"doc_id": pa.array([], pa.int64()),
                       "query_id": pa.array([], pa.int64()),
                       "score": pa.array([], pa.float64())})
@@ -788,10 +775,9 @@ def percolate_scored(sf_dir: str) -> pa.Table:
                     continue
                 # ascending-term accumulation, the bm25_topk contract
                 s = 0.0
-                for t, w in qweights[qid]:
+                for t, w in plan.qweights[qid]:
                     tf = np.array([counts[p_c[ts.index(t)]]], np.int64)
-                    s += float(bm25_contrib(tf, dl, idf[t], w,
-                                            k1, b, avgdl)[0])
+                    s += float(plan.contrib(t, w, tf, dl)[0])
                 out_d.append(int(ids[i]))
                 out_q.append(qid)
                 out_s.append(s)
@@ -886,21 +872,12 @@ def blockjoin_topk(sf_dir: str) -> pa.Table:
     (each passage counted exactly once: passages are disjoint across
     parts)."""
     from raysearch.pipelines.search_queries import DOC_QUERIES
-    from raysearch.query import lexicon_df
-    from raysearch.score import query_term_weights, score_postings
-    from raysearch.stats import load_stats
 
     idx = cached_passage_index(sf_dir)
-    st = load_stats(idx)
-    n_pass, avgdl = st["n_docs"], st["avgdl"]
-    k1, b = st["config"]["k1"], st["config"]["b"]
-    qweights = [query_term_weights(q) for q in DOC_QUERIES]
-    all_terms = sorted({t for qw in qweights for t, _ in qw})
-    df = lexicon_df(idx, all_terms)
+    plan = _plan(idx, DOC_QUERIES)  # passage-level stats
 
     def score_query(qid, post):
-        pids, sc = score_postings(qweights[qid], post.get, df, n_pass,
-                                  avgdl, k1, b, mode="bm25")
+        pids, sc = plan.score(plan.qweights[qid], post.get)
         if not len(pids):
             return None
         uniq, inv = np.unique(pids // PASSAGE_STRIDE, return_inverse=True)
@@ -908,7 +885,7 @@ def blockjoin_topk(sf_dir: str) -> pa.Table:
         np.add.at(psum, inv, sc)
         return uniq, psum
 
-    cand = _part_topk(idx, all_terms, len(qweights), score_query,
+    cand = _part_topk(idx, plan.all_terms, len(plan.qweights), score_query,
                       buffer=None)
     # cross-part parent merge: sum of partial sums (passages disjoint
     # across parts -> every passage counted exactly once)
@@ -1054,22 +1031,12 @@ def _neg_term_topk(sf_dir: str, reshape) -> pa.Table:
     candidates BEFORE per-part truncation, so the ranking is exact."""
     from raysearch.pipelines.search_queries import (DOC_QUERIES,
                                                     cached_index)
-    from raysearch.query import lexicon_df
-    from raysearch.score import query_term_weights, score_postings
-    from raysearch.stats import load_stats
 
     idx = cached_index(sf_dir)
-    st = load_stats(idx)
-    n_docs, avgdl = st["n_docs"], st["avgdl"]
-    k1, b = st["config"]["k1"], st["config"]["b"]
-    qweights = [query_term_weights(q) for q in DOC_QUERIES]
-    pos_terms = sorted({t for qw in qweights for t, _ in qw})
-    all_terms = sorted(set(pos_terms) | set(NEG_TERMS))
-    df = lexicon_df(idx, pos_terms)
+    plan = _plan(idx, DOC_QUERIES)
 
     def score_query(qid, post):
-        docs, sc = score_postings(qweights[qid], post.get, df, n_docs,
-                                  avgdl, k1, b, mode="bm25")
+        docs, sc = plan.score(plan.qweights[qid], post.get)
         if not len(docs):
             return None
         got = post.get(NEG_TERMS[qid])
@@ -1077,8 +1044,9 @@ def _neg_term_topk(sf_dir: str, reshape) -> pa.Table:
             docs, sc = reshape(docs, sc, got[0])
         return docs, sc
 
-    return _ranked_from_candidates(
-        _part_topk(idx, all_terms, len(qweights), score_query))
+    return _ranked_from_candidates(_part_topk(
+        idx, sorted(set(plan.all_terms) | set(NEG_TERMS)),
+        len(plan.qweights), score_query))
 
 
 def sql_negated_topk() -> str:
@@ -1227,31 +1195,22 @@ def best_passage_topk(sf_dir: str) -> pa.Table:
     from raysearch.numutil import round6
     from raysearch.pipelines.search_queries import (DOC_QUERIES,
                                                     bm25_topk)
-    from raysearch.query import lexicon_df
-    from raysearch.score import query_term_weights, score_postings
-    from raysearch.stats import load_stats
 
     base = bm25_topk(sf_dir).to_pandas()
     cand = _candidates_by_query(base)
 
     idx = cached_passage_index(sf_dir)
-    st = load_stats(idx)
-    n_pass, avgdl = st["n_docs"], st["avgdl"]
-    k1, b = st["config"]["k1"], st["config"]["b"]
-    qweights = [query_term_weights(q) for q in DOC_QUERIES]
-    all_terms = sorted({t for qw in qweights for t, _ in qw})
-    df = lexicon_df(idx, all_terms)
+    plan = _plan(idx, DOC_QUERIES)  # passage-level stats
 
     def score_query(qid, post):
         elig = cand.get(qid)
         if elig is None:
             return None
-        pids, sc = score_postings(qweights[qid], post.get, df, n_pass,
-                                  avgdl, k1, b, mode="bm25")
+        pids, sc = plan.score(plan.qweights[qid], post.get)
         keep = np.isin(pids // PASSAGE_STRIDE, elig)
         return pids[keep], sc[keep]
 
-    pas = _part_topk(idx, all_terms, len(qweights), score_query,
+    pas = _part_topk(idx, plan.all_terms, len(plan.qweights), score_query,
                      buffer=None)
     rows = pd.DataFrame({"query_id": pas.query_id,
                          "doc_id": pas.doc_id // PASSAGE_STRIDE,
@@ -1348,17 +1307,12 @@ def spanfirst_topk(sf_dir: str) -> pa.Table:
     filtered_topk); per-segment scores stay final."""
     from raysearch.pipelines.search_queries import (DOC_QUERIES,
                                                     cached_index)
-    from raysearch.query import keep_postings, lexicon_df
-    from raysearch.score import query_term_weights, score_postings
+    from raysearch.query import keep_postings, plan_query
     from raysearch.stats import load_stats
 
     idx = cached_index(sf_dir, with_positions=True)
-    st = load_stats(idx)
-    n_docs, avgdl = st["n_docs"], st["avgdl"]
-    k1, b = st["config"]["k1"], st["config"]["b"]
-    qweights = [query_term_weights(q) for q in DOC_QUERIES]
-    all_terms = sorted({t for qw in qweights for t, _ in qw})
-    df = lexicon_df(idx, all_terms)
+    plan, parts = plan_query(idx, load_stats(idx), DOC_QUERIES)
+    all_terms = plan.all_terms
 
     def load(part: int):
         # each term's gate is computed once per part: its docs whose
@@ -1374,21 +1328,20 @@ def spanfirst_topk(sf_dir: str) -> pa.Table:
 
     def score_query(qid, got):
         post, early = got
-        qw = qweights[qid]
+        qw = plan.qweights[qid]
         elig_parts = [early[t] for t, _ in qw if t in post]
         if not elig_parts:
             return None
         elig = np.unique(np.concatenate(elig_parts))
         if not len(elig):
             return None
-        return score_postings(
-            qw, lambda t: (keep_postings(post[t][:3], elig)
-                           if t in post else None),
-            df, n_docs, avgdl, k1, b, mode="bm25")
+        return plan.score(qw, lambda t: (keep_postings(post[t][:3], elig)
+                                         if t in post else None))
 
-    kern = _part_kernel(load, len(qweights), score_query, _TOPK_BUFFER)
+    kern = _part_kernel(load, len(plan.qweights), score_query,
+                        _TOPK_BUFFER)
     return _ranked_from_candidates(
-        map_parts(st["parts"], kern, _EMPTY_CAND).to_pandas())
+        map_parts(parts, kern, _EMPTY_CAND).to_pandas())
 
 
 def sql_spanfirst_topk() -> str:
@@ -1890,19 +1843,17 @@ def multifield_topk(sf_dir: str) -> pa.Table:
     would escape that rewrite; it cannot escape this one)."""
     from raysearch.pipelines.search_queries import (DOC_QUERIES,
                                                     cached_index)
-    from raysearch.query import lexicon_df
-    from raysearch.score import query_term_weights, score_postings
+    from raysearch.query import plan_query
     from raysearch.stats import load_stats
 
     bidx = cached_index(sf_dir)
     tidx = cached_title_index(sf_dir)
     stb, stt = load_stats(bidx), load_stats(tidx)
     assert stb["config"]["num_parts"] == stt["config"]["num_parts"]
-    k1, b = stb["config"]["k1"], stb["config"]["b"]
-    qweights = [query_term_weights(q) for q in DOC_QUERIES]
-    all_terms = sorted({t for qw in qweights for t, _ in qw})
-    df_b = lexicon_df(bidx, all_terms)
-    df_t = lexicon_df(tidx, all_terms)
+    # one plan per field index: each carries its own field statistics
+    body, parts = plan_query(bidx, stb, DOC_QUERIES)
+    title = plan_query(tidx, stt, DOC_QUERIES)[0]
+    all_terms = body.all_terms
 
     def load(part: int):
         return (part_postings(bidx, part, all_terms),
@@ -1910,11 +1861,9 @@ def multifield_topk(sf_dir: str) -> pa.Table:
 
     def score_query(qid, post):
         pb, pt = post
-        qw = qweights[qid]
-        db, sb = score_postings(qw, pb.get, df_b, stb["n_docs"],
-                                stb["avgdl"], k1, b, mode="bm25")
-        dt, st_ = score_postings(qw, pt.get, df_t, stt["n_docs"],
-                                 stt["avgdl"], k1, b, mode="bm25")
+        qw = body.qweights[qid]
+        db, sb = body.score(qw, pb.get)
+        dt, st_ = title.score(qw, pt.get)
         if not len(db) and not len(dt):
             return None
         # field sum over the union — body contribution first, matching
@@ -1925,9 +1874,10 @@ def multifield_topk(sf_dir: str) -> pa.Table:
         np.add.at(comb, inv, np.concatenate([W_BODY * sb, W_TITLE * st_]))
         return uniq, comb
 
-    kern = _part_kernel(load, len(qweights), score_query, _TOPK_BUFFER)
+    kern = _part_kernel(load, len(body.qweights), score_query,
+                        _TOPK_BUFFER)
     return _ranked_from_candidates(
-        map_parts(stb["parts"], kern, _EMPTY_CAND).to_pandas())
+        map_parts(parts, kern, _EMPTY_CAND).to_pandas())
 
 
 def sql_multifield_topk() -> str:

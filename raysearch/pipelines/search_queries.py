@@ -29,7 +29,7 @@ import pyarrow.compute as pc
 from raysearch.config import IndexConfig
 from raysearch.fanout import map_parts
 from raysearch.numutil import fmt_doc, round6
-from raysearch.score import query_term_weights
+from raysearch.score import DIRICHLET_MU, query_term_weights
 from raysearch.segments import SCORER_COLUMNS_POS, part_postings
 
 
@@ -869,7 +869,7 @@ def synonym_topk(sf_dir: str) -> pa.Table:
                                   queries=qw)
 
 
-MU = 2000.0  # Dirichlet smoothing prior (Zhai & Lafferty 2001 default)
+MU = DIRICHLET_MU  # the oracle SQL's copy of the engine's prior
 
 
 def dirichlet_topk(sf_dir: str) -> pa.Table:
@@ -1789,22 +1789,15 @@ def msm_topk(sf_dir: str) -> pa.Table:
     this is one fan-out + a k-bounded merge, zero exchanges — work is
     bounded by the query terms' df, never a corpus scan.
     """
-    from raysearch.pipelines.rankex import (_part_topk,
+    from raysearch.pipelines.rankex import (_part_topk, _plan,
                                             _ranked_from_candidates)
-    from raysearch.query import keep_postings, lexicon_df
-    from raysearch.score import score_postings
-    from raysearch.stats import load_stats
+    from raysearch.query import keep_postings
 
     idx = cached_index(sf_dir)
-    st = load_stats(idx)
-    n_docs, avgdl = st["n_docs"], st["avgdl"]
-    k1, b = st["config"]["k1"], st["config"]["b"]
-    qweights = [query_term_weights(q) for q in DOC_QUERIES]
-    all_terms = sorted({t for qw in qweights for t, _ in qw})
-    df = lexicon_df(idx, all_terms)
+    plan = _plan(idx, DOC_QUERIES)
 
     def score_query(qid, post):
-        present = [(t, w) for t, w in qweights[qid] if t in post]
+        present = [(t, w) for t, w in plan.qweights[qid] if t in post]
         if len(present) < MSM_M:
             return None
         uniq, cnt = np.unique(
@@ -1813,12 +1806,10 @@ def msm_topk(sf_dir: str) -> pa.Table:
         elig = uniq[cnt >= MSM_M]
         if not len(elig):
             return None
-        return score_postings(present,
-                              lambda t: keep_postings(post[t], elig),
-                              df, n_docs, avgdl, k1, b, mode="bm25")
+        return plan.score(present, lambda t: keep_postings(post[t], elig))
 
     return _ranked_from_candidates(
-        _part_topk(idx, all_terms, len(qweights), score_query))
+        _part_topk(idx, plan.all_terms, len(plan.qweights), score_query))
 
 
 def bool_and_docs(sf_dir: str) -> pa.Table:
@@ -2490,37 +2481,28 @@ def rescore_topk(sf_dir: str) -> pa.Table:
     in their home part) via searchsorted intersection of the decoded
     query-term postings — work is bounded by the candidate count and
     the query terms' df, never the corpus."""
-    from raysearch.pipelines.rankex import (_part_topk,
+    from raysearch.pipelines.rankex import (_part_topk, _plan,
                                             _ranked_from_candidates)
-    from raysearch.query import keep_postings, lexicon_df, query_index
-    from raysearch.score import score_postings
-    from raysearch.stats import load_stats
+    from raysearch.query import keep_postings, query_index
 
     idx = cached_index(sf_dir)
-    st = load_stats(idx)
-    n_docs, avgdl = st["n_docs"], st["avgdl"]
-    k1, b = st["config"]["k1"], st["config"]["b"]
-
     first = query_index(idx, DOC_QUERIES, k=RESCORE_R, mode="overlap")
     cand: dict[int, np.ndarray] = {
         int(qid): np.sort(g["doc_id"].to_numpy(np.int64))
         for qid, g in first.to_pandas().groupby("query_id")}
 
-    qweights = [query_term_weights(q) for q in DOC_QUERIES]
-    all_terms = sorted({t for qw in qweights for t, _ in qw})
-    df = lexicon_df(idx, all_terms)
+    plan = _plan(idx, DOC_QUERIES)
 
     def score_query(qid, post):
         elig = cand.get(qid)
         if elig is None or not len(elig):
             return None
-        return score_postings(
-            qweights[qid],
-            lambda t: keep_postings(post[t], elig) if t in post else None,
-            df, n_docs, avgdl, k1, b, mode="bm25")
+        return plan.score(
+            plan.qweights[qid],
+            lambda t: keep_postings(post[t], elig) if t in post else None)
 
     return _ranked_from_candidates(_part_topk(
-        idx, all_terms, len(qweights), score_query, buffer=None))
+        idx, plan.all_terms, len(plan.qweights), score_query, buffer=None))
 
 
 def sql_rescore_topk() -> str:

@@ -70,20 +70,15 @@ def span_not_topk(sf_dir: str) -> pa.Table:
     coordinates; dl comes from the posting rows, so the op reads
     ZERO documents.parquet bytes. Per-segment scores final under
     doc-hash partitioning."""
-    from raysearch.pipelines.rankex import (_part_topk,
+    from raysearch.pipelines.rankex import (_part_topk, _plan,
                                             _ranked_from_candidates)
     from raysearch.pipelines.search_queries import _gpos, cached_index
-    from raysearch.query import lexicon_df
-    from raysearch.score import bm25_contrib, bm25_idf
     from raysearch.segments import SCORER_COLUMNS_POS
-    from raysearch.stats import load_stats
 
     idx = cached_index(sf_dir, with_positions=True)
-    st = load_stats(idx)
-    n_docs, avgdl = st["n_docs"], st["avgdl"]
-    k1, b = st["config"]["k1"], st["config"]["b"]
+    # the include term scores (weight 1); the exclude term only gates
+    plan = _plan(idx, [[(ta, 1)] for ta, _ in SPANNOT_QUERIES])
     all_terms = sorted({t for q in SPANNOT_QUERIES for t in q})
-    df = lexicon_df(idx, all_terms)
     W = np.int64(SPANNOT_W)
 
     def score_query(qid, post):
@@ -111,9 +106,7 @@ def span_not_topk(sf_dir: str) -> pa.Table:
         hit = np.flatnonzero(stf > 0)
         if not len(hit):
             return None
-        return cand[hit], bm25_contrib(stf[hit], dls_a[hit],
-                                       bm25_idf(df.get(ta, 0), n_docs),
-                                       1, k1, b, avgdl)
+        return cand[hit], plan.contrib(ta, 1, stf[hit], dls_a[hit])
 
     return _ranked_from_candidates(_part_topk(
         idx, all_terms, len(SPANNOT_QUERIES), score_query,
@@ -194,26 +187,19 @@ def common_terms_topk(sf_dir: str) -> pa.Table:
     union of rare-term posting docs, then every query term scores
     that candidate set via the spanfirst-style searchsorted gather.
     Per-segment scores final; shared round6 rank merge."""
-    from raysearch.pipelines.rankex import (_part_topk,
+    from raysearch.pipelines.rankex import (_part_topk, _plan,
                                             _ranked_from_candidates)
     from raysearch.pipelines.search_queries import cached_index
-    from raysearch.query import keep_postings, lexicon_df
-    from raysearch.score import query_term_weights, score_postings
-    from raysearch.stats import load_stats
+    from raysearch.query import keep_postings
 
     idx = cached_index(sf_dir)
-    st = load_stats(idx)
-    n_docs, avgdl = st["n_docs"], st["avgdl"]
-    k1, b = st["config"]["k1"], st["config"]["b"]
-    qweights = [query_term_weights(q) for q in COMMON_QUERIES]
-    all_terms = sorted({t for qw in qweights for t, _ in qw})
-    df = lexicon_df(idx, all_terms)
+    plan = _plan(idx, COMMON_QUERIES)
     # rare = df below the cutoff fraction (absent terms: df 0 -> rare);
     # selectors per query: rare terms if any, else all terms
     selectors = []
-    for qw in qweights:
+    for qw in plan.qweights:
         rare = [t for t, _ in qw
-                if df.get(t, 0) <= COMMON_CUTOFF * n_docs]
+                if plan.df.get(t, 0) <= COMMON_CUTOFF * plan.n_docs]
         selectors.append(rare if rare else [t for t, _ in qw])
 
     def score_query(qid, post):
@@ -223,14 +209,13 @@ def common_terms_topk(sf_dir: str) -> pa.Table:
         elig = np.unique(np.concatenate(sel_docs))
         if not len(elig):
             return None
-        docs, sc = score_postings(
-            qweights[qid],
-            lambda t: keep_postings(post[t], elig) if t in post else None,
-            df, n_docs, avgdl, k1, b, mode="bm25")
+        docs, sc = plan.score(
+            plan.qweights[qid],
+            lambda t: keep_postings(post[t], elig) if t in post else None)
         return (docs, sc) if len(docs) else None
 
     return _ranked_from_candidates(
-        _part_topk(idx, all_terms, len(qweights), score_query))
+        _part_topk(idx, plan.all_terms, len(plan.qweights), score_query))
 
 
 def _common_qvalues() -> str:

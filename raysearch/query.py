@@ -27,7 +27,7 @@ query_index ships the scorer once to the stateless map_parts tasks
 (raysearch/fanout.py); raysearch/serve.py's QuerySession sends the
 same scorer to its resident actors. Both score a part through the one
 per-part method, SegmentScorer.score_part: load, then the keep
-filter, then score_queries_over_postings. They differ only in the
+filter, then SegmentScorer.score_loaded. They differ only in the
 loader: a task reads its part's postings for the query terms at call
 time through segments.part_postings (row groups picked from the
 footer's term min/max, an exact is_in filter, one decode per row; a
@@ -39,9 +39,18 @@ lexicon files. Tasks, actors and the driver all keep parsed footers
 in that read's per-process cache, each hit checked against the file's
 trailing bytes.
 
+The same plan serves the pipeline ops that reshape scores per part
+(dismax, MaxP, collapse, the DSL, rescore, span-NOT, ...): each calls
+plan_query(idx, load_stats(idx), queries) once and scores through the
+scorer's one unpruned per-query body, SegmentScorer.score(qw, lookup),
+over its own lookups; ops that need a single term's contribution read
+SegmentScorer.contrib or the bound df / n_docs / avgdl / k1 / b. No
+op re-derives stats, df or query weights, and the Dirichlet prior is
+the one constant score.DIRICHLET_MU.
+
 Every scoring mode and the knobs it supports come from one table,
 raysearch.score.SIMILARITIES; check_query_options validates a query's
-knobs once, in plan_query.
+knobs and their values once, in plan_query.
 
 Within a segment, scoring is exact full evaluation of the query's
 posting lists (vectorized term-at-a-time accumulation in sorted term
@@ -63,7 +72,9 @@ import pyarrow as pa
 from raysearch.fanout import map_parts
 from raysearch.maintenance import filter_postings, load_deletes
 from raysearch.score import (
+    DIRICHLET_MU,
     SIMILARITIES,
+    TermStats,
     as_qweights,
     check_query_options,
     dirichlet_scores,
@@ -212,40 +223,16 @@ def score_queries_over_postings(
         n_docs: int, avgdl: float, k1: float, b: float, k: int,
         mode: str, prune: bool = False,
         cf: dict | None = None, total_tokens: int = 0,
-        mu: float = 2000.0, boost=None, decay=None,
-        rank_feature=None) -> pa.Table:
+        boost=None, decay=None, rank_feature=None) -> pa.Table:
     """Score a query batch against one segment's (already decoded)
-    postings — the shared kernel behind both the one-shot SegmentScorer
-    and the resident SegmentServer actors (raysearch/serve.py).
-    Doc-hash partitioning makes these per-segment scores FINAL, so
-    per-segment top-k is exact (see module docstring). The knobs are
-    validated once at the entry (check_query_options), not here."""
-    whole_query = SIMILARITIES[mode].contrib is None
-    # one block view of the part for the whole batch: each term's block
-    # first doc / max tf is computed once, not once per query
-    view = DecodedPostings(postings, max_tfs) if prune else None
-    per_query = []
-    for qw in qweights:
-        if whole_query:  # dirichlet
-            docs, sc = dirichlet_scores(qw, postings.get, cf or {},
-                                        total_tokens, mu)
-        elif view is not None:
-            per_query.append(pruned_topk_blockmax(
-                qw, view, df, n_docs, avgdl, k1, b, k, mode))
-            continue
-        else:
-            docs, sc = score_postings(qw, postings.get, df, n_docs, avgdl,
-                                      k1, b, mode, cf, total_tokens)
-            sc = _apply_boost(docs, sc, boost)
-            if len(docs) and (decay is not None
-                              or rank_feature is not None):
-                got = (postings.get(t) for t, _ in qw)
-                dlv = _gather_dl(docs, [(p[0], p[2]) for p in got
-                                        if p is not None])
-                sc = _apply_decay(docs, sc, dlv, decay)
-                sc = _apply_rank_feature(docs, sc, dlv, rank_feature)
-        per_query.append(topk(docs, sc, k))
-    return topk_table(per_query)
+    postings: SegmentScorer.score_loaded over the given stats. Doc-hash
+    partitioning makes these per-segment scores FINAL, so per-segment
+    top-k is exact (see module docstring). The knobs are validated
+    once at the entry (check_query_options), not here."""
+    return SegmentScorer(
+        "", qweights, k, mode, df, n_docs, avgdl, k1, b, prune, cf,
+        total_tokens, boost=boost, decay=decay,
+        rank_feature=rank_feature).score_loaded(postings, max_tfs)
 
 
 def topk_table(per_query) -> pa.Table:
@@ -313,18 +300,22 @@ def live_postings(index_dir: str, part: int, terms: list[str],
 
 
 class SegmentScorer:
-    """One query batch's per-part scoring plan, built driver-side by
-    plan_query: queries, global df and stats are bound here. The one
-    per-part method, score_part, serves both the stateless map_parts
-    tasks (the scorer is their callable) and the resident
-    SegmentServer actors (raysearch/serve.py), which differ only in
-    the loader they pass."""
+    """One query batch's scoring plan, built driver-side by
+    plan_query: queries, global df and stats are bound here. It is
+    the one scoring core: ``score(qw, lookup)`` is the unpruned
+    per-query body, ``score_loaded`` scores a batch over one part's
+    decoded postings (pruned or not), and ``score_part`` serves both
+    the stateless map_parts tasks (the scorer is their callable) and
+    the resident SegmentServer actors (raysearch/serve.py), which
+    differ only in the loader they pass. Pipeline ops that reshape
+    scores per part call ``score`` over their own lookups and read
+    the bound df / n_docs / avgdl / k1 / b, or ``contrib``, for a
+    single term's contribution."""
 
     def __init__(self, index_dir: str, qweights: list, k: int,
                  mode: str, df: dict[str, int], n_docs: int, avgdl: float,
                  k1: float, b: float, prune: bool = False,
                  cf: dict[str, int] | None = None, total_tokens: int = 0,
-                 mu: float = 2000.0,
                  deleted: np.ndarray | None = None,
                  boost=None,
                  keep: np.ndarray | None = None,
@@ -335,7 +326,7 @@ class SegmentScorer:
         self.df, self.n_docs, self.avgdl = df, n_docs, avgdl
         self.k1, self.b = k1, b
         self.prune = prune
-        self.cf, self.total_tokens, self.mu = cf, total_tokens, mu
+        self.cf, self.total_tokens = cf, total_tokens
         self.boost = boost
         self.decay = decay
         self.rank_feature = rank_feature
@@ -360,20 +351,59 @@ class SegmentScorer:
         self.qweights = qweights  # one [(term, weight), ...] per query
         self.all_terms = sorted({t for qw in self.qweights for t, _ in qw})
 
+    def contrib(self, term: str, w: int, tfs: np.ndarray,
+                dls: np.ndarray) -> np.ndarray:
+        """One term's per-posting contribution under the plan's mode
+        and stats — the addends score() sums."""
+        return SIMILARITIES[self.mode].contrib(tfs, dls, w, TermStats(
+            self.df.get(term, 0), (self.cf or {}).get(term, 0),
+            self.n_docs, self.avgdl, self.total_tokens, self.k1, self.b))
+
+    def score(self, qw, lookup) -> tuple[np.ndarray, np.ndarray]:
+        """(doc_ids, scores) of one query over ``lookup(term) ->
+        (docs, tfs, dls) | None``, every matched doc scored (no
+        pruning, no top-k cut): the mode's contributions, then the
+        boost, decay and rank_feature reshaping."""
+        if SIMILARITIES[self.mode].contrib is None:  # dirichlet
+            return dirichlet_scores(qw, lookup, self.cf or {},
+                                    self.total_tokens, DIRICHLET_MU)
+        docs, sc = score_postings(qw, lookup, self.df, self.n_docs,
+                                  self.avgdl, self.k1, self.b, self.mode,
+                                  self.cf, self.total_tokens)
+        sc = _apply_boost(docs, sc, self.boost)
+        if len(docs) and (self.decay is not None
+                          or self.rank_feature is not None):
+            got = (lookup(t) for t, _ in qw)
+            dlv = _gather_dl(docs, [(p[0], p[2]) for p in got
+                                    if p is not None])
+            sc = _apply_decay(docs, sc, dlv, self.decay)
+            sc = _apply_rank_feature(docs, sc, dlv, self.rank_feature)
+        return docs, sc
+
+    def score_loaded(self, postings: dict, max_tfs: dict) -> pa.Table:
+        """Candidates of the batch over one part's decoded ``postings``
+        (term -> (docs, tfs, dls)): each query's top-k, through the
+        block-max pruner with ``prune``, else through score()."""
+        if self.prune:
+            # one block view of the part for the whole batch: each
+            # term's block first doc / max tf is computed once, not
+            # once per query
+            view = DecodedPostings(postings, max_tfs)
+            return topk_table([pruned_topk_blockmax(
+                qw, view, self.df, self.n_docs, self.avgdl, self.k1,
+                self.b, self.k, self.mode) for qw in self.qweights])
+        return topk_table([topk(*self.score(qw, postings.get), self.k)
+                           for qw in self.qweights])
+
     def score_part(self, part: int, load) -> pa.Table:
         """Candidates of one part: ``load(part, terms) -> (postings,
         max_tfs)`` with tombstones already dropped, then the keep
-        filter, then score_queries_over_postings."""
+        filter, then score_loaded."""
         postings, max_tfs = load(part, self.all_terms)
         if self.keep is not None:
             postings = {t: keep_postings(p, self.keep)
                         for t, p in postings.items()}
-        return score_queries_over_postings(
-            self.qweights, postings, max_tfs, self.df, self.n_docs,
-            self.avgdl, self.k1, self.b, self.k, self.mode, self.prune,
-            cf=self.cf, total_tokens=self.total_tokens, mu=self.mu,
-            boost=self.boost, decay=self.decay,
-            rank_feature=self.rank_feature)
+        return self.score_loaded(postings, max_tfs)
 
     def _load(self, part: int, terms: list[str]) -> tuple[dict, dict]:
         return live_postings(self.index_dir, part, terms, self.deleted)
@@ -400,8 +430,8 @@ class SegmentScorer:
 
 
 def plan_query(index_dir: str, stats: dict, queries: list, k: int = 10,
-               mode: str = "bm25", prune: bool = False, mu: float = 2000.0,
-               boost=None, keep: np.ndarray | None = None, decay=None,
+               mode: str = "bm25", prune: bool = False, boost=None,
+               keep: np.ndarray | None = None, decay=None,
                rank_feature=None, asof: dict | None = None,
                deleted: np.ndarray | None = None
                ) -> tuple[SegmentScorer, list[int]]:
@@ -444,8 +474,8 @@ def plan_query(index_dir: str, stats: dict, queries: list, k: int = 10,
         index_dir, qweights, k, mode, df, n_docs, avgdl, cfg["k1"],
         cfg["b"], prune=prune,
         cf=cf if sim.needs_cf else None,
-        total_tokens=stats.get("total_tokens", 0), mu=mu,
-        deleted=deleted, boost=boost,
+        total_tokens=stats.get("total_tokens", 0), deleted=deleted,
+        boost=boost,
         # normalized once driver-side so every scorer shares the
         # sorted unique form keep_postings' searchsorted requires
         keep=(None if keep is None
@@ -460,7 +490,6 @@ def query_index(
     k: int = 10,
     mode: str = "bm25",
     prune: bool = False,
-    mu: float = 2000.0,
     boost=None,
     keep: np.ndarray | None = None,
     decay=None,
@@ -475,8 +504,8 @@ def query_index(
     a one-shot batch pays no pool spin-up. Long-lived sessions that
     want postings kept hot use raysearch.serve.QuerySession."""
     scorer, parts = plan_query(
-        index_dir, load_stats(index_dir), queries, k, mode, prune, mu,
-        boost, keep, decay, rank_feature, asof,
+        index_dir, load_stats(index_dir), queries, k, mode, prune, boost,
+        keep, decay, rank_feature, asof,
         deleted=load_deletes(index_dir))
     candidates = map_parts(parts, scorer, RESULT_SCHEMA.empty_table())
     # P * Q * k candidate rows — k-bounded and tiny by construction, so

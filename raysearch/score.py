@@ -49,8 +49,9 @@ Scoring modes:
 - "dirichlet": see dirichlet_scores below.
 
 SIMILARITIES is the one table of these modes: each entry's per-posting
-contribution and the knobs (prune, boost, decay, rank_feature) its
-score scale supports, checked once by check_query_options.
+contribution, its MaxScore per-term bound (None: not prunable) and
+the knobs (boost, decay, rank_feature) its score scale supports,
+checked once, values included, by check_query_options.
 
 Tie-break is the deterministic total order (-score, doc_id); the
 reference's own tie order is HashMap-iteration nondeterminism
@@ -205,11 +206,13 @@ class TermStats(NamedTuple):
 class Similarity(NamedTuple):
     """One scoring mode's contract. ``contrib(tf, dl, w, TermStats)``
     is the vectorized per-posting contribution (None for a
-    whole-query scorer); the flags say which query knobs the mode's
-    score scale supports."""
+    whole-query scorer); ``term_bound(w, idf, k1, max_tf)`` is the
+    MaxScore per-term score upper bound (None: the mode is not
+    prunable, raysearch/wand.py); the flags say which other query
+    knobs the mode's score scale supports."""
     contrib: Callable | None
+    term_bound: Callable | None
     needs_cf: bool    # global cf and total_tokens broadcast beside df
-    prunable: bool    # MaxScore/block-max bounds exist (raysearch/wand.py)
     boostable: bool   # a static multiplicative boost promotes
     reshapable: bool  # decay / rank_feature have an oracle contract
 
@@ -218,34 +221,37 @@ SIMILARITIES: dict[str, Similarity] = {
     "bm25": Similarity(
         lambda tf, dl, w, s: bm25_contrib(tf, dl, bm25_idf(s.df, s.n_docs),
                                           w, s.k1, s.b, s.avgdl),
-        needs_cf=False, prunable=True, boostable=True, reshapable=True),
+        # the tf -> infinity limit: the tf-norm is < k1 + 1 for every
+        # finite tf and dl
+        lambda w, idf, k1, max_tf: w * idf * (k1 + 1.0),
+        needs_cf=False, boostable=True, reshapable=True),
     "overlap": Similarity(
         lambda tf, dl, w, s: (w * tf).astype(np.int64),
-        needs_cf=False, prunable=True, boostable=True, reshapable=False),
+        lambda w, idf, k1, max_tf: float(w * max_tf),
+        needs_cf=False, boostable=True, reshapable=False),
     "classic": Similarity(
         lambda tf, dl, w, s: classic_contrib(
             tf, dl, classic_idf(s.df, s.n_docs), w),
-        needs_cf=False, prunable=False, boostable=False, reshapable=False),
+        None, needs_cf=False, boostable=False, reshapable=False),
     "jm": Similarity(
         lambda tf, dl, w, s: jm_contrib(tf, dl, s.cf, s.total_tokens, w),
-        needs_cf=True, prunable=False, boostable=False, reshapable=False),
+        None, needs_cf=True, boostable=False, reshapable=False),
     "dfr": Similarity(
         lambda tf, dl, w, s: dfr_contrib(tf, dl, s.df, s.n_docs, s.avgdl,
                                          w),
-        needs_cf=False, prunable=False, boostable=False, reshapable=False),
+        None, needs_cf=False, boostable=False, reshapable=False),
     "boolean": Similarity(
         lambda tf, dl, w, s: np.full(len(tf), int(w), np.int64),
-        needs_cf=False, prunable=False, boostable=False, reshapable=False),
+        None, needs_cf=False, boostable=False, reshapable=False),
     "dfi": Similarity(
         lambda tf, dl, w, s: dfi_contrib(tf, dl, s.cf, s.total_tokens, w),
-        needs_cf=True, prunable=False, boostable=False, reshapable=False),
+        None, needs_cf=True, boostable=False, reshapable=False),
     "axiomatic": Similarity(
         lambda tf, dl, w, s: axiomatic_contrib(tf, dl, s.df, s.n_docs,
                                                s.avgdl, w),
-        needs_cf=False, prunable=False, boostable=False, reshapable=False),
+        None, needs_cf=False, boostable=False, reshapable=False),
     "dirichlet": Similarity(  # whole-query scorer: dirichlet_scores
-        None, needs_cf=True, prunable=False, boostable=False,
-        reshapable=False),
+        None, None, needs_cf=True, boostable=False, reshapable=False),
 }
 
 
@@ -255,8 +261,12 @@ def check_query_options(mode: str, prune: bool = False, boost=None,
     entry point before any distributed work. MaxScore bounds model
     neither per-doc boost factors nor decay / rank_feature reshaping,
     and a multiplicative boost on a negative log-likelihood scale
-    would demote, so each knob is refused where it has no contract.
-    An unknown mode is an error, never a fallback to another scorer."""
+    would demote, so each knob is refused where it has no contract,
+    and so is a knob value that would zero, invert or divide by zero:
+    a boost factor, decay scale, rank_feature weight or pivot <= 0.
+    An unknown mode is an error, never a fallback to another scorer.
+    ``boost`` is (ids, factor), ``decay`` (origin, scale) and
+    ``rank_feature`` (w, pivot), each or None."""
     sim = SIMILARITIES.get(mode)
     if sim is None:
         raise ValueError(f"unknown mode {mode!r}: expected one of "
@@ -272,13 +282,25 @@ def check_query_options(mode: str, prune: bool = False, boost=None,
     if boost is not None and not sim.boostable:
         raise ValueError(f"boost supports {allowed('boostable')} only, "
                          f"not {mode}")
-    if prune and not sim.prunable:
+    if prune and sim.term_bound is None:
         raise ValueError(f"{mode} mode requires prune=False (no "
                          "MaxScore bounds for its score curve)")
     for name, knob in (("decay", decay), ("rank_feature", rank_feature)):
         if knob is not None and (prune or not sim.reshapable):
             raise ValueError(f"{name} requires mode="
                              f"{allowed('reshapable')} and prune=False")
+    # `not x > 0` also refuses NaN
+    if boost is not None and not boost[1] > 0:
+        raise ValueError("boost factor must be > 0 (0 zeroes boosted "
+                         "docs and a negative factor inverts their "
+                         "ranking)")
+    if decay is not None and not decay[1] > 0:
+        raise ValueError("decay scale must be > 0")
+    if rank_feature is not None and not (rank_feature[0] > 0
+                                         and rank_feature[1] > 0):
+        raise ValueError("rank_feature w and pivot must be > 0 (w <= 0 "
+                         "inverts or erases the prior; pivot <= 0 "
+                         "breaks the saturation curve)")
     return sim
 
 
@@ -320,6 +342,9 @@ def score_postings(
                       avgdl, total_tokens, k1, b)
         per_term.append((docs, sim.contrib(tfs, dls, w, s)))
     return accumulate_scores(per_term)
+
+
+DIRICHLET_MU = 2000.0  # smoothing prior (Zhai & Lafferty 2001 default)
 
 
 def dirichlet_scores(

@@ -20,10 +20,12 @@ part->actor assignment:
   part missing on disk raises.
 - Each batch is planned once on the driver by query.plan_query (the
   option check, df/cf, the SegmentScorer) from the stats the session
-  loaded at construction; every actor scores its parts through the
+  loaded at construction — the same plan query_index and the
+  per-part pipeline ops use; every actor scores its parts through the
   same SegmentScorer.score_part as the one-shot tasks, passing its LRU
   as the loader, so a resident session returns bit-identical results
-  to ``query_index``.
+  to ``query_index``. An actor takes one CPU; the Dirichlet prior is
+  score.DIRICHLET_MU, as on every other path.
 - The driver merge is the same k-bounded selection as the batch path
   (doc-hash partitioning keeps per-segment scores final).
 
@@ -143,8 +145,7 @@ class QuerySession:
     """
 
     def __init__(self, index_dir: str, num_actors: int | None = None,
-                 cache_terms: int = DEFAULT_CACHE_TERMS,
-                 num_cpus_per_actor: float = 1.0):
+                 cache_terms: int = DEFAULT_CACHE_TERMS):
         import ray
 
         # the stats every batch is planned from (staleness contract)
@@ -162,10 +163,8 @@ class QuerySession:
             avail = int(ray.cluster_resources().get("CPU", num_actors))
         except Exception:
             avail = num_actors
-        num_actors = max(1, min(num_actors,
-                                int(avail / max(num_cpus_per_actor, 1e-9))))
-        remote_cls = ray.remote(num_cpus=num_cpus_per_actor)(
-            _SegmentServerImpl)
+        num_actors = max(1, min(num_actors, avail))
+        remote_cls = ray.remote(num_cpus=1)(_SegmentServerImpl)
         # static round-robin part assignment = segment affinity
         assign: list[list[int]] = [[] for _ in range(num_actors)]
         for i, p in enumerate(sorted(parts)):
@@ -174,13 +173,12 @@ class QuerySession:
                         for a in assign if a]
 
     def query_batch(self, queries: list[str], k: int = 10,
-                    mode: str = "bm25", prune: bool = False,
-                    mu: float = 2000.0):
+                    mode: str = "bm25", prune: bool = False):
         """Top-k per query: (query_id, rank, doc_id, score) pa.Table."""
         import ray
 
         scorer, _ = plan_query(self.index_dir, self._stats, queries, k,
-                               mode, prune, mu)
+                               mode, prune)
         ref = ray.put(scorer)
         refs = [a.query_batch.remote(ref) for a in self._actors]
         cand = (pa.concat_tables(ray.get(refs)).to_pandas() if refs

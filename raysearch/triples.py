@@ -136,7 +136,7 @@ def _positional_groups(flat_terms: pa.Array, tok_doc_idx: np.ndarray,
             binary_from_offsets(pos_buf, pos_off))
 
 
-def make_triple_fn(config: IndexConfig, with_sha: bool = True):
+def make_triple_fn(config: IndexConfig):
     """Returns the map_batches UDF (a plain function -> stateless Ray
     tasks; no per-task state worth an actor here)."""
 
@@ -180,11 +180,9 @@ def make_triple_fn(config: IndexConfig, with_sha: bool = True):
         g_doc = doc_id[di]
         n_trip = len(di)
 
-        # doclen rows: one per input doc (including empty docs)
-        if with_sha:
-            shas = _sha256_hex_column(content)
-        else:
-            shas = [None] * n
+        # doclen rows: one per input doc (including empty docs), each
+        # with its content hash
+        shas = _sha256_hex_column(content)
 
         cols = {
             "gkey": pa.array(doc_partition(np.concatenate([g_doc, doc_id]),

@@ -7,7 +7,8 @@ top-k, bit-identical scores included — the prune-by-bound-before-
 verify scheme of Koios (ICDE'23) and BMW (Ding & Suel 2011) adapted to
 the vectorized term-at-a-time setting:
 
-1. Per-term score upper bound:
+1. Per-term score upper bound, the mode's ``term_bound`` in
+   score.SIMILARITIES:
    - bm25: weight * idf * (k1+1) — the tf->infinity limit of the term
      contribution (monotone in tf, independent of dl because the
      tf-norm is < k1+1 for all finite tf, dl).
@@ -79,9 +80,9 @@ def _contrib_fn(mode: str, df: dict, n_docs: int, avgdl: float, k1: float,
 
 def term_upper_bound(weight: int, idf: float, k1: float, mode: str,
                      max_tf: int) -> float:
-    if mode == "overlap":
-        return float(weight * max_tf)
-    return weight * idf * (k1 + 1.0)
+    """The mode's per-term score upper bound, from the similarity
+    table (SIMILARITIES[mode].term_bound)."""
+    return SIMILARITIES[mode].term_bound(weight, idf, k1, max_tf)
 
 
 def _take_blocks(row: Posting, counts: np.ndarray,

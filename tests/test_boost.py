@@ -107,6 +107,20 @@ def test_boost_rejects_dirichlet(ray_session, tmp_path):
                     boost=(np.array([1], np.int64), 1.5))
 
 
+def test_boost_rejects_nonpositive_factor(ray_session, tmp_path):
+    """A factor <= 0 (or NaN) would zero or invert the boosted docs'
+    ranking: the library refuses it before any scoring, not only the
+    CLI."""
+    from raysearch.query import query_index
+
+    sf = _docs(tmp_path, ["hash join", "hash spark"])
+    idx = SQ.cached_index(sf)
+    for factor in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="boost factor must be > 0"):
+            query_index(idx, ["hash join"], k=5,
+                        boost=(np.array([1], np.int64), factor))
+
+
 def test_boost_rejects_non_bm25_modes(ray_session, tmp_path):
     """The documented contract is bm25/overlap only — every other
     mode must refuse a boost list, not silently produce an

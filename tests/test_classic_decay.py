@@ -172,6 +172,24 @@ def test_jm_differs_from_dirichlet(ray_session, tmp_path):
         di.sort_values(["query_id", "rank"]).score.to_numpy())
 
 
+def test_reshaping_knobs_reject_nonpositive_values(ray_session, tmp_path):
+    """decay's scale and rank_feature's w and pivot must be > 0 in the
+    library, not only the CLI: scale 0 divides by zero (scores 0 or
+    NaN, still ranked), w <= 0 inverts or erases the prior and pivot
+    <= 0 breaks the saturation curve."""
+    sf = _docs(tmp_path, ADVERSARIAL)
+    idx = SQ.cached_index(sf)
+    from raysearch.query import query_index
+
+    for scale in (0.0, -40.0, float("nan")):
+        with pytest.raises(ValueError, match="decay scale must be > 0"):
+            query_index(idx, ["hash join"], decay=(50.0, scale))
+    for rf in ((0.0, 50.0), (-2.0, 50.0), (2.0, 0.0), (2.0, -1.0)):
+        with pytest.raises(ValueError,
+                           match="rank_feature w and pivot must be > 0"):
+            query_index(idx, ["hash join"], rank_feature=rf)
+
+
 def test_mode_guards(ray_session, tmp_path):
     sf = _docs(tmp_path, ADVERSARIAL)
     idx = SQ.cached_index(sf)

@@ -233,17 +233,17 @@ def test_map_parts_raises_kernel_error(ray_session):
 
 
 def test_lexicon_lookup_over_distributed_lexicon(ray_session, small_corpus,
-                                                 tmp_path, monkeypatch):
+                                                 tmp_path):
     import ray.data
 
-    from raysearch.build import build_index
+    from raysearch.build import _write_lexicon, build_index
     from raysearch.config import IndexConfig
     from raysearch.query import lexicon_df, lexicon_lookup
 
-    monkeypatch.setenv("RAYSEARCH_LEXICON_DISTRIBUTED", "1")
     idx = str(tmp_path / "idx")
     build_index(ray.data.from_arrow(small_corpus), idx,
                 IndexConfig(num_parts=4), input_id="lexdist")
+    _write_lexicon(idx)  # no row hint: the distributed groupby path
     lex_dir = os.path.join(idx, "lexicon")
     files = [f for f in os.listdir(lex_dir) if f.endswith(".parquet")]
     assert len(files) > 1  # the distributed write is multi-file

@@ -1,6 +1,6 @@
-"""Multimodal plumbing: the binary-payload actor stage is real (schema,
-batching, actor signature, output layout); only the codec kernel is
-stubbed (deterministic fake / strict NotImplementedError seam)."""
+"""Multimodal plumbing: the binary-payload decode stage is real (schema,
+batching, output layout); only the codec kernel is stubbed
+(deterministic fake / strict NotImplementedError seam)."""
 
 import hashlib
 
@@ -11,8 +11,9 @@ import pytest
 from raysearch.pipelines.multimodal import (
     FEATURE_DIM,
     MEDIA_SCHEMA,
-    MediaDecoder,
+    decode_batch,
     decode_media,
+    decode_payload,
 )
 
 
@@ -26,24 +27,21 @@ def _media_table(n=10):
 
 
 def test_strict_mode_raises():
-    dec = MediaDecoder(strict=True)
     with pytest.raises(NotImplementedError):
-        dec.decode(b"bytes", "image")
+        decode_payload(b"bytes", "image", strict=True)
 
 
 def test_fake_decode_deterministic():
-    dec = MediaDecoder()
-    f1 = dec.decode(b"abc", "image")
-    f2 = dec.decode(b"abc", "audio")
+    f1 = decode_payload(b"abc", "image")
+    f2 = decode_payload(b"abc", "audio")
     assert f1.shape == (FEATURE_DIM,) and f1.dtype == np.float32
     assert np.array_equal(f1, f2)
-    assert not np.array_equal(f1, dec.decode(b"abd", "image"))
+    assert not np.array_equal(f1, decode_payload(b"abd", "image"))
     assert (f1 >= 0).all() and (f1 < 1).all()
 
 
 def test_stage_output_layout():
-    dec = MediaDecoder()
-    out = dec(_media_table())
+    out = decode_batch(_media_table())
     assert out.column_names == ["media_id", "media_type", "n_bytes",
                                 "sha256", "features"]
     pay = _media_table()["payload"].to_pylist()
@@ -58,23 +56,23 @@ def test_distributed_stage(ray_session):
     import ray.data
 
     ds = ray.data.from_arrow(_media_table(100))
-    out = decode_media(ds, concurrency=2, batch_size=16)
+    out = decode_media(ds, batch_size=16)
     tbl = pa.concat_tables(out.iter_batches(batch_format="pyarrow"))
     assert tbl.num_rows == 100
     assert sorted(tbl["media_id"].to_pylist()) == list(range(100))
 
 
 def test_header_parser_fields():
-    """HeaderParser parses magic/version/flags at fixed offsets and
+    """parse_headers parses magic/version/flags at fixed offsets and
     skips payloads shorter than the header."""
-    from raysearch.pipelines.multimodal import HEADER_BYTES, HeaderParser
+    from raysearch.pipelines.multimodal import HEADER_BYTES, parse_headers
 
     payload = bytes([0x89, ord("P"), ord("N"), ord("G"), 2, 7]) + b"xyz123"
     batch = pa.table({
         "media_id": pa.array([5, 6], pa.int64()),
         "payload": pa.array([payload, b"tiny"], pa.large_binary()),
     })
-    out = HeaderParser()(batch).to_pandas()
+    out = parse_headers(batch).to_pandas()
     assert len(out) == 1  # b"tiny" < HEADER_BYTES dropped
     row = out.iloc[0]
     assert row.doc_id == 5
@@ -110,18 +108,17 @@ def test_media_header_oracle_edge_docs(ray_session, tmp_path):
 
 
 def test_ppm_decoder_real_pixels():
-    """PPMDecoder parses the header FROM the payload (comments
+    """ppm_decode parses the header FROM the payload (comments
     included) and decodes actual pixel values."""
     import numpy as np
     import pyarrow as pa
 
-    from raysearch.pipelines.multimodal import PPMDecoder
+    from raysearch.pipelines.multimodal import ppm_batch, ppm_decode
 
     w, h = 3, 2
     px = bytes(range(w * h * 3))
     payload = b"P6\n# a comment\n3 2\n255\n" + px
-    dec = PPMDecoder()
-    ww, hh, img = dec.decode(payload)
+    ww, hh, img = ppm_decode(payload)
     assert (ww, hh) == (w, h)
     assert img.shape == (h, w, 3)
     assert img[0, 0].tolist() == [0, 1, 2]
@@ -132,7 +129,7 @@ def test_ppm_decoder_real_pixels():
         "media_type": pa.array(["image"], pa.string()),
         "payload": pa.array([payload], pa.large_binary()),
     })
-    out = dec(batch).to_pandas().iloc[0]
+    out = ppm_batch(batch).to_pandas().iloc[0]
     assert out.width == 3 and out.height == 2
     flat = np.frombuffer(px, np.uint8)
     assert out.mean_r == round(float(np.mean(flat[0::3])), 6)
@@ -142,16 +139,15 @@ def test_ppm_decoder_real_pixels():
 def test_ppm_decoder_rejects_malformed():
     import pytest as _pytest
 
-    from raysearch.pipelines.multimodal import PPMDecoder
+    from raysearch.pipelines.multimodal import ppm_decode
 
-    dec = PPMDecoder()
     for bad in (b"P5\n1 1\n255\n\x00", b"P6\n1 1", b"", b"JFIF...."):
         with _pytest.raises(ValueError):
-            dec.decode(bad)
+            ppm_decode(bad)
 
 
 def test_wav_decoder_real_riff():
-    """WavDecoder reads a genuine RIFF/WAVE container written by the
+    """wav_batch reads a genuine RIFF/WAVE container written by the
     stdlib wave module — header fields and PCM RMS."""
     import io
     import wave
@@ -159,7 +155,7 @@ def test_wav_decoder_real_riff():
     import numpy as np
     import pyarrow as pa
 
-    from raysearch.pipelines.multimodal import WavDecoder
+    from raysearch.pipelines.multimodal import wav_batch
 
     pcm = np.array([0, 256, -256, 512], dtype="<i2")
     buf = io.BytesIO()
@@ -173,7 +169,7 @@ def test_wav_decoder_real_riff():
         "media_type": pa.array(["audio"], pa.string()),
         "payload": pa.array([buf.getvalue()], pa.large_binary()),
     })
-    out = WavDecoder()(batch).to_pandas().iloc[0]
+    out = wav_batch(batch).to_pandas().iloc[0]
     assert out.sample_rate == 16000
     assert out.n_frames == 4
     expect = round(float(np.sqrt(np.mean(pcm.astype(np.float64) ** 2))), 6)
