@@ -7,62 +7,73 @@
         [--k 10 --mode bm25 --prune]
     python -m raysearch.cli serve --index /tmp/idx   # stdin REPL (S3)
 
-The CLI owns the Ray session (guarded init + shutdown); the library
-never calls ray.init itself, so the same code runs under the driver's
-pre-initialised session, pytest's session fixture, or a submitted job.
+The CLI owns the Ray session: a command starts Ray only when no
+session is running, and shuts down only a session it started. The
+library never calls ray.init itself, so the same code runs under the
+driver's pre-initialised session, pytest's session fixture, or a
+submitted job.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 
 
+@contextlib.contextmanager
 def _ray_session():
+    """Ray for one command: a session already running (the driver's,
+    pytest's, a submitted job's) is used and left running; one this
+    command starts is shut down when the command ends, however it
+    ends."""
     import ray
 
-    if not ray.is_initialized():
+    started = not ray.is_initialized()
+    if started:
         ray.init(address="local", include_dashboard=False,
-                 ignore_reinit_error=True, logging_level="ERROR")
+                 logging_level="ERROR")
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
-    return ray
+    try:
+        yield
+    finally:
+        if started:
+            ray.shutdown()
 
 
 def cmd_gen_corpus(args) -> None:
-    ray = _ray_session()
-    from raysearch.corpus import write_corpus, write_corpus_parallel
+    with _ray_session():
+        from raysearch.corpus import write_corpus, write_corpus_parallel
 
-    if args.docs >= 50_000:
-        write_corpus_parallel(args.out, args.docs, seed=args.seed)
-    else:
-        write_corpus(args.out, args.docs, seed=args.seed)
-    print(json.dumps({"out": args.out, "docs": args.docs}))
-    ray.shutdown()
+        if args.docs >= 50_000:
+            write_corpus_parallel(args.out, args.docs, seed=args.seed)
+        else:
+            write_corpus(args.out, args.docs, seed=args.seed)
+        print(json.dumps({"out": args.out, "docs": args.docs}))
 
 
 def cmd_build(args) -> None:
-    ray = _ray_session()
-    from raysearch.build import build_index
-    from raysearch.config import IndexConfig
+    with _ray_session():
+        from raysearch.build import build_index
+        from raysearch.config import IndexConfig
 
-    cfg = IndexConfig(num_parts=args.parts, k1=args.k1, b=args.b,
-                      with_positions=args.with_positions)
-    res = build_index(
-        args.corpus, args.index, cfg, input_id=args.corpus,
-        supported_langs=frozenset(args.langs.split(","))
-        if args.langs else None,
-        dedup_input=args.dedup_input)
-    print(json.dumps({
-        "index": res.index_dir,
-        "n_docs": res.stats["n_docs"],
-        "vocab_size": res.stats.get("vocab_size"),
-        "avgdl": res.stats["avgdl"],
-        "parts_built": res.parts_built,
-        "parts_skipped": res.parts_skipped,
-    }))
-    ray.shutdown()
+        cfg = IndexConfig(num_parts=args.parts, k1=args.k1, b=args.b,
+                          with_positions=args.with_positions)
+        res = build_index(
+            args.corpus, args.index, cfg, input_id=args.corpus,
+            supported_langs=frozenset(args.langs.split(","))
+            if args.langs else None,
+            dedup_input=args.dedup_input)
+        print(json.dumps({
+            "index": res.index_dir,
+            "n_docs": res.stats["n_docs"],
+            "vocab_size": res.stats.get("vocab_size"),
+            "avgdl": res.stats["avgdl"],
+            "parts_built": res.parts_built,
+            "parts_skipped": res.parts_skipped,
+        }))
 
 
 def _require_index(path: str) -> None:
@@ -100,13 +111,12 @@ def cmd_query(args) -> None:
         from raysearch.pipelines.queryparse import (DslError,
                                                     dsl_query_index)
 
-        ray = _ray_session()
-        try:
-            out = dsl_query_index(args.index, queries, k=args.k)
-        except DslError as e:
-            raise SystemExit(f"DSL parse error: {e}") from None
-        _emit_query_results(args, out)
-        ray.shutdown()
+        with _ray_session():
+            try:
+                out = dsl_query_index(args.index, queries, k=args.k)
+            except DslError as e:
+                raise SystemExit(f"DSL parse error: {e}") from None
+            _emit_query_results(args, out)
         return
     decay = (_float_pair(args.decay, "--decay expects ORIGIN,SCALE "
                          "(e.g. 50,40)") if args.decay else None)
@@ -130,21 +140,20 @@ def cmd_query(args) -> None:
             msg = msg.replace(knob, flag)
         raise SystemExit(msg) from None
     # Ray starts only once the flags are known to be valid
-    ray = _ray_session()
-    boost = None
-    if args.boost_term:
-        # Lucene-style static boost list sourced from the index: docs
-        # containing --boost-term score x --boost-factor, applied
-        # pre-truncation in every segment scorer (exact ranking)
-        from raysearch.pipelines.search_queries import static_boost_ids
+    with _ray_session():
+        boost = None
+        if args.boost_term:
+            # Lucene-style static boost list sourced from the index: docs
+            # containing --boost-term score x --boost-factor, applied
+            # pre-truncation in every segment scorer (exact ranking)
+            from raysearch.pipelines.search_queries import static_boost_ids
 
-        boost = (static_boost_ids(args.index, args.boost_term),
-                 args.boost_factor)
-    out = query_index(args.index, queries, k=args.k, mode=args.mode,
-                      prune=args.prune, boost=boost, decay=decay,
-                      rank_feature=rank_feature)
-    _emit_query_results(args, out)
-    ray.shutdown()
+            boost = (static_boost_ids(args.index, args.boost_term),
+                     args.boost_factor)
+        out = query_index(args.index, queries, k=args.k, mode=args.mode,
+                          prune=args.prune, boost=boost, decay=decay,
+                          rank_feature=rank_feature)
+        _emit_query_results(args, out)
 
 
 def _float_pair(text: str, usage: str) -> tuple[float, float]:
@@ -179,26 +188,25 @@ def cmd_serve(args) -> None:
     import sys
 
     _require_index(args.index)
-    ray = _ray_session()
-    from raysearch.serve import QuerySession
+    with _ray_session():
+        from raysearch.serve import QuerySession
 
-    with QuerySession(args.index, num_actors=args.actors) as session:
-        print(json.dumps({"ready": True, "index": args.index,
-                          "parts": session.n_parts}), flush=True)
-        for line in sys.stdin:
-            q = line.strip()
-            if not q:
-                continue
-            if q == ":quit":
-                break
-            if q == ":stats":
-                print(json.dumps({"cache": session.cache_stats()}),
+        with QuerySession(args.index, num_actors=args.actors) as session:
+            print(json.dumps({"ready": True, "index": args.index,
+                              "parts": session.n_parts}), flush=True)
+            for line in sys.stdin:
+                q = line.strip()
+                if not q:
+                    continue
+                if q == ":quit":
+                    break
+                if q == ":stats":
+                    print(json.dumps({"cache": session.cache_stats()}),
+                          flush=True)
+                    continue
+                out = session.query_batch([q], k=args.k, mode=args.mode)
+                print(json.dumps({"query": q, "results": out.to_pylist()}),
                       flush=True)
-                continue
-            out = session.query_batch([q], k=args.k, mode=args.mode)
-            print(json.dumps({"query": q, "results": out.to_pylist()}),
-                  flush=True)
-    ray.shutdown()
 
 
 def cmd_serve_tcp(args) -> None:
@@ -211,23 +219,22 @@ def cmd_serve_tcp(args) -> None:
     import threading
 
     _require_index(args.index)
-    ray = _ray_session()
-    from raysearch.server import SearchServer
+    with _ray_session():
+        from raysearch.server import SearchServer
 
-    with SearchServer(args.index, k=args.k, mode=args.mode,
-                      num_actors=args.actors,
-                      submit_port=args.submit_port,
-                      poll_port=args.poll_port) as srv:
-        print(json.dumps({"ready": True, "index": args.index,
-                          "submit_port": srv.submit_port,
-                          "poll_port": srv.poll_port}), flush=True)
-        # Event.wait is race-free (a SIGINT between the loop check and
-        # the wait still wakes it), unlike check-then-signal.pause()
-        stop = threading.Event()
-        signal.signal(signal.SIGINT, lambda *a: stop.set())
-        while not stop.is_set():
-            stop.wait(timeout=1.0)
-    ray.shutdown()
+        with SearchServer(args.index, k=args.k, mode=args.mode,
+                          num_actors=args.actors,
+                          submit_port=args.submit_port,
+                          poll_port=args.poll_port) as srv:
+            print(json.dumps({"ready": True, "index": args.index,
+                              "submit_port": srv.submit_port,
+                              "poll_port": srv.poll_port}), flush=True)
+            # Event.wait is race-free (a SIGINT between the loop check and
+            # the wait still wakes it), unlike check-then-signal.pause()
+            stop = threading.Event()
+            signal.signal(signal.SIGINT, lambda *a: stop.set())
+            while not stop.is_set():
+                stop.wait(timeout=1.0)
 
 
 def cmd_verify_index(args) -> None:
@@ -271,45 +278,44 @@ def cmd_evaluate(args) -> None:
     import os
     import tempfile
 
-    ray = _ray_session()
-    from raysearch.build import build_index
-    from raysearch.config import IndexConfig
-    from raysearch.corpus import corpus_from_files
-    from raysearch.query import query_index, read_queries
+    with _ray_session():
+        from raysearch.build import build_index
+        from raysearch.config import IndexConfig
+        from raysearch.corpus import corpus_from_files
+        from raysearch.query import query_index, read_queries
 
-    ds = corpus_from_files(args.corpus_dir)
-    # label map: (doc_id -> path). Harness corpora are small labeled
-    # test sets; at scale labels would live in the corpus table itself.
-    id_path = {int(r["doc_id"]): r["path"]
-               for r in ds.select_columns(["doc_id", "path"]).take_all()}
-    # the reference harness repeats each query 50x to measure latency
-    # (build_and_run_tests.sh); accuracy is per DISTINCT query, labeled
-    # by first-occurrence order
-    raw = read_queries(args.queries)
-    queries = list(dict.fromkeys(raw))
-    idx = args.index or tempfile.mkdtemp(prefix="rayseval-")
-    build_index(ds, idx, IndexConfig(num_parts=args.parts),
-                input_id=f"evaluate:{os.path.abspath(args.corpus_dir)}")
-    out = query_index(idx, queries, k=args.k, mode=args.mode).to_pandas()
-    per_query = []
-    for qid in range(len(queries)):
-        # reference labeling: doc query{q}document{d}.* is relevant to
-        # the q-th query (1-based line number), src/bin/test.rs:122-137
-        label = f"query{qid + 1}document"
-        sub = out[out.query_id == qid]
-        hits = sum(
-            1 for d in sub.doc_id
-            if os.path.basename(id_path.get(int(d), "")).startswith(label))
-        per_query.append({"query": queries[qid],
-                          "precision_at_k": round(hits / args.k, 4)})
-    avg = (sum(p["precision_at_k"] for p in per_query) / len(per_query)
-           if per_query else 0.0)
-    print(json.dumps({"mode": args.mode, "k": args.k,
-                      "n_queries": len(queries),
-                      "n_query_lines": len(raw),
-                      "avg_precision": round(avg, 4),
-                      "per_query": per_query}))
-    ray.shutdown()
+        ds = corpus_from_files(args.corpus_dir)
+        # label map: (doc_id -> path). Harness corpora are small labeled
+        # test sets; at scale labels would live in the corpus table itself.
+        id_path = {int(r["doc_id"]): r["path"]
+                   for r in ds.select_columns(["doc_id", "path"]).take_all()}
+        # the reference harness repeats each query 50x to measure latency
+        # (build_and_run_tests.sh); accuracy is per DISTINCT query, labeled
+        # by first-occurrence order
+        raw = read_queries(args.queries)
+        queries = list(dict.fromkeys(raw))
+        idx = args.index or tempfile.mkdtemp(prefix="rayseval-")
+        build_index(ds, idx, IndexConfig(num_parts=args.parts),
+                    input_id=f"evaluate:{os.path.abspath(args.corpus_dir)}")
+        out = query_index(idx, queries, k=args.k, mode=args.mode).to_pandas()
+        per_query = []
+        for qid in range(len(queries)):
+            # reference labeling: doc query{q}document{d}.* is relevant to
+            # the q-th query (1-based line number), src/bin/test.rs:122-137
+            label = f"query{qid + 1}document"
+            sub = out[out.query_id == qid]
+            hits = sum(
+                1 for d in sub.doc_id
+                if os.path.basename(id_path.get(int(d), "")).startswith(label))
+            per_query.append({"query": queries[qid],
+                              "precision_at_k": round(hits / args.k, 4)})
+        avg = (sum(p["precision_at_k"] for p in per_query) / len(per_query)
+               if per_query else 0.0)
+        print(json.dumps({"mode": args.mode, "k": args.k,
+                          "n_queries": len(queries),
+                          "n_query_lines": len(raw),
+                          "avg_precision": round(avg, 4),
+                          "per_query": per_query}))
 
 
 def cmd_monitor(args) -> None:
@@ -366,15 +372,14 @@ def cmd_monitor(args) -> None:
 
 def cmd_append(args) -> None:
     _require_index(args.index)
-    ray = _ray_session()
-    from raysearch.maintenance import append_index
+    with _ray_session():
+        from raysearch.maintenance import append_index
 
-    st = append_index(args.corpus, args.index, input_id=args.corpus,
-                      num_parts=args.parts)
-    print(json.dumps({"index": args.index, "n_docs": st["n_docs"],
-                      "vocab_size": st.get("vocab_size"),
-                      "parts": len(st.get("parts", []))}))
-    ray.shutdown()
+        st = append_index(args.corpus, args.index, input_id=args.corpus,
+                          num_parts=args.parts)
+        print(json.dumps({"index": args.index, "n_docs": st["n_docs"],
+                          "vocab_size": st.get("vocab_size"),
+                          "parts": len(st.get("parts", []))}))
 
 
 def cmd_delete(args) -> None:
@@ -391,24 +396,22 @@ def cmd_delete(args) -> None:
 
 def cmd_compact(args) -> None:
     _require_index(args.index)
-    ray = _ray_session()
-    from raysearch.maintenance import compact_index
+    with _ray_session():
+        from raysearch.maintenance import compact_index
 
-    st = compact_index(args.index)
-    print(json.dumps({"index": args.index, "n_docs": st["n_docs"],
-                      "vocab_size": st.get("vocab_size"),
-                      "avgdl": st["avgdl"]}))
-    ray.shutdown()
+        st = compact_index(args.index)
+        print(json.dumps({"index": args.index, "n_docs": st["n_docs"],
+                          "vocab_size": st.get("vocab_size"),
+                          "avgdl": st["avgdl"]}))
 
 
 def cmd_merge(args) -> None:
-    ray = _ray_session()
-    from raysearch.merge import merge_indexes
+    with _ray_session():
+        from raysearch.merge import merge_indexes
 
-    stats = merge_indexes(args.inputs.split(","), args.out)
-    print(json.dumps({"out": args.out, "n_docs": stats["n_docs"],
-                      "vocab_size": stats["vocab_size"]}))
-    ray.shutdown()
+        stats = merge_indexes(args.inputs.split(","), args.out)
+        print(json.dumps({"out": args.out, "n_docs": stats["n_docs"],
+                          "vocab_size": stats["vocab_size"]}))
 
 
 def cmd_suggest(args) -> None:

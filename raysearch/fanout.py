@@ -1,7 +1,7 @@
 """The one part fan-out: every per-segment stage (one-shot scoring,
 asof df, compaction, merge, the pipeline candidate stages) maps its
-kernel over the parts here. A kernel takes ``pa.table({"part": [...]})``
-and returns an Arrow table. Plain tasks, not a Ray Data job: planning a
+kernel over the parts here. A kernel takes one part number and returns
+that part's Arrow table. Plain tasks, not a Ray Data job: planning a
 streaming executor for a few part rows cost ~137 ms against ~20 ms for
 8 plain tasks (1 CPU). And one task per cluster CPU, like the
 reference's one query thread per core (src/processor.rs:83-144): on
@@ -17,8 +17,8 @@ import math
 import pyarrow as pa
 
 
-def _run_chunk(fn, chunk: list[int]) -> pa.Table:
-    return fn(pa.table({"part": pa.array(chunk, pa.int64())}))
+def _run_chunk(fn, chunk: list[int]) -> list[pa.Table]:
+    return [t for t in map(fn, chunk) if t.num_rows]
 
 
 @functools.cache
@@ -30,13 +30,14 @@ def _chunk_task():
 
 
 def map_parts(parts, fn, empty: pa.Table) -> pa.Table:
-    """``fn`` over ``parts`` in one plain Ray task per cluster CPU, each
-    a contiguous run of ``ceil(P / CPUs)`` parts (more tasks than CPUs
-    would only queue, and each launch costs more than scoring a small
-    part), results concatenated in part order. ``fn`` is put in the
-    object store once. Zero-row results are dropped, so a kernel's no-hit
-    table need not match the others' schema; ``empty`` is returned when
-    nothing remains. A kernel error is raised here by ``ray.get``,
+    """``fn(part)`` for each of ``parts``, in one plain Ray task per
+    cluster CPU, each calling it over a contiguous run of
+    ``ceil(P / CPUs)`` parts (more tasks than CPUs would only queue,
+    and each launch costs more than scoring a small part), results
+    concatenated in part order. ``fn`` is put in the object store
+    once. Zero-row results are dropped, so a kernel's no-hit table need
+    not match the others' schema; ``empty`` is returned when nothing
+    remains. A kernel error is raised here by ``ray.get``,
     never turned into a partial table."""
     import ray
 
@@ -49,5 +50,5 @@ def map_parts(parts, fn, empty: pa.Table) -> pa.Table:
     task = _chunk_task()
     refs = [task.remote(fn_ref, parts[i:i + per_task])
             for i in range(0, len(parts), per_task)]
-    outs = [t for t in ray.get(refs) if t.num_rows]
+    outs = [t for ts in ray.get(refs) for t in ts]
     return pa.concat_tables(outs) if outs else empty

@@ -201,10 +201,9 @@ def compact_index(index_dir: str) -> dict:
     input_id = (f"{base_input}#compact="
                 f"{hashlib.sha256(deleted.tobytes()).hexdigest()[:12]}")
 
-    def kern(batch: pa.Table) -> pa.Table:
+    def kern(part: int) -> pa.Table:
         return pa.Table.from_pylist([
-            _compact_part(index_dir, int(p), deleted, config_hash, input_id)
-            for p in batch["part"].to_pylist()])
+            _compact_part(index_dir, part, deleted, config_hash, input_id)])
 
     rows = map_parts(stats.get("parts") or [], kern,
                      pa.table({})).to_pylist()

@@ -91,12 +91,12 @@ def merge_indexes(index_dirs: list[str], out_dir: str) -> dict:
     clear_deletes(out_dir)
     os.makedirs(os.path.join(out_dir, "segments"), exist_ok=True)
 
-    def merge_batch(b: pa.Table) -> pa.Table:
-        rows = [_merge_one_part(int(p), index_dirs, out_dir, config_hash,
-                                input_id) for p in b["part"].to_pylist()]
-        return pa.Table.from_pylist([r for r in rows if r])
+    def merge_part(part: int) -> pa.Table:
+        row = _merge_one_part(part, index_dirs, out_dir, config_hash,
+                              input_id)
+        return pa.Table.from_pylist([row] if row else [])
 
-    out_rows = map_parts(all_parts, merge_batch, pa.table({})).to_pylist()
+    out_rows = map_parts(all_parts, merge_part, pa.table({})).to_pylist()
     return finalize_index(
         out_dir, out_rows, stats_in[0]["config"],
         {"input_id": input_id, "config_hash": config_hash})

@@ -30,7 +30,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from raysearch.numutil import fmt_doc, round6
+from raysearch.numutil import fmt_doc, frame_table, rank_cut, round6
 
 # dl range-facet edges (right-open buckets over token length); the
 # sf fixtures span dl 10..99, so all four buckets are populated
@@ -176,19 +176,12 @@ def terms_agg_topk(sf_dir: str) -> pa.Table:
     agg["err_bound"] = total_last - agg.covered.to_numpy(np.int64)
     truth = lexicon_df(cached_index(sf_dir), sorted(agg.index.tolist()))
     agg["true_df"] = [int(truth.get(t, 0)) for t in agg.index]
-    agg = (agg.reset_index()
-           .sort_values(["reported_df", "term"],
-                        ascending=[False, True], ignore_index=True)
-           .head(TA_K))
-    return pa.table({
-        "rank": pa.array(np.arange(1, len(agg) + 1), pa.int64()),
-        "term": pa.array(agg.term.tolist(), pa.string()),
-        "reported_df": pa.array(agg.reported_df.to_numpy(np.int64),
-                                pa.int64()),
-        "err_bound": pa.array(agg.err_bound.to_numpy(np.int64),
-                              pa.int64()),
-        "true_df": pa.array(agg.true_df.to_numpy(np.int64), pa.int64()),
-    })
+    return frame_table(
+        rank_cut(agg.reset_index(), [("reported_df", False),
+                                     ("term", True)], TA_K),
+        pa.schema([("rank", pa.int64()), ("term", pa.string()),
+                   ("reported_df", pa.int64()), ("err_bound", pa.int64()),
+                   ("true_df", pa.int64())]))
 
 
 def sql_terms_agg_topk() -> str:

@@ -106,15 +106,14 @@ def grep_lines(sf_dir: str) -> pa.Table:
     cand_empty = pa.table({"term": pa.array([], pa.string()),
                            "doc_id": pa.array([], pa.int64())})
 
-    def cand_kern(batch: pa.Table) -> pa.Table:
+    def cand_kern(part: int) -> pa.Table:
         out_t: list[str] = []
         out_d: list[int] = []
-        for part in batch["part"].to_pylist():
-            post = part_postings(idx, int(part), terms)
-            for t, (docs, _, _) in post.items():
-                docs = docs[:GREP_MAX]  # sorted; first K per part
-                out_t.extend([t] * len(docs))
-                out_d.extend(int(d) for d in docs)
+        post = part_postings(idx, part, terms)
+        for t, (docs, _, _) in post.items():
+            docs = docs[:GREP_MAX]  # sorted; first K per part
+            out_t.extend([t] * len(docs))
+            out_d.extend(int(d) for d in docs)
         return pa.table({"term": pa.array(out_t, pa.string()),
                          "doc_id": pa.array(out_d, pa.int64())})
 

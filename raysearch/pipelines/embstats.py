@@ -31,8 +31,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from raysearch.numutil import fmt_doc, round6
-from raysearch.pipelines.similarity import _EMB
+from raysearch.numutil import fmt_doc, frame_table, rank_cut, round6
+from raysearch.pipelines.similarity import _ANN_SCHEMA, _BY_COS, _EMB
 
 
 def _read_labeled(sf_dir: str):
@@ -276,27 +276,15 @@ def hard_negatives(sf_dir: str) -> pa.Table:
                             zero_copy_batch=True)
                .iter_batches(batch_format="pyarrow")
                if b.num_rows]
-    empty = pa.table({"query_vec_id": pa.array([], pa.int64()),
-                      "vec_id": pa.array([], pa.int64()),
-                      "rank": pa.array([], pa.int64()),
-                      "cos": pa.array([], pa.float64())})
+    empty = _ANN_SCHEMA.empty_table()
     if not batches:
         return empty
     df = pa.concat_tables(batches).to_pandas()
     if df.empty:
         return empty
     df["cos"] = round6(df["cos"].to_numpy(np.float64)) + 0.0
-    df = df.sort_values(["query_vec_id", "cos", "vec_id"],
-                        ascending=[True, False, True])
-    df["rank"] = df.groupby("query_vec_id").cumcount() + 1
-    df = df[df["rank"] <= HN_K]
-    return pa.table({
-        "query_vec_id": pa.array(df.query_vec_id.to_numpy(np.int64),
-                                 pa.int64()),
-        "vec_id": pa.array(df.vec_id.to_numpy(np.int64), pa.int64()),
-        "rank": pa.array(df["rank"].to_numpy(np.int64), pa.int64()),
-        "cos": pa.array(df.cos.to_numpy(np.float64), pa.float64()),
-    })
+    return frame_table(rank_cut(df, _BY_COS, HN_K, "query_vec_id"),
+                       _ANN_SCHEMA)
 
 
 def sql_hard_negatives() -> str:
@@ -412,16 +400,9 @@ def emb_outliers(sf_dir: str) -> pa.Table:
     if df.empty:
         return empty
     df["dist"] = round6(df["dist"].to_numpy(np.float64)) + 0.0
-    df = df.sort_values(["label", "dist", "vec_id"],
-                        ascending=[True, False, True])
-    df["rank"] = df.groupby("label").cumcount() + 1
-    df = df[df["rank"] <= OUT_K]
-    return pa.table({
-        "label": pa.array(df.label.to_numpy(np.int64), pa.int64()),
-        "vec_id": pa.array(df.vec_id.to_numpy(np.int64), pa.int64()),
-        "rank": pa.array(df["rank"].to_numpy(np.int64), pa.int64()),
-        "dist": pa.array(df.dist.to_numpy(np.float64), pa.float64()),
-    })
+    return frame_table(
+        rank_cut(df, [("dist", False), ("vec_id", True)], OUT_K, "label"),
+        empty.schema)
 
 
 def sql_emb_outliers() -> str:

@@ -21,7 +21,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from raysearch.numutil import fmt_doc, round6
+from raysearch.numutil import fmt_doc, frame_table, rank_cut, round6
 from raysearch.pipelines.textops import _tokens
 
 _DOCS = "documents.parquet"
@@ -69,6 +69,10 @@ def source_stats(sf_dir: str) -> pa.Table:
     })
 
 
+_TFIDF_SCHEMA = pa.schema([("doc_id", pa.int64()), ("rank", pa.int64()),
+                          ("term", pa.string()), ("tfidf", pa.float64())])
+
+
 def _top_tfidf(b: pa.Table, df_ref, n_docs: float) -> pa.Table:
     """Per-doc tf-idf top-k of one batch: (doc, term) tf counting,
     scoring and top-k ranking are all numpy/pandas kernels — zero
@@ -82,10 +86,7 @@ def _top_tfidf(b: pa.Table, df_ref, n_docs: float) -> pa.Table:
     dl = pc.list_value_length(toks).to_numpy().astype(np.int64)
     flat = toks.flatten().to_numpy(zero_copy_only=False)
     if len(flat) == 0:
-        return pa.table({"doc_id": pa.array([], pa.int64()),
-                         "rank": pa.array([], pa.int64()),
-                         "term": pa.array([], pa.string()),
-                         "tfidf": pa.array([], pa.float64())})
+        return _TFIDF_SCHEMA.empty_table()
     doc_idx = np.repeat(np.arange(b.num_rows, dtype=np.int64), dl)
     codes, uniq_terms = pd.factorize(flat, sort=False)
     # tf per (doc, term): one np.unique over packed keys
@@ -99,16 +100,10 @@ def _top_tfidf(b: pa.Table, df_ref, n_docs: float) -> pa.Table:
     df = pd.DataFrame({"doc_id": doc_ids[p_doc],
                        "term": uniq_terms[p_code],
                        "tfidf": score})
-    df = df.sort_values(["doc_id", "tfidf", "term"],
-                        ascending=[True, False, True], kind="stable")
-    df["rank"] = df.groupby("doc_id").cumcount() + 1
-    df = df[df["rank"] <= TFIDF_TOPK]
-    return pa.table({
-        "doc_id": pa.array(df.doc_id.to_numpy(np.int64), pa.int64()),
-        "rank": pa.array(df["rank"].to_numpy(np.int64), pa.int64()),
-        "term": pa.array(df.term.tolist(), pa.string()),
-        "tfidf": pa.array(df.tfidf.to_numpy(np.float64), pa.float64()),
-    })
+    return frame_table(
+        rank_cut(df, [("tfidf", False), ("term", True)], TFIDF_TOPK,
+                 "doc_id"),
+        _TFIDF_SCHEMA)
 
 
 def top_terms_tfidf(sf_dir: str) -> pa.Table:
@@ -154,17 +149,12 @@ def window_top_events(sf_dir: str) -> pa.Table:
             partial, batch_format="pandas")
     agg = ds.groupby(["window_start_us", "event_type"]).aggregate(
         Sum("n", alias_name="n")).to_pandas()
-    agg = agg.sort_values(["window_start_us", "n", "event_type"],
-                          ascending=[True, False, True])
-    agg["rank"] = agg.groupby("window_start_us").cumcount() + 1
-    agg = agg[agg["rank"] <= WINDOW_TOPK]
-    return pa.table({
-        "window_start_us": pa.array(
-            agg.window_start_us.to_numpy(np.int64), pa.int64()),
-        "event_type": pa.array(agg.event_type.tolist(), pa.string()),
-        "n": pa.array(agg.n.to_numpy(np.int64), pa.int64()),
-        "rank": pa.array(agg["rank"].to_numpy(np.int64), pa.int64()),
-    })
+    return frame_table(
+        rank_cut(agg, [("n", False), ("event_type", True)], WINDOW_TOPK,
+                 "window_start_us"),
+        pa.schema([("window_start_us", pa.int64()),
+                   ("event_type", pa.string()), ("n", pa.int64()),
+                   ("rank", pa.int64())]))
 
 
 def phrase_counts(sf_dir: str) -> pa.Table:

@@ -123,8 +123,8 @@ def federated_topk(sf_dir: str) -> pa.Table:
             asof={"parts": parts, "df": stats["df"],
                   "n_docs": stats["n_docs"], "avgdl": stats["avgdl"]})
         cand.append(tbl.to_pandas()[["query_id", "doc_id", "score"]])
-    # the engine-wide round6 -> (-score, doc_id) rank contract,
-    # shared with every other *_topk entry
+    # round6, then the (-score, doc_id) rank cut every ranked output
+    # takes from numutil.rank_cut
     from raysearch.pipelines.rankex import _ranked_from_candidates
 
     return _ranked_from_candidates(pd.concat(cand, ignore_index=True))

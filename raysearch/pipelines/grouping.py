@@ -23,6 +23,13 @@ from raysearch.fanout import map_parts
 
 COLLAPSE_FIELD = "source"   # the collapse key (documents metadata)
 
+_BY_SCORE = [("score", False), ("doc_id", True)]
+_COLLAPSE_SCHEMA = pa.schema([("query_id", pa.int64()),
+                              ("doc_id", pa.int64()),
+                              (COLLAPSE_FIELD, pa.string()),
+                              ("rank", pa.int64()),
+                              ("score", pa.float64())])
+
 
 def collapse_topk(sf_dir: str) -> pa.Table:
     """Field-collapsed retrieval (Lucene CollapsingTopDocsCollector):
@@ -46,7 +53,7 @@ def collapse_topk(sf_dir: str) -> pa.Table:
     read from the corpus table per batch."""
     import pyarrow.parquet as pq
 
-    from raysearch.numutil import round6
+    from raysearch.numutil import frame_table, rank_cut, round6
     from raysearch.pipelines.rankex import _part_kernel
     from raysearch.pipelines.search_queries import (DOC_QUERIES, TOPK,
                                                     _docs_path,
@@ -72,59 +79,31 @@ def collapse_topk(sf_dir: str) -> pa.Table:
         len(plan.qweights),
         lambda qid, post: plan.score(plan.qweights[qid], post.get), None)
 
-    def kern(batch: pa.Table) -> pa.Table:
-        rows = part_scores(batch)
+    def champions(g: pd.DataFrame) -> pd.DataFrame:
+        return rank_cut(g, _BY_SCORE, 1, ["query_id", COLLAPSE_FIELD])
+
+    def kern(part: int) -> pa.Table:
+        rows = part_scores(part)
         if not rows.num_rows:
             return empty
-        qv = rows["query_id"].to_numpy()
         dv = rows["doc_id"].to_numpy()
-        sv = round6(rows["score"].to_numpy())
-        # ONE narrow filtered read maps this batch's matched ids to
+        # ONE narrow filtered read maps this part's matched ids to
         # their collapse key (row groups without them never load)
-        ids = np.unique(dv)
         src = pq.read_table(
             docs_file, columns=["doc_id", COLLAPSE_FIELD],
-            filters=[("doc_id", "in", ids.tolist())])
+            filters=[("doc_id", "in", np.unique(dv).tolist())])
         key = dict(zip(src["doc_id"].to_pylist(),
                        src[COLLAPSE_FIELD].to_pylist()))
-        g = pd.DataFrame({"query_id": qv, "doc_id": dv, "score": sv})
+        g = pd.DataFrame({"query_id": rows["query_id"].to_numpy(),
+                          "doc_id": dv,
+                          "score": round6(rows["score"].to_numpy())})
         g[COLLAPSE_FIELD] = g["doc_id"].map(key)
-        g = g.sort_values(["query_id", COLLAPSE_FIELD, "score",
-                           "doc_id"],
-                          ascending=[True, True, False, True])
-        g = g.groupby(["query_id", COLLAPSE_FIELD],
-                      as_index=False).head(1)
-        return pa.table({
-            "query_id": pa.array(g.query_id.to_numpy(np.int64),
-                                 pa.int64()),
-            COLLAPSE_FIELD: pa.array(g[COLLAPSE_FIELD].tolist(),
-                                     pa.string()),
-            "doc_id": pa.array(g.doc_id.to_numpy(np.int64),
-                               pa.int64()),
-            "score": pa.array(g.score.to_numpy(np.float64),
-                              pa.float64())})
+        return frame_table(champions(g), empty.schema)
 
-    champ = map_parts(parts, kern, empty).to_pandas()
     # associative finish: re-champion per (query, group), then rank
-    champ = champ.sort_values(["query_id", COLLAPSE_FIELD, "score",
-                               "doc_id"],
-                              ascending=[True, True, False, True])
-    champ = champ.groupby(["query_id", COLLAPSE_FIELD],
-                          as_index=False).head(1)
-    champ = champ.sort_values(["query_id", "score", "doc_id"],
-                              ascending=[True, False, True])
-    champ["rank"] = champ.groupby("query_id").cumcount() + 1
-    champ = champ[champ["rank"] <= TOPK]
-    return pa.table({
-        "query_id": pa.array(champ.query_id.to_numpy(np.int64),
-                             pa.int64()),
-        "doc_id": pa.array(champ.doc_id.to_numpy(np.int64), pa.int64()),
-        COLLAPSE_FIELD: pa.array(champ[COLLAPSE_FIELD].tolist(),
-                                 pa.string()),
-        "rank": pa.array(champ["rank"].to_numpy(np.int64), pa.int64()),
-        "score": pa.array(champ.score.to_numpy(np.float64),
-                          pa.float64()),
-    })
+    champ = champions(map_parts(parts, kern, empty).to_pandas())
+    return frame_table(rank_cut(champ, _BY_SCORE, TOPK, "query_id"),
+                       _COLLAPSE_SCHEMA)
 
 
 def sql_collapse_topk() -> str:
@@ -204,15 +183,14 @@ def query_hit_counts(sf_dir: str) -> pa.Table:
     empty = pa.table({"query_id": pa.array([], pa.int64()),
                       "n_hits": pa.array([], pa.int64())})
 
-    def kern(batch: pa.Table) -> pa.Table:
+    def kern(part: int) -> pa.Table:
         counts = np.zeros(len(qterms), np.int64)
-        for part in batch["part"].to_pylist():
-            post = {t: row[0] for t, row in
-                    part_postings(idx, int(part), all_terms).items()}
-            for qid, ts in enumerate(qterms):
-                arrs = [post[t] for t in ts if t in post]
-                if arrs:
-                    counts[qid] += len(np.unique(np.concatenate(arrs)))
+        post = {t: row[0] for t, row in
+                part_postings(idx, part, all_terms).items()}
+        for qid, ts in enumerate(qterms):
+            arrs = [post[t] for t in ts if t in post]
+            if arrs:
+                counts[qid] += len(np.unique(np.concatenate(arrs)))
         return pa.table({
             "query_id": pa.array(np.arange(len(qterms), dtype=np.int64),
                                  pa.int64()),

@@ -53,7 +53,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from raysearch.numutil import fmt_doc, round6
+from raysearch.numutil import fmt_doc, rank_cut, round6
 from raysearch.pipelines.similarity import (
     DUP_BLOCK_ROWS,
     _emb_matrix,
@@ -314,13 +314,9 @@ def _knn_partials_ds(sf_dir: str, backbone: str | None = None):
 def _merge_topk(g: pd.DataFrame) -> pd.DataFrame:
     """One vec-bucket group of partials -> each vector's global top-k
     under the (cos DESC, nbr_id ASC) total order. Vectorized across
-    vectors: one lexsort + cumcount."""
-    g = g.sort_values(["vec_id", "cos", "nbr_id"],
-                      ascending=[True, False, True],
-                      ignore_index=True)
-    rank = g.groupby("vec_id").cumcount() + 1
-    g = g.assign(rank=rank)
-    return g[g["rank"] <= KNN_K]
+    vectors: one numutil.rank_cut."""
+    return rank_cut(g, [("cos", False), ("nbr_id", True)], KNN_K,
+                    "vec_id")
 
 
 @fmt_doc(k=KNN_K)

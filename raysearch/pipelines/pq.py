@@ -31,7 +31,8 @@ import os
 import numpy as np
 import pyarrow as pa
 
-from raysearch.numutil import round6
+from raysearch.numutil import frame_table, rank_cut, round6
+from raysearch.pipelines.similarity import _ANN_SCHEMA, _BY_COS
 
 PQ_M = 8            # sub-spaces (dim 64 -> 8-dim sub-vectors)
 PQ_CODES = 16       # codebook entries per sub-space (4-bit codes)
@@ -140,7 +141,6 @@ def pq_topk(sf_dir: str) -> pa.Table:
     (real-corpus-shaped) embeddings the shortlist covers the true
     top-k with large margin — the near-uniform fixtures here are PQ's
     adversarial case and the measured-regardless honest number."""
-    import pandas as pd
     import pyarrow.parquet as pq_
     import ray
     import ray.data
@@ -208,17 +208,8 @@ def pq_topk(sf_dir: str) -> pa.Table:
                       np.int64)
     cand = cand.assign(cos=round6(
         (rn[rows] * qn[qsel]).sum(axis=1)))
-    cand = cand.sort_values(["query_vec_id", "cos", "vec_id"],
-                            ascending=[True, False, True])
-    cand["rank"] = cand.groupby("query_vec_id").cumcount() + 1
-    cand = cand[cand["rank"] <= TOPK]
-    return pa.table({
-        "query_vec_id": pa.array(cand.query_vec_id.to_numpy(np.int64),
-                                 pa.int64()),
-        "vec_id": pa.array(cand.vec_id.to_numpy(np.int64), pa.int64()),
-        "rank": pa.array(cand["rank"].to_numpy(np.int64), pa.int64()),
-        "cos": pa.array(cand.cos.to_numpy(np.float64), pa.float64()),
-    })
+    return frame_table(rank_cut(cand, _BY_COS, TOPK, "query_vec_id"),
+                       _ANN_SCHEMA)
 
 
 QUERIES = {"pq_topk": pq_topk}

@@ -72,16 +72,15 @@ def impact_topk(sf_dir: str) -> pa.Table:
     plan, parts = plan_query(idx, load_stats(idx), DOC_QUERIES)
     all_terms = plan.all_terms
 
-    def kern(batch: pa.Table) -> pa.Table:
+    def kern(part: int) -> pa.Table:
         out_t, out_d, out_tf, out_dl = [], [], [], []
-        for part in batch["part"].to_pylist():
-            post = part_postings(idx, int(part), all_terms)
-            for term, (docs, tfs, dls) in post.items():
-                d, t, l = _top_p(docs, tfs, dls, IMPACT_P)
-                out_t.extend([term] * len(d))
-                out_d.extend(d.tolist())
-                out_tf.extend(t.tolist())
-                out_dl.extend(l.tolist())
+        post = part_postings(idx, part, all_terms)
+        for term, (docs, tfs, dls) in post.items():
+            d, t, l = _top_p(docs, tfs, dls, IMPACT_P)
+            out_t.extend([term] * len(d))
+            out_d.extend(d.tolist())
+            out_tf.extend(t.tolist())
+            out_dl.extend(l.tolist())
         if not out_t:
             return _EMPTY_SURV
         return pa.table({

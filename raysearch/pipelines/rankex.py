@@ -17,9 +17,11 @@ _part_topk: map_parts over the index's parts, one
 segments.part_postings read per part, the op's own ``score_query(qid,
 post) -> (doc_ids, scores) | None`` per query, a raw per-(part, query)
 top-buffer (or every row), one candidate frame;
-_ranked_from_candidates is the shared round6 -> (-score, doc_id) rank
-contract over it. Their stats, df and query weights come from one
-place, query.plan_query (_plan here): each op plans its queries once
+_ranked_from_candidates rounds it (round6) and ranks it by (-score,
+doc_id) through numutil.rank_cut, the one rank cut (sort, 1-based
+rank, cut at k) behind every ranked output of the engine. Their
+stats, df and query weights come from one place, query.plan_query
+(_plan here): each op plans its queries once
 and scores through the plan's one unpruned per-query body,
 ``plan.score(plan.qweights[qid], lookup)`` — the same body query_index
 runs — or, for a single term's addends (dismax, percolation, span-NOT,
@@ -31,8 +33,8 @@ reduce on the driver; _term_group_docs returns, per group of terms,
 the docs holding any (or all) of them with their distinct-term count
 (bool_and, blocklist, wildcard, the trigram regex candidates, the
 static boost list). Ops with yet another per-part schema (pruning, the
-positional proximity kernels, ...) keep their own map_parts kernel
-over part_postings.
+positional proximity kernels, ...) keep their own one-part map_parts
+kernel over part_postings.
 """
 
 from __future__ import annotations
@@ -45,8 +47,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from raysearch.fanout import map_parts
-from raysearch.numutil import fmt_doc
-from raysearch.pipelines.search_queries import _TOPK_BUFFER
+from raysearch.numutil import fmt_doc, frame_table, rank_cut, round6
+from raysearch.pipelines.search_queries import (TOPK, _BY_SCORE,
+                                                _RANKED_SCHEMA, _TOPK_BUFFER)
 from raysearch.segments import (SCORER_COLUMNS, SCORER_COLUMNS_POS,
                                 part_postings)
 
@@ -75,31 +78,21 @@ PASSAGE_STRIDE = 4096  # passage_id = doc_id * STRIDE + window_idx
 _EMPTY_CAND = pa.table({"query_id": pa.array([], pa.int64()),
                         "doc_id": pa.array([], pa.int64()),
                         "score": pa.array([], pa.float64())})
+_RANKED_INT = _RANKED_SCHEMA.set(3, pa.field("score", pa.int64()))
 
 
 def _ranked_from_candidates(cand: pd.DataFrame, score_int: bool = False,
                             topk: int | None = None) -> pa.Table:
     """The shared round6 -> (-score, doc_id) rank contract over a
-    per-part candidate frame (query_id, doc_id, score)."""
-    from raysearch.numutil import round6
-    from raysearch.pipelines.search_queries import TOPK
-
-    if not score_int:
-        cand = cand.assign(score=round6(cand["score"].to_numpy(np.float64)))
-    cand = cand.sort_values(["query_id", "score", "doc_id"],
-                            ascending=[True, False, True])
-    cand["rank"] = cand.groupby("query_id").cumcount() + 1
-    # explicit None test: topk=0 is a legitimate "no results" request
-    # (`or` would silently widen it back to the default)
-    cand = cand[cand["rank"] <= (TOPK if topk is None else topk)]
-    return pa.table({
-        "query_id": pa.array(cand.query_id.to_numpy(np.int64), pa.int64()),
-        "doc_id": pa.array(cand.doc_id.to_numpy(np.int64), pa.int64()),
-        "rank": pa.array(cand["rank"].to_numpy(np.int64), pa.int64()),
-        "score": pa.array(cand.score.to_numpy(
-            np.int64 if score_int else np.float64),
-            pa.int64() if score_int else pa.float64()),
-    })
+    per-part candidate frame (query_id, doc_id, score): numutil.rank_cut
+    per query at ``topk`` (default TOPK; 0 is a legitimate "no
+    results" request)."""
+    score = cand["score"].to_numpy(np.int64 if score_int else np.float64)
+    cand = cand.assign(score=score if score_int else round6(score))
+    return frame_table(
+        rank_cut(cand, _BY_SCORE, TOPK if topk is None else topk,
+                 "query_id"),
+        _RANKED_INT if score_int else _RANKED_SCHEMA)
 
 
 def _plan(idx: str, queries: list):
@@ -123,18 +116,17 @@ def _part_kernel(load, n_queries: int, score_query, buffer: int | None):
     doc-hash partitioning, so the truncation is exact."""
     from raysearch.score import topk
 
-    def kern(batch: pa.Table) -> pa.Table:
+    def kern(part: int) -> pa.Table:
         qs, ds, ss = [], [], []
-        for part in batch["part"].to_pylist():
-            post = load(int(part))
-            for qid in range(n_queries):
-                got = score_query(qid, post)
-                if got is None:
-                    continue
-                docs, sc = got if buffer is None else topk(*got, buffer)
-                qs.append(np.full(len(docs), qid, np.int64))
-                ds.append(docs)
-                ss.append(sc)
+        post = load(part)
+        for qid in range(n_queries):
+            got = score_query(qid, post)
+            if got is None:
+                continue
+            docs, sc = got if buffer is None else topk(*got, buffer)
+            qs.append(np.full(len(docs), qid, np.int64))
+            ds.append(docs)
+            ss.append(sc)
         if not qs:
             return _EMPTY_CAND
         return pa.table({
@@ -192,31 +184,30 @@ def _probe_candidates(idx: str, qweights: list, cand_by_query: dict,
     if not terms:
         return empty.to_pandas()
 
-    def kern(batch: pa.Table) -> pa.Table:
+    def kern(part: int) -> pa.Table:
         cols: dict[str, list] = {n: [] for n in names}
-        for part in batch["part"].to_pylist():
-            post = part_postings(idx, int(part), terms, columns)
-            for qid, qw in enumerate(qweights):
-                cand = cand_by_query.get(qid)
-                if cand is None or not len(cand):
+        post = part_postings(idx, part, terms, columns)
+        for qid, qw in enumerate(qweights):
+            cand = cand_by_query.get(qid)
+            if cand is None or not len(cand):
+                continue
+            for t, w in qw:
+                row = post.get(t)
+                if row is None:
                     continue
-                for t, w in qw:
-                    row = post.get(t)
-                    if row is None:
-                        continue
-                    sel = np.isin(row[0], cand, assume_unique=True)
-                    n = int(sel.sum())
-                    if not n:
-                        continue
-                    cols["query_id"].append(np.full(n, qid, np.int64))
-                    cols["term"].append(np.full(n, t, object))
-                    cols["w"].append(np.full(n, w, np.int64))
-                    for name, arr in zip(("doc_id", "tf", "dl"), row):
-                        cols[name].append(arr[sel])
-                    if "first_pos" in cols:
-                        tfs = row[1]
-                        cols["first_pos"].append(
-                            row[3][(np.cumsum(tfs) - tfs)[sel]])
+                sel = np.isin(row[0], cand, assume_unique=True)
+                n = int(sel.sum())
+                if not n:
+                    continue
+                cols["query_id"].append(np.full(n, qid, np.int64))
+                cols["term"].append(np.full(n, t, object))
+                cols["w"].append(np.full(n, w, np.int64))
+                for name, arr in zip(("doc_id", "tf", "dl"), row):
+                    cols[name].append(arr[sel])
+                if "first_pos" in cols:
+                    tfs = row[1]
+                    cols["first_pos"].append(
+                        row[3][(np.cumsum(tfs) - tfs)[sel]])
         if not cols["query_id"]:
             return empty
         return pa.table({n: pa.array(np.concatenate(v), _PROBE_TYPES[n])
@@ -246,22 +237,21 @@ def _term_group_docs(idx: str, groups: list, all_of: bool = False
     if not terms:
         return empty
 
-    def kern(batch: pa.Table) -> pa.Table:
+    def kern(part: int) -> pa.Table:
         out_g, out_d, out_n = [], [], []
-        for part in batch["part"].to_pylist():
-            post = part_postings(idx, int(part), terms)
-            for gid, ts in enumerate(sets):
-                lists = [post[t][0] for t in ts if t in post]
-                if not lists or (all_of and len(lists) < len(ts)):
-                    continue
-                docs, cnt = np.unique(np.concatenate(lists),
-                                      return_counts=True)
-                if all_of:
-                    keep = cnt == len(ts)
-                    docs, cnt = docs[keep], cnt[keep]
-                out_g.append(np.full(len(docs), gid, np.int64))
-                out_d.append(docs)
-                out_n.append(cnt)
+        post = part_postings(idx, part, terms)
+        for gid, ts in enumerate(sets):
+            lists = [post[t][0] for t in ts if t in post]
+            if not lists or (all_of and len(lists) < len(ts)):
+                continue
+            docs, cnt = np.unique(np.concatenate(lists),
+                                  return_counts=True)
+            if all_of:
+                keep = cnt == len(ts)
+                docs, cnt = docs[keep], cnt[keep]
+            out_g.append(np.full(len(docs), gid, np.int64))
+            out_d.append(docs)
+            out_n.append(cnt)
         if not out_g:
             return empty
         return pa.table({
@@ -792,7 +782,6 @@ def percolate_scored(sf_dir: str) -> pa.Table:
     got = _concat_ds(ds.map_batches(
         kern, batch_format="pyarrow", zero_copy_batch=True),
         empty).to_pandas()
-    from raysearch.numutil import round6
 
     got = got.sort_values(["doc_id", "query_id"], ignore_index=True)
     return pa.table({
@@ -1192,7 +1181,6 @@ def best_passage_topk(sf_dir: str) -> pa.Table:
     splits each passage id into (parent, pidx), picks per (query,
     doc) the (round6(pscore) DESC, pidx ASC) champion and attaches the
     doc-level rank."""
-    from raysearch.numutil import round6
     from raysearch.pipelines.search_queries import (DOC_QUERIES,
                                                     bm25_topk)
 
@@ -1406,7 +1394,6 @@ def ndcg_eval(sf_dir: str) -> pa.Table:
     top-10 tables plus ONE candidate probe (_probe_candidates) of the
     query terms' postings at the <= k x |queries| BM25 hit docs; a
     doc's grade is the sum of w x tf over its probe rows."""
-    from raysearch.numutil import round6
     from raysearch.pipelines.search_queries import (DOC_QUERIES,
                                                     bm25_topk,
                                                     cached_index,
@@ -1696,7 +1683,6 @@ def qpp_stats(sf_dir: str) -> pa.Table:
     no prediction — the retrieval ops' convention)."""
     from raysearch.pipelines.search_queries import (DOC_QUERIES,
                                                     cached_index)
-    from raysearch.numutil import round6
     from raysearch.query import lexicon_lookup
     from raysearch.score import bm25_idf, query_term_weights
     from raysearch.stats import load_stats

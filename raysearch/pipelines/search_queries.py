@@ -28,7 +28,7 @@ import pyarrow.compute as pc
 
 from raysearch.config import IndexConfig
 from raysearch.fanout import map_parts
-from raysearch.numutil import fmt_doc, round6
+from raysearch.numutil import fmt_doc, frame_table, rank_cut, round6
 from raysearch.score import DIRICHLET_MU, query_term_weights
 from raysearch.segments import SCORER_COLUMNS_POS, part_postings
 
@@ -53,6 +53,13 @@ FIXED_TERMS = ["dup", "hash", "join", "merge", "window"]
 K1, B = 1.2, 0.75
 TOPK = 10
 _TOPK_BUFFER = 30  # raw top-30 per (query, part) before rounded re-rank
+# the (-score, doc_id) rank order and the (query_id, doc_id, rank,
+# score) table it ranks into
+_BY_SCORE = [("score", False), ("doc_id", True)]
+_RANKED_SCHEMA = pa.schema([("query_id", pa.int64()),
+                            ("doc_id", pa.int64()),
+                            ("rank", pa.int64()),
+                            ("score", pa.float64())])
 
 
 def _docs_path(sf_dir: str) -> str:
@@ -390,40 +397,39 @@ def _phrase_rows_positional(idx: str, parts) -> pd.DataFrame:
                       "doc_id": pa.array([], pa.int64()),
                       "tf": pa.array([], pa.int64())})
 
-    def kern(batch: pa.Table) -> pa.Table:
+    def kern(part: int) -> pa.Table:
         pids, dids, tfs_out = [], [], []
-        for part in batch["part"].to_pylist():
-            data = part_postings(idx, part, all_terms,
-                                 SCORER_COLUMNS_POS)
-            for pid, ph in enumerate(PHRASE_QUERIES):
-                if any(t not in data for t in ph):
-                    continue
-                cand = data[ph[0]][0]
-                for t in ph[1:]:
-                    cand = cand[np.isin(cand, data[t][0],
-                                        assume_unique=True)]
-                    if not len(cand):
-                        break
+        data = part_postings(idx, part, all_terms,
+                             SCORER_COLUMNS_POS)
+        for pid, ph in enumerate(PHRASE_QUERIES):
+            if any(t not in data for t in ph):
+                continue
+            cand = data[ph[0]][0]
+            for t in ph[1:]:
+                cand = cand[np.isin(cand, data[t][0],
+                                    assume_unique=True)]
                 if not len(cand):
-                    continue
-                cur, _ = _gpos(data[ph[0]], cand)
-                for j in range(1, len(ph)):
-                    gj, _ = _gpos(data[ph[j]], cand)
-                    k = np.searchsorted(gj, cur + j)
-                    ok = np.zeros(len(cur), bool)
-                    inb = k < len(gj)
-                    ok[inb] = gj[k[inb]] == cur[inb] + j
-                    cur = cur[ok]
-                    if not len(cur):
-                        break
+                    break
+            if not len(cand):
+                continue
+            cur, _ = _gpos(data[ph[0]], cand)
+            for j in range(1, len(ph)):
+                gj, _ = _gpos(data[ph[j]], cand)
+                k = np.searchsorted(gj, cur + j)
+                ok = np.zeros(len(cur), bool)
+                inb = k < len(gj)
+                ok[inb] = gj[k[inb]] == cur[inb] + j
+                cur = cur[ok]
                 if not len(cur):
-                    continue
-                tf = np.bincount((cur >> np.int64(32)).astype(np.int64),
-                                 minlength=len(cand))
-                hit = np.flatnonzero(tf)
-                pids.append(np.full(len(hit), pid, np.int64))
-                dids.append(cand[hit])
-                tfs_out.append(tf[hit].astype(np.int64))
+                    break
+            if not len(cur):
+                continue
+            tf = np.bincount((cur >> np.int64(32)).astype(np.int64),
+                             minlength=len(cand))
+            hit = np.flatnonzero(tf)
+            pids.append(np.full(len(hit), pid, np.int64))
+            dids.append(cand[hit])
+            tfs_out.append(tf[hit].astype(np.int64))
         if not pids:
             return empty
         return pa.table({
@@ -451,65 +457,64 @@ def _pair_rows_positional(idx: str, parts, ordered: bool) -> pd.DataFrame:
                       c3: pa.array([], pa.int64()),
                       c4: pa.array([], pa.int64())})
 
-    def kern(batch: pa.Table) -> pa.Table:
+    def kern(part: int) -> pa.Table:
         out_q, out_d, out_m, out_w = [], [], [], []
-        for part in batch["part"].to_pylist():
-            data = part_postings(idx, part, all_terms,
-                                 SCORER_COLUMNS_POS)
-            for qid, (ta, tb) in enumerate(NEAR_QUERIES):
-                if ta not in data or tb not in data:
-                    continue
-                cand = data[ta][0][np.isin(data[ta][0], data[tb][0],
-                                           assume_unique=True)]
-                if not len(cand):
-                    continue
-                ia, ra = _gpos(data[ta], cand)
-                ib, rb = _gpos(data[tb], cand)
-                if ordered:
-                    lo = np.searchsorted(ib, ia, side="right")
-                    gap = np.full(len(ia), big, np.int64)
-                    r = np.flatnonzero(lo < len(ib))
-                    r = r[rb[lo[r]] == ra[r]]
-                    gap[r] = ib[lo[r]] - ia[r]
-                    hi_i = np.searchsorted(ib, ia + W, side="right")
-                    doc_hi = np.searchsorted(rb, ra, side="right")
-                    cnt = (np.minimum(hi_i, doc_hi) - lo).clip(min=0)
-                    wc = np.zeros(len(cand), np.int64)
-                    np.add.at(wc, ra, cnt)
-                    mind = np.full(len(cand), big, np.int64)
-                    valid = gap < big
-                    if valid.any():
-                        np.minimum.at(mind, ra[valid], gap[valid])
-                    hit = np.flatnonzero(wc > 0)
-                else:
-                    lo = np.searchsorted(ib, ia)
-                    gap = np.full(len(ia), big, np.int64)
-                    r = np.flatnonzero(lo < len(ib))
-                    r = r[rb[lo[r]] == ra[r]]
-                    gap[r] = ib[lo[r]] - ia[r]
-                    ll = np.flatnonzero(lo > 0)
-                    ll = ll[rb[lo[ll] - 1] == ra[ll]]
-                    gap[ll] = np.minimum(gap[ll], ia[ll] - ib[lo[ll] - 1])
-                    valid = gap < big
-                    if not valid.any():
-                        continue
-                    mind = np.full(len(cand), big, np.int64)
+        data = part_postings(idx, part, all_terms,
+                             SCORER_COLUMNS_POS)
+        for qid, (ta, tb) in enumerate(NEAR_QUERIES):
+            if ta not in data or tb not in data:
+                continue
+            cand = data[ta][0][np.isin(data[ta][0], data[tb][0],
+                                       assume_unique=True)]
+            if not len(cand):
+                continue
+            ia, ra = _gpos(data[ta], cand)
+            ib, rb = _gpos(data[tb], cand)
+            if ordered:
+                lo = np.searchsorted(ib, ia, side="right")
+                gap = np.full(len(ia), big, np.int64)
+                r = np.flatnonzero(lo < len(ib))
+                r = r[rb[lo[r]] == ra[r]]
+                gap[r] = ib[lo[r]] - ia[r]
+                hi_i = np.searchsorted(ib, ia + W, side="right")
+                doc_hi = np.searchsorted(rb, ra, side="right")
+                cnt = (np.minimum(hi_i, doc_hi) - lo).clip(min=0)
+                wc = np.zeros(len(cand), np.int64)
+                np.add.at(wc, ra, cnt)
+                mind = np.full(len(cand), big, np.int64)
+                valid = gap < big
+                if valid.any():
                     np.minimum.at(mind, ra[valid], gap[valid])
-                    hi_i = np.searchsorted(ib, ia + W, side="right")
-                    lo_i = np.searchsorted(ib, ia - W, side="left")
-                    doc_lo = np.searchsorted(rb, ra, side="left")
-                    doc_hi = np.searchsorted(rb, ra, side="right")
-                    cnt = (np.minimum(hi_i, doc_hi)
-                           - np.maximum(lo_i, doc_lo)).clip(min=0)
-                    wc = np.zeros(len(cand), np.int64)
-                    np.add.at(wc, ra, cnt)
-                    hit = np.flatnonzero(mind < big)
-                if not len(hit):
+                hit = np.flatnonzero(wc > 0)
+            else:
+                lo = np.searchsorted(ib, ia)
+                gap = np.full(len(ia), big, np.int64)
+                r = np.flatnonzero(lo < len(ib))
+                r = r[rb[lo[r]] == ra[r]]
+                gap[r] = ib[lo[r]] - ia[r]
+                ll = np.flatnonzero(lo > 0)
+                ll = ll[rb[lo[ll] - 1] == ra[ll]]
+                gap[ll] = np.minimum(gap[ll], ia[ll] - ib[lo[ll] - 1])
+                valid = gap < big
+                if not valid.any():
                     continue
-                out_q.append(np.full(len(hit), qid, np.int64))
-                out_d.append(cand[hit])
-                out_m.append(mind[hit])
-                out_w.append(wc[hit])
+                mind = np.full(len(cand), big, np.int64)
+                np.minimum.at(mind, ra[valid], gap[valid])
+                hi_i = np.searchsorted(ib, ia + W, side="right")
+                lo_i = np.searchsorted(ib, ia - W, side="left")
+                doc_lo = np.searchsorted(rb, ra, side="left")
+                doc_hi = np.searchsorted(rb, ra, side="right")
+                cnt = (np.minimum(hi_i, doc_hi)
+                       - np.maximum(lo_i, doc_lo)).clip(min=0)
+                wc = np.zeros(len(cand), np.int64)
+                np.add.at(wc, ra, cnt)
+                hit = np.flatnonzero(mind < big)
+            if not len(hit):
+                continue
+            out_q.append(np.full(len(hit), qid, np.int64))
+            out_d.append(cand[hit])
+            out_m.append(mind[hit])
+            out_w.append(wc[hit])
         if not out_q:
             return empty
         return pa.table({
@@ -535,31 +540,19 @@ def phrase_topk(sf_dir: str) -> pa.Table:
     loose; real vocabularies make AND-intersection sharp)."""
     from raysearch.stats import load_stats
 
-    empty = pa.table({"phrase_id": pa.array([], pa.int64()),
-                      "doc_id": pa.array([], pa.int64()),
-                      "rank": pa.array([], pa.int64()),
-                      "tf": pa.array([], pa.int64())})
     idx = cached_index(sf_dir, with_positions=True)
     counts = _phrase_rows_positional(idx, load_stats(idx)["parts"])
-    return _rank_phrase_counts(counts, empty)
+    return _rank_phrase_counts(counts)
 
 
-def _rank_phrase_counts(counts: pd.DataFrame, empty: pa.Table) -> pa.Table:
+def _rank_phrase_counts(counts: pd.DataFrame) -> pa.Table:
     """(tf DESC, doc_id) per phrase, top-k, hits only — shared by
     phrase_topk and phrase_prefix_topk."""
-    if counts.empty:
-        return empty
-    counts = counts.sort_values(["phrase_id", "tf", "doc_id"],
-                                ascending=[True, False, True])
-    counts["rank"] = counts.groupby("phrase_id").cumcount() + 1
-    counts = counts[counts["rank"] <= TOPK]
-    return pa.table({
-        "phrase_id": pa.array(counts.phrase_id.to_numpy(np.int64),
-                              pa.int64()),
-        "doc_id": pa.array(counts.doc_id.to_numpy(np.int64), pa.int64()),
-        "rank": pa.array(counts["rank"].to_numpy(np.int64), pa.int64()),
-        "tf": pa.array(counts.tf.to_numpy(np.int64), pa.int64()),
-    })
+    return frame_table(
+        rank_cut(counts, [("tf", False), ("doc_id", True)], TOPK,
+                 "phrase_id"),
+        pa.schema([("phrase_id", pa.int64()), ("doc_id", pa.int64()),
+                   ("rank", pa.int64()), ("tf", pa.int64())]))
 
 
 # ES match_phrase_prefix: "first pre*" — the second position matches
@@ -604,42 +597,37 @@ def phrase_prefix_topk(sf_dir: str) -> pa.Table:
     empty = pa.table({"phrase_id": pa.array([], pa.int64()),
                       "doc_id": pa.array([], pa.int64()),
                       "tf": pa.array([], pa.int64())})
-    out_empty = pa.table({"phrase_id": pa.array([], pa.int64()),
-                          "doc_id": pa.array([], pa.int64()),
-                          "rank": pa.array([], pa.int64()),
-                          "tf": pa.array([], pa.int64())})
 
-    def kern(batch: pa.Table) -> pa.Table:
+    def kern(part: int) -> pa.Table:
         pids, dids, tfs_out = [], [], []
-        for part in batch["part"].to_pylist():
-            data = part_postings(idx, part, all_terms,
-                                 SCORER_COLUMNS_POS)
-            for pid, (first, _pre) in enumerate(PHRASE_PREFIX_QUERIES):
-                ex = [e for e in expansions[pid] if e in data]
-                if first not in data or not ex:
-                    continue
-                exdocs = np.unique(np.concatenate(
-                    [data[e][0] for e in ex]))
-                cand = data[first][0]
-                cand = cand[np.isin(cand, exdocs, assume_unique=True)]
-                if not len(cand):
-                    continue
-                cur, _ = _gpos(data[first], cand)
-                g = np.sort(np.concatenate(
-                    [_gpos(data[e], cand)[0] for e in ex]))
-                k = np.searchsorted(g, cur + 1)
-                ok = np.zeros(len(cur), bool)
-                inb = k < len(g)
-                ok[inb] = g[k[inb]] == cur[inb] + 1
-                cur = cur[ok]
-                if not len(cur):
-                    continue
-                tf = np.bincount((cur >> np.int64(32)).astype(np.int64),
-                                 minlength=len(cand))
-                hit = np.flatnonzero(tf)
-                pids.append(np.full(len(hit), pid, np.int64))
-                dids.append(cand[hit])
-                tfs_out.append(tf[hit].astype(np.int64))
+        data = part_postings(idx, part, all_terms,
+                             SCORER_COLUMNS_POS)
+        for pid, (first, _pre) in enumerate(PHRASE_PREFIX_QUERIES):
+            ex = [e for e in expansions[pid] if e in data]
+            if first not in data or not ex:
+                continue
+            exdocs = np.unique(np.concatenate(
+                [data[e][0] for e in ex]))
+            cand = data[first][0]
+            cand = cand[np.isin(cand, exdocs, assume_unique=True)]
+            if not len(cand):
+                continue
+            cur, _ = _gpos(data[first], cand)
+            g = np.sort(np.concatenate(
+                [_gpos(data[e], cand)[0] for e in ex]))
+            k = np.searchsorted(g, cur + 1)
+            ok = np.zeros(len(cur), bool)
+            inb = k < len(g)
+            ok[inb] = g[k[inb]] == cur[inb] + 1
+            cur = cur[ok]
+            if not len(cur):
+                continue
+            tf = np.bincount((cur >> np.int64(32)).astype(np.int64),
+                             minlength=len(cand))
+            hit = np.flatnonzero(tf)
+            pids.append(np.full(len(hit), pid, np.int64))
+            dids.append(cand[hit])
+            tfs_out.append(tf[hit].astype(np.int64))
         if not pids:
             return empty
         return pa.table({
@@ -648,7 +636,7 @@ def phrase_prefix_topk(sf_dir: str) -> pa.Table:
             "tf": pa.array(np.concatenate(tfs_out), pa.int64())})
 
     counts = map_parts(load_stats(idx)["parts"], kern, empty).to_pandas()
-    return _rank_phrase_counts(counts, out_empty)
+    return _rank_phrase_counts(counts)
 
 
 def sql_phrase_prefix_topk() -> str:
@@ -1622,30 +1610,22 @@ def segment_stats(sf_dir: str) -> pa.Table:
     idx = cached_index(sf_dir)
     parts = load_stats(idx)["parts"]
 
-    def rows(batch: pa.Table) -> pa.Table:
-        cols = {k: [] for k in ("part", "n_docs", "n_terms",
-                                "n_postings", "sum_dl",
-                                "postings_bytes", "doclens_bytes")}
-        for part in batch["part"].to_pylist():
-            m = load_manifest(part_dirname(idx, int(part)))
-            if m is None:
-                continue
-            st, fl = m["stats"], m["files"]
-            cols["part"].append(int(part))
-            cols["n_docs"].append(int(st["n_docs"]))
-            cols["n_terms"].append(int(st["n_terms"]))
-            cols["n_postings"].append(int(st["n_postings"]))
-            cols["sum_dl"].append(int(st["sum_dl"]))
-            cols["postings_bytes"].append(
-                int(fl["postings.parquet"]["bytes"]))
-            cols["doclens_bytes"].append(
-                int(fl["doclens.parquet"]["bytes"]))
-        return pa.table({k: pa.array(v, pa.int64())
-                         for k, v in cols.items()})
+    cols = ("part", "n_docs", "n_terms", "n_postings", "sum_dl",
+            "postings_bytes", "doclens_bytes")
+    empty = pa.table({c: pa.array([], pa.int64()) for c in cols})
 
-    out = map_parts(parts, rows,
-                    rows(pa.table({"part": pa.array([], pa.int64())})))
-    return out.sort_by("part")
+    def row(part: int) -> pa.Table:
+        m = load_manifest(part_dirname(idx, part))
+        if m is None:
+            return empty
+        st, fl = m["stats"], m["files"]
+        vals = (part, st["n_docs"], st["n_terms"], st["n_postings"],
+                st["sum_dl"], fl["postings.parquet"]["bytes"],
+                fl["doclens.parquet"]["bytes"])
+        return pa.table({c: pa.array([int(v)], pa.int64())
+                         for c, v in zip(cols, vals)})
+
+    return map_parts(parts, row, empty).sort_by("part")
 
 
 MLT_DOCS = [0, 1, 2, 3, 4]
@@ -1708,17 +1688,10 @@ def more_like_this(sf_dir: str) -> pa.Table:
     raw["src_doc_id"] = np.asarray(ids, dtype=np.int64)[
         raw["query_id"].to_numpy(np.int64)]
     raw = raw[raw.doc_id != raw.src_doc_id]
-    raw = raw.sort_values(["src_doc_id", "score", "doc_id"],
-                          ascending=[True, False, True])
-    raw["rank"] = raw.groupby("src_doc_id").cumcount() + 1
-    raw = raw[raw["rank"] <= TOPK]
-    return pa.table({
-        "src_doc_id": pa.array(raw.src_doc_id.to_numpy(np.int64),
-                               pa.int64()),
-        "doc_id": pa.array(raw.doc_id.to_numpy(np.int64), pa.int64()),
-        "rank": pa.array(raw["rank"].to_numpy(np.int64), pa.int64()),
-        "score": pa.array(raw.score.to_numpy(np.float64), pa.float64()),
-    })
+    return frame_table(
+        rank_cut(raw, _BY_SCORE, TOPK, "src_doc_id"),
+        pa.schema([("src_doc_id", pa.int64()), ("doc_id", pa.int64()),
+                   ("rank", pa.int64()), ("score", pa.float64())]))
 
 
 def sql_more_like_this() -> str:
@@ -1893,17 +1866,11 @@ def hybrid_topk(sf_dir: str) -> pa.Table:
     f = cand.groupby(["query_id", "doc_id"], as_index=False).agg(
         rrf_score=("c", "sum"))
     f["rrf_score"] = round6(f.rrf_score.to_numpy(np.float64))
-    f = f.sort_values(["query_id", "rrf_score", "doc_id"],
-                      ascending=[True, False, True], ignore_index=True)
-    f["rank"] = f.groupby("query_id").cumcount() + 1
-    f = f[f["rank"] <= TOPK]
-    return pa.table({
-        "query_id": pa.array(f.query_id.to_numpy(np.int64), pa.int64()),
-        "doc_id": pa.array(f.doc_id.to_numpy(np.int64), pa.int64()),
-        "rank": pa.array(f["rank"].to_numpy(np.int64), pa.int64()),
-        "rrf_score": pa.array(f.rrf_score.to_numpy(np.float64),
-                              pa.float64()),
-    })
+    return frame_table(
+        rank_cut(f, [("rrf_score", False), ("doc_id", True)], TOPK,
+                 "query_id"),
+        pa.schema([("query_id", pa.int64()), ("doc_id", pa.int64()),
+                   ("rank", pa.int64()), ("rrf_score", pa.float64())]))
 
 
 def sql_hybrid_topk() -> str:
@@ -1977,16 +1944,8 @@ def hybrid_minmax_topk(sf_dir: str) -> pa.Table:
     f = bmn.merge(ann, on=["query_id", "doc_id"], how="outer")
     f["score"] = round6(HY_W_TEXT * f.nb.fillna(0.0).to_numpy(np.float64)
                         + HY_W_VEC * f.nc.fillna(0.0).to_numpy(np.float64))
-    f = f.sort_values(["query_id", "score", "doc_id"],
-                      ascending=[True, False, True], ignore_index=True)
-    f["rank"] = f.groupby("query_id").cumcount() + 1
-    f = f[f["rank"] <= TOPK]
-    return pa.table({
-        "query_id": pa.array(f.query_id.to_numpy(np.int64), pa.int64()),
-        "doc_id": pa.array(f.doc_id.to_numpy(np.int64), pa.int64()),
-        "rank": pa.array(f["rank"].to_numpy(np.int64), pa.int64()),
-        "score": pa.array(f.score.to_numpy(np.float64), pa.float64()),
-    })
+    return frame_table(rank_cut(f, _BY_SCORE, TOPK, "query_id"),
+                       _RANKED_SCHEMA)
 
 
 def sql_hybrid_minmax_topk() -> str:
@@ -2063,42 +2022,24 @@ def near_topk(sf_dir: str) -> pa.Table:
     anywhere."""
     from raysearch.stats import load_stats
 
-    empty = pa.table({"query_id": pa.array([], pa.int64()),
-                      "doc_id": pa.array([], pa.int64()),
-                      "rank": pa.array([], pa.int64()),
-                      "min_dist": pa.array([], pa.int64()),
-                      "win_count": pa.array([], pa.int64())})
     idx = cached_index(sf_dir, with_positions=True)
     rows = _pair_rows_positional(idx, load_stats(idx)["parts"],
                                  ordered=False)
-    return _rank_pair_rows(rows, empty, ordered=False)
+    return _rank_pair_rows(rows, ordered=False)
 
 
-def _rank_pair_rows(rows: pd.DataFrame, empty: pa.Table,
-                    ordered: bool) -> pa.Table:
+def _rank_pair_rows(rows: pd.DataFrame, ordered: bool) -> pa.Table:
     """Shared ranking for the 2-term proximity family: near =
     (min_dist ASC, win_count DESC, doc_id); slop = (pair_count DESC,
     min_gap ASC, doc_id). Top-k per query, hits only."""
-    if rows.empty:
-        return empty
     c3, c4 = (("min_gap", "pair_count") if ordered
               else ("min_dist", "win_count"))
-    if ordered:
-        rows = rows.sort_values(["query_id", c4, c3, "doc_id"],
-                                ascending=[True, False, True, True])
-    else:
-        rows = rows.sort_values(["query_id", c3, c4, "doc_id"],
-                                ascending=[True, True, False, True])
-    rows["rank"] = rows.groupby("query_id").cumcount() + 1
-    rows = rows[rows["rank"] <= TOPK]
-    return pa.table({
-        "query_id": pa.array(rows.query_id.to_numpy(np.int64),
-                             pa.int64()),
-        "doc_id": pa.array(rows.doc_id.to_numpy(np.int64), pa.int64()),
-        "rank": pa.array(rows["rank"].to_numpy(np.int64), pa.int64()),
-        c3: pa.array(rows[c3].to_numpy(np.int64), pa.int64()),
-        c4: pa.array(rows[c4].to_numpy(np.int64), pa.int64()),
-    })
+    order = ([(c4, False), (c3, True)] if ordered
+             else [(c3, True), (c4, False)])
+    return frame_table(
+        rank_cut(rows, order + [("doc_id", True)], TOPK, "query_id"),
+        pa.schema([(c, pa.int64())
+                   for c in ("query_id", "doc_id", "rank", c3, c4)]))
 
 
 MMR_LAMBDA = 0.7
@@ -2216,15 +2157,10 @@ def slop_topk(sf_dir: str) -> pa.Table:
     HAVING."""
     from raysearch.stats import load_stats
 
-    empty = pa.table({"query_id": pa.array([], pa.int64()),
-                      "doc_id": pa.array([], pa.int64()),
-                      "rank": pa.array([], pa.int64()),
-                      "min_gap": pa.array([], pa.int64()),
-                      "pair_count": pa.array([], pa.int64())})
     idx = cached_index(sf_dir, with_positions=True)
     rows = _pair_rows_positional(idx, load_stats(idx)["parts"],
                                  ordered=True)
-    return _rank_pair_rows(rows, empty, ordered=True)
+    return _rank_pair_rows(rows, ordered=True)
 
 
 def sql_slop_topk() -> str:

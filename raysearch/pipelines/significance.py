@@ -32,7 +32,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from raysearch.numutil import fmt_doc, round6
+from raysearch.numutil import fmt_doc, frame_table, rank_cut, round6
 
 # significant-terms: how many terms to report per query
 SIG_K = 10
@@ -108,18 +108,12 @@ def sig_terms_topk(sf_dir: str) -> pa.Table:
     bgp = fg.df.to_numpy(np.float64) / n_docs
     fg["score"] = round6((fgp - bgp) * fgp / bgp)
 
-    fg = fg.sort_values(["query_id", "score", "term"],
-                        ascending=[True, False, True])
-    fg["rank"] = fg.groupby("query_id").cumcount() + 1
-    fg = fg[fg["rank"] <= SIG_K]
-    return pa.table({
-        "query_id": pa.array(fg.query_id.to_numpy(np.int64), pa.int64()),
-        "rank": pa.array(fg["rank"].to_numpy(np.int64), pa.int64()),
-        "term": pa.array(fg.term.tolist(), pa.string()),
-        "fg_df": pa.array(fg.fg_df.to_numpy(np.int64), pa.int64()),
-        "df": pa.array(fg.df.to_numpy(np.int64), pa.int64()),
-        "score": pa.array(fg.score.to_numpy(np.float64), pa.float64()),
-    })
+    return frame_table(
+        rank_cut(fg, [("score", False), ("term", True)], SIG_K,
+                 "query_id"),
+        pa.schema([("query_id", pa.int64()), ("rank", pa.int64()),
+                   ("term", pa.string()), ("fg_df", pa.int64()),
+                   ("df", pa.int64()), ("score", pa.float64())]))
 
 
 def sql_sig_terms_topk() -> str:

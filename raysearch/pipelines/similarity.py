@@ -27,7 +27,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from raysearch.numutil import fmt_doc, round6
+from raysearch.numutil import fmt_doc, frame_table, rank_cut, round6
 
 _EMB = "embeddings.parquet"
 
@@ -79,6 +79,13 @@ def _query_vectors(sf_dir: str) -> tuple[np.ndarray, np.ndarray]:
 _ANN_EMPTY = pa.table({"query_vec_id": pa.array([], pa.int64()),
                        "vec_id": pa.array([], pa.int64()),
                        "cos": pa.array([], pa.float64())})
+# the ranked (query_vec_id, vec_id, rank, cos) table of the vector
+# ops, in (cos DESC, vec_id) order
+_BY_COS = [("cos", False), ("vec_id", True)]
+_ANN_SCHEMA = pa.schema([("query_vec_id", pa.int64()),
+                         ("vec_id", pa.int64()),
+                         ("rank", pa.int64()),
+                         ("cos", pa.float64())])
 
 
 def _ann_exact_topk(sf_dir: str, label_keep=None) -> pa.Table:
@@ -125,17 +132,8 @@ def _ann_exact_topk(sf_dir: str, label_keep=None) -> pa.Table:
     df = (pa.concat_tables(batches) if batches else _ANN_EMPTY
           ).to_pandas()
     df["cos"] = round6(df["cos"].to_numpy(np.float64))
-    df = df.sort_values(["query_vec_id", "cos", "vec_id"],
-                        ascending=[True, False, True])
-    df["rank"] = df.groupby("query_vec_id").cumcount() + 1
-    df = df[df["rank"] <= TOPK]
-    return pa.table({
-        "query_vec_id": pa.array(df.query_vec_id.to_numpy(np.int64),
-                                 pa.int64()),
-        "vec_id": pa.array(df.vec_id.to_numpy(np.int64), pa.int64()),
-        "rank": pa.array(df["rank"].to_numpy(np.int64), pa.int64()),
-        "cos": pa.array(df.cos.to_numpy(np.float64), pa.float64()),
-    })
+    return frame_table(rank_cut(df, _BY_COS, TOPK, "query_vec_id"),
+                       _ANN_SCHEMA)
 
 
 def ann_topk(sf_dir: str) -> pa.Table:
@@ -276,12 +274,8 @@ def ann_lsh(sf_dir: str, n_probes: int = LSH_PROBES) -> pa.Table:
                                        zero_copy_batch=True)
     df = pa.concat_tables(
         ds.iter_batches(batch_format="pyarrow")).to_pandas()
-    df = df.sort_values(["query_vec_id", "cos", "vec_id"],
-                        ascending=[True, False, True])
-    df["rank"] = df.groupby("query_vec_id").cumcount() + 1
-    df = df[df["rank"] <= TOPK]
-    return pa.Table.from_pandas(df[["query_vec_id", "vec_id", "rank", "cos"]],
-                                preserve_index=False)
+    return frame_table(rank_cut(df, _BY_COS, TOPK, "query_vec_id"),
+                       _ANN_SCHEMA)
 
 
 def embedding_dups_lsh(sf_dir: str) -> pa.Table:
@@ -502,12 +496,8 @@ def ann_ivf(sf_dir: str) -> pa.Table:
                                        zero_copy_batch=True)
     df = pa.concat_tables(
         ds.iter_batches(batch_format="pyarrow")).to_pandas()
-    df = df.sort_values(["query_vec_id", "cos", "vec_id"],
-                        ascending=[True, False, True])
-    df["rank"] = df.groupby("query_vec_id").cumcount() + 1
-    df = df[df["rank"] <= TOPK]
-    return pa.Table.from_pandas(df[["query_vec_id", "vec_id", "rank", "cos"]],
-                                preserve_index=False)
+    return frame_table(rank_cut(df, _BY_COS, TOPK, "query_vec_id"),
+                       _ANN_SCHEMA)
 
 
 # ---- oracle SQL ----
@@ -866,17 +856,8 @@ def ann_range(sf_dir: str) -> pa.Table:
     batches = list(ds.iter_batches(batch_format="pyarrow"))
     df = (pa.concat_tables(batches) if batches else _ANN_EMPTY
           ).to_pandas()
-    df = df.sort_values(["query_vec_id", "cos", "vec_id"],
-                        ascending=[True, False, True],
-                        ignore_index=True)
-    df["rank"] = df.groupby("query_vec_id").cumcount() + 1
-    return pa.table({
-        "query_vec_id": pa.array(df.query_vec_id.to_numpy(np.int64),
-                                 pa.int64()),
-        "vec_id": pa.array(df.vec_id.to_numpy(np.int64), pa.int64()),
-        "rank": pa.array(df["rank"].to_numpy(np.int64), pa.int64()),
-        "cos": pa.array(df.cos.to_numpy(np.float64), pa.float64()),
-    })
+    return frame_table(rank_cut(df, _BY_COS, None, "query_vec_id"),
+                       _ANN_SCHEMA)
 
 
 def sql_ann_range() -> str:

@@ -39,7 +39,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from raysearch.numutil import fmt_doc
+from raysearch.numutil import fmt_doc, frame_table, rank_cut
 
 _EVENTS = "events.parquet"
 _DOCS = "documents.parquet"
@@ -379,22 +379,14 @@ def grouped_topk(sf_dir: str) -> pa.Table:
                 .groupby("lang", as_index=False).head(k))
 
     def final(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["n_chars", "doc_id"],
-                          ascending=[False, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g[["lang", "doc_id", "n_chars", "rank"]]
+        return rank_cut(g, [("n_chars", False), ("doc_id", True)], k)
 
     ds = _read(sf_dir, _DOCS, ["doc_id", "lang", "n_chars"]).map_batches(
         local_topk, batch_format="pandas")
     out = ds.groupby("lang").map_groups(final, batch_format="pandas")
-    df = out.to_pandas()
-    return pa.table({
-        "lang": pa.array(df.lang.tolist(), pa.string()),
-        "doc_id": pa.array(df.doc_id.to_numpy(np.int64), pa.int64()),
-        "n_chars": pa.array(df.n_chars.to_numpy(np.int64), pa.int64()),
-        "rank": pa.array(df["rank"].to_numpy(np.int64), pa.int64()),
-    })
+    return frame_table(out.to_pandas(), pa.schema([
+        ("lang", pa.string()), ("doc_id", pa.int64()),
+        ("n_chars", pa.int64()), ("rank", pa.int64())]))
 
 
 def sql_grouped_topk() -> str:

@@ -19,7 +19,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from raysearch.numutil import fmt_doc, round6
+from raysearch.numutil import fmt_doc, frame_table, rank_cut, round6
 
 _DOCS = "documents.parquet"
 
@@ -1355,24 +1355,14 @@ def subtoken_stats(sf_dir: str) -> pa.Table:
                                          zero_copy_batch=True)
     parts = pa.concat_tables(
         out.iter_batches(batch_format="pyarrow")).to_pandas()
+    schema = pa.schema([("subtoken", pa.string()), ("df", pa.int64()),
+                        ("cf", pa.int64()), ("rank", pa.int64())])
     if not len(parts):
-        return pa.table({"subtoken": pa.array([], pa.string()),
-                         "df": pa.array([], pa.int64()),
-                         "cf": pa.array([], pa.int64()),
-                         "rank": pa.array([], pa.int64())})
+        return schema.empty_table()
     agg = parts.groupby("subtoken", as_index=False).agg(
         df=("df", "sum"), cf=("cf", "sum"))
-    agg = agg.sort_values(["cf", "subtoken"],
-                          ascending=[False, True],
-                          ignore_index=True)
-    agg["rank"] = np.arange(1, len(agg) + 1, dtype=np.int64)
-    agg = agg[agg["rank"] <= SUBTOKEN_TOPK]
-    return pa.table({
-        "subtoken": pa.array(agg.subtoken, pa.string()),
-        "df": pa.array(agg.df.to_numpy(np.int64), pa.int64()),
-        "cf": pa.array(agg.cf.to_numpy(np.int64), pa.int64()),
-        "rank": pa.array(agg["rank"].to_numpy(np.int64), pa.int64()),
-    })
+    return frame_table(rank_cut(agg, [("cf", False), ("subtoken", True)],
+                                SUBTOKEN_TOPK), schema)
 
 
 def _drop_empty(out):

@@ -6,7 +6,7 @@ sharded mode partial-aggregates per-shard scores under locks and
 barriers (src/processor.rs:146-369). Here queries are a small broadcast
 side and the INDEX is the distributed dimension:
 
-    map_parts(parts, SegmentScorer)              # one plain Ray task per
+    map_parts(parts, scorer._score_task_part)    # one plain Ray task per
                                                  # CPU, ceil(P / CPUs) parts
       -> P * Q * k candidate rows (tiny)
       -> final top-k merge per query (one driver-side lexsort over
@@ -71,6 +71,7 @@ import pyarrow as pa
 
 from raysearch.fanout import map_parts
 from raysearch.maintenance import filter_postings, load_deletes
+from raysearch.numutil import frame_table, rank_cut
 from raysearch.score import (
     DIRICHLET_MU,
     SIMILARITIES,
@@ -140,13 +141,9 @@ def asof_df(index_dir: str, parts, terms: list[str]) -> dict[str, int]:
     empty = pa.table({"term": pa.array([], pa.large_string()),
                       "df": pa.array([], pa.int64())})
 
-    def kern(batch: pa.Table) -> pa.Table:
-        return pa.concat_tables([
-            read_postings(listed_part_dir(index_dir, int(p)), terms,
-                          columns=["term", "df"])
-            for p in batch["part"].to_pylist()])
-
-    tbl = map_parts(parts, kern, empty)
+    tbl = map_parts(parts, lambda p: read_postings(
+        listed_part_dir(index_dir, p), terms, columns=["term", "df"]),
+        empty)
     if len(tbl) == 0:
         return {}
     agg = tbl.group_by("term").aggregate([("df", "sum")])
@@ -252,21 +249,12 @@ def topk_table(per_query) -> pa.Table:
 
 def merge_candidates(cand: pd.DataFrame, n_queries: int, k: int) -> pa.Table:
     """Final top-k per query from the P*Q*k candidate rows (k-bounded
-    by construction — a driver-side selection, not a shuffle): one
-    lexsort by (query_id, -score, doc_id), then a per-query rank cut."""
+    by construction — a driver-side selection, not a shuffle):
+    numutil.rank_cut by (-score, doc_id) within each query."""
     if cand.empty:  # Ray's to_pandas() of zero rows has no columns
         return RESULT_SCHEMA.empty_table()
-    qid = cand["query_id"].to_numpy(np.int64)
-    did = cand["doc_id"].to_numpy(np.int64)
-    sc = cand["score"].to_numpy(np.float64)
-    order = np.lexsort((did, -sc, qid))
-    qid, did, sc = qid[order], did[order], sc[order]
-    rank = np.arange(len(qid)) - np.searchsorted(qid, qid) + 1
-    keep = rank <= k
-    return pa.table({"query_id": qid[keep],
-                     "rank": rank[keep].astype(np.int32),
-                     "doc_id": did[keep], "score": sc[keep]},
-                    schema=RESULT_SCHEMA)
+    return frame_table(rank_cut(cand, [("score", False), ("doc_id", True)],
+                                k, "query_id"), RESULT_SCHEMA)
 
 
 def keep_postings(decoded: tuple, keep: np.ndarray) -> tuple:
@@ -305,9 +293,9 @@ class SegmentScorer:
     the one scoring core: ``score(qw, lookup)`` is the unpruned
     per-query body, ``score_loaded`` scores a batch over one part's
     decoded postings (pruned or not), and ``score_part`` serves both
-    the stateless map_parts tasks (the scorer is their callable) and
-    the resident SegmentServer actors (raysearch/serve.py), which
-    differ only in the loader they pass. Pipeline ops that reshape
+    the stateless map_parts tasks (through ``_score_task_part``, their
+    one-part kernel) and the resident SegmentServer actors
+    (raysearch/serve.py), which differ only in the loader they pass. Pipeline ops that reshape
     scores per part call ``score`` over their own lookups and read
     the bound df / n_docs / avgdl / k1 / b, or ``contrib``, for a
     single term's contribution."""
@@ -423,11 +411,6 @@ class SegmentScorer:
                 self.b, self.k, self.mode) for qw in self.qweights])
         return self.score_part(part, self._load)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        outs = [self._score_task_part(int(p))
-                for p in batch["part"].to_pylist()]
-        return pa.concat_tables(outs) if outs else RESULT_SCHEMA.empty_table()
-
 
 def plan_query(index_dir: str, stats: dict, queries: list, k: int = 10,
                mode: str = "bm25", prune: bool = False, boost=None,
@@ -507,7 +490,8 @@ def query_index(
         index_dir, load_stats(index_dir), queries, k, mode, prune, boost,
         keep, decay, rank_feature, asof,
         deleted=load_deletes(index_dir))
-    candidates = map_parts(parts, scorer, RESULT_SCHEMA.empty_table())
+    candidates = map_parts(parts, scorer._score_task_part,
+                           RESULT_SCHEMA.empty_table())
     # P * Q * k candidate rows — k-bounded and tiny by construction, so
     # the final merge is a driver-side selection, not a shuffle
     return merge_candidates(candidates.to_pandas(), len(queries), k)

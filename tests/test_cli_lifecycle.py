@@ -1,6 +1,8 @@
 """CLI surface for the index lifecycle: build -> append -> delete ->
 query -> compact as a user would run them (each command is its own
-process owning its own guarded ray.init, like `ray job submit` would)."""
+process owning its own guarded ray.init, like `ray job submit` would),
+and the query flags driven through cli.main in this process, on the
+session's Ray, which a command must leave running."""
 
 import json
 import os
@@ -66,26 +68,56 @@ def test_cli_lifecycle_roundtrip(tmp_path):
     assert d["n_docs"] == 397
 
 
-@pytest.mark.timeout(600)
-def test_cli_query_boost(tmp_path):
+@pytest.fixture(scope="module")
+def cli_index(ray_session, tmp_path_factory):
+    """A 200-doc, 4-part index built through cli.main in this process,
+    on the session's Ray."""
+    from raysearch.cli import main
+
+    tmp = tmp_path_factory.mktemp("cli")
+    corpus, idx = str(tmp / "c.parquet"), str(tmp / "idx")
+    main(["gen-corpus", "--out", corpus, "--docs", "200"])
+    main(["build", "--corpus", corpus, "--index", idx, "--parts", "4"])
+    return idx
+
+
+def _query_rows(capsys, idx, *extra):
+    """The JSON result rows ``cli.main(["query", ...])`` prints."""
+    from raysearch.cli import main
+
+    capsys.readouterr()
+    main(["query", "--index", idx, "--query", "parser", *extra])
+    return [json.loads(ln) for ln in capsys.readouterr().out.splitlines()
+            if ln.startswith("{")]
+
+
+def _query_fails(capsys, idx, extra, needle):
+    """``cli.main(["query", ...])`` exits non-zero naming ``needle``."""
+    from raysearch.cli import main
+
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as e:
+        main(["query", "--index", idx, "--query", "parser", *extra])
+    msg = f"{e.value.code} {capsys.readouterr().err}"
+    assert e.value.code not in (0, None) and needle in msg, msg[-500:]
+
+
+def test_cli_keeps_a_running_ray_session(cli_index, capsys):
+    """A command run under a Ray session it did not start (the
+    driver's, pytest's) leaves that session running."""
+    import ray
+
+    assert len(_query_rows(capsys, cli_index, "--k", "3")) == 3
+    assert ray.is_initialized()
+
+
+def test_cli_query_boost(cli_index, capsys):
     """--boost-term/--boost-factor: boosting the query's own term
     scales every hit's score by exactly the factor (positive
     control), an absent boost term is inert, and --prune with boost
     is refused."""
-    corpus = str(tmp_path / "c.parquet")
-    idx = str(tmp_path / "idx")
-    _run(["gen-corpus", "--out", corpus, "--docs", "200"])
-    _run(["build", "--corpus", corpus, "--index", idx, "--parts", "4"])
-
     def rows(extra):
-        r = subprocess.run(
-            [sys.executable, "-m", "raysearch.cli", "query",
-             "--index", idx, "--query", "parser", "--k", "3", *extra],
-            capture_output=True, text=True, cwd=REPO, timeout=240,
-            env={**os.environ, "PYTHONPATH": REPO})
-        assert r.returncode == 0, r.stderr[-2000:]
-        return [json.loads(ln) for ln in r.stdout.splitlines()
-                if ln.startswith("{")]
+        return _query_rows(capsys, cli_index, "--k", "3", *extra)
 
     plain = rows([])
     boosted = rows(["--boost-term", "parser", "--boost-factor", "2.0"])
@@ -101,48 +133,26 @@ def test_cli_query_boost(tmp_path):
     assert capped == boosted
 
     def fails(extra, needle):
-        r = subprocess.run(
-            [sys.executable, "-m", "raysearch.cli", "query",
-             "--index", idx, "--query", "parser",
-             "--boost-term", "parser", *extra],
-            capture_output=True, text=True, cwd=REPO, timeout=240,
-            env={**os.environ, "PYTHONPATH": REPO})
-        assert r.returncode != 0 and needle in r.stderr, r.stderr[-500:]
+        _query_fails(capsys, cli_index, ["--boost-term", "parser", *extra],
+                     needle)
 
     fails(["--prune"], "prune")
     fails(["--mode", "dirichlet"], "bm25/overlap")
     fails(["--mode", "dfi"], "bm25/overlap")
     fails(["--boost-factor", "0"], "must be > 0")
     fails(["--boost-factor", "-2.0"], "must be > 0")
-    r = subprocess.run(
-        [sys.executable, "-m", "raysearch.cli", "query", "--index", idx,
-         "--query", "parser", "--boost-term", "two words"],
-        capture_output=True, text=True, cwd=REPO, timeout=240,
-        env={**os.environ, "PYTHONPATH": REPO})
-    assert r.returncode != 0 and "one token" in r.stderr
+    with pytest.raises(ValueError, match="one token"):
+        rows(["--boost-term", "two words"])
 
 
-@pytest.mark.timeout(600)
-def test_cli_query_rank_feature(tmp_path):
+def test_cli_query_rank_feature(cli_index, capsys):
     """--rank-feature W,PIVOT: every hit's score equals the plain
     score plus the exact saturation prior computed from the hit's dl
     (via a w=0-like control: tiny w barely perturbs, large w
     reorders toward long docs); malformed/invalid values and the
     prune/mode combinations are refused."""
-    corpus = str(tmp_path / "c.parquet")
-    idx = str(tmp_path / "idx")
-    _run(["gen-corpus", "--out", corpus, "--docs", "200"])
-    _run(["build", "--corpus", corpus, "--index", idx, "--parts", "4"])
-
     def rows(extra):
-        r = subprocess.run(
-            [sys.executable, "-m", "raysearch.cli", "query",
-             "--index", idx, "--query", "parser", "--k", "5", *extra],
-            capture_output=True, text=True, cwd=REPO, timeout=240,
-            env={**os.environ, "PYTHONPATH": REPO})
-        assert r.returncode == 0, r.stderr[-2000:]
-        return [json.loads(ln) for ln in r.stdout.splitlines()
-                if ln.startswith("{")]
+        return _query_rows(capsys, cli_index, "--k", "5", *extra)
 
     plain = rows([])
     # near-zero prior: same ranking, scores shifted by < w
@@ -158,12 +168,7 @@ def test_cli_query_rank_feature(tmp_path):
                          for b in moved)
 
     def fails(extra, needle):
-        r = subprocess.run(
-            [sys.executable, "-m", "raysearch.cli", "query",
-             "--index", idx, "--query", "parser", *extra],
-            capture_output=True, text=True, cwd=REPO, timeout=240,
-            env={**os.environ, "PYTHONPATH": REPO})
-        assert r.returncode != 0 and needle in r.stderr, r.stderr[-500:]
+        _query_fails(capsys, cli_index, extra, needle)
 
     fails(["--rank-feature", "2,50", "--prune"], "rank-feature")
     fails(["--rank-feature", "2,50", "--mode", "overlap"],

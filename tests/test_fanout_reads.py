@@ -171,13 +171,11 @@ EMPTY = pa.table({"part": pa.array([], pa.int64()),
 
 def _double_kernel(fail_on=None):
     # built inside the test so the closure ships by value to the tasks
-    def kern(batch: pa.Table) -> pa.Table:
-        parts = batch["part"].to_pylist()
-        if fail_on in parts:
+    def kern(part: int) -> pa.Table:
+        if part == fail_on:
             raise ValueError(f"part {fail_on} is corrupt")
-        return pa.table({"part": pa.array(parts, pa.int64()),
-                         "twice": pa.array([2 * p for p in parts],
-                                           pa.int64())})
+        return pa.table({"part": pa.array([part], pa.int64()),
+                         "twice": pa.array([2 * part], pa.int64())})
     return kern
 
 
@@ -193,35 +191,35 @@ def test_map_parts_keeps_part_order(ray_session):
     assert out["twice"].to_pylist() == [2 * p for p in parts]
 
 
-def _batch_len_kernel():
-    def kern(batch: pa.Table) -> pa.Table:
-        parts = batch["part"].to_pylist()
-        return pa.table({"part": pa.array(parts, pa.int64()),
-                         "batch_len": pa.array([len(parts)] * len(parts),
-                                               pa.int64())})
+def _task_id_kernel():
+    def kern(part: int) -> pa.Table:
+        import ray
+
+        task = ray.get_runtime_context().get_task_id()
+        return pa.table({"part": pa.array([part], pa.int64()),
+                         "task": pa.array([task], pa.string())})
     return kern
 
 
 @pytest.mark.parametrize("n_parts,sizes", [(8, [2, 2, 2, 2]),
                                            (75, [19, 19, 19, 18])])
 def test_map_parts_one_task_per_cpu(ray_session, n_parts, sizes):
+    import itertools
+
     import ray
 
     assert ray.cluster_resources()["CPU"] == 4  # the session's num_cpus
     parts = list(range(n_parts))[::-1]
-    out = map_parts(parts, _batch_len_kernel(),
+    out = map_parts(parts, _task_id_kernel(),
                     pa.table({"part": pa.array([], pa.int64())}))
     assert out["part"].to_pylist() == parts
-    lens = out["batch_len"].to_pylist()
-    got, i = [], 0
-    while i < len(lens):
-        got.append(lens[i])
-        i += lens[i]
-    assert got == sizes
+    tasks = out["task"].to_pylist()
+    assert len(set(tasks)) == len(sizes)
+    assert [len(list(g)) for _, g in itertools.groupby(tasks)] == sizes
 
 
 def test_map_parts_all_empty_results_give_empty(ray_session):
-    def nothing(batch):
+    def nothing(part):
         return pa.table({"x": pa.array([], pa.float64())})
 
     assert map_parts(list(range(5)), nothing, EMPTY) is EMPTY
