@@ -54,14 +54,13 @@ def fmt_doc(**kw):
 def _sort_key(col: pd.Series, ascending: bool) -> np.ndarray:
     """An ascending np.lexsort key for ``col`` in the pandas
     sort_values order: floats negate for descending (-0.0 == 0.0, and
-    NaN stays NaN, last either way), ints bit-flip (no overflow), and
-    anything else sorts by its dense factorized code, missing last."""
+    NaN stays NaN, last either way), ints and bools bit-flip (no
+    overflow), and anything else sorts by its dense factorized code,
+    missing last."""
     v = col.to_numpy()
     if v.dtype.kind == "f":
         return v if ascending else -v
-    if v.dtype.kind == "b":
-        v = v.astype(np.int8)
-    if v.dtype.kind in "iu":
+    if v.dtype.kind in "iub":
         return v if ascending else ~v
     codes, uniq = pd.factorize(v, sort=True)
     return np.where(codes < 0, len(uniq), codes if ascending else -codes)

@@ -399,8 +399,7 @@ def _phrase_rows_positional(idx: str, parts) -> pd.DataFrame:
 
     def kern(part: int) -> pa.Table:
         pids, dids, tfs_out = [], [], []
-        data = part_postings(idx, part, all_terms,
-                             SCORER_COLUMNS_POS)
+        data = part_postings(idx, part, all_terms, SCORER_COLUMNS_POS)
         for pid, ph in enumerate(PHRASE_QUERIES):
             if any(t not in data for t in ph):
                 continue
@@ -459,8 +458,7 @@ def _pair_rows_positional(idx: str, parts, ordered: bool) -> pd.DataFrame:
 
     def kern(part: int) -> pa.Table:
         out_q, out_d, out_m, out_w = [], [], [], []
-        data = part_postings(idx, part, all_terms,
-                             SCORER_COLUMNS_POS)
+        data = part_postings(idx, part, all_terms, SCORER_COLUMNS_POS)
         for qid, (ta, tb) in enumerate(NEAR_QUERIES):
             if ta not in data or tb not in data:
                 continue
@@ -600,8 +598,7 @@ def phrase_prefix_topk(sf_dir: str) -> pa.Table:
 
     def kern(part: int) -> pa.Table:
         pids, dids, tfs_out = [], [], []
-        data = part_postings(idx, part, all_terms,
-                             SCORER_COLUMNS_POS)
+        data = part_postings(idx, part, all_terms, SCORER_COLUMNS_POS)
         for pid, (first, _pre) in enumerate(PHRASE_PREFIX_QUERIES):
             ex = [e for e in expansions[pid] if e in data]
             if first not in data or not ex:
