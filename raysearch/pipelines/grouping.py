@@ -23,7 +23,6 @@ from raysearch.fanout import map_parts
 
 COLLAPSE_FIELD = "source"   # the collapse key (documents metadata)
 
-_BY_SCORE = [("score", False), ("doc_id", True)]
 _COLLAPSE_SCHEMA = pa.schema([("query_id", pa.int64()),
                               ("doc_id", pa.int64()),
                               (COLLAPSE_FIELD, pa.string()),
@@ -56,7 +55,7 @@ def collapse_topk(sf_dir: str) -> pa.Table:
     from raysearch.numutil import frame_table, rank_cut, round6
     from raysearch.pipelines.rankex import _part_kernel
     from raysearch.pipelines.search_queries import (DOC_QUERIES, TOPK,
-                                                    _docs_path,
+                                                    _BY_SCORE, _docs_path,
                                                     cached_index)
     from raysearch.query import plan_query
     from raysearch.segments import part_postings
