@@ -139,6 +139,8 @@ def cmd_query(args) -> None:
                            ("rank_feature", "--rank-feature")):
             msg = msg.replace(knob, flag)
         raise SystemExit(msg) from None
+    if args.boost_term:
+        _one_token(args.boost_term, "--boost-term")
     # Ray starts only once the flags are known to be valid
     with _ray_session():
         boost = None
@@ -154,6 +156,18 @@ def cmd_query(args) -> None:
                           prune=args.prune, boost=boost, decay=decay,
                           rank_feature=rank_feature)
         _emit_query_results(args, out)
+
+
+def _one_token(text: str, what: str) -> str:
+    """The one token ``text`` normalizes to under the query tokenizer;
+    anything else exits with a message naming ``what``."""
+    from raysearch.tokenize import tokenize_query
+
+    toks = tokenize_query(text)
+    if len(toks) != 1:
+        raise SystemExit(f"{what} must normalize to exactly one token, "
+                         f"got {toks!r} from {text!r}")
+    return toks[0]
 
 
 def _float_pair(text: str, usage: str) -> tuple[float, float]:
@@ -419,7 +433,6 @@ def cmd_suggest(args) -> None:
     searchsorted range scan of the already-built term dictionary)."""
     _require_index(args.index)
     from raysearch.pipelines.suggest import completion_for_index
-    from raysearch.tokenize import tokenize_query
 
     prefixes = []
     for p in args.prefix.split(","):
@@ -428,11 +441,7 @@ def cmd_suggest(args) -> None:
         # normalize through the query tokenizer (the static_boost_ids
         # contract): 'Ha' must scan the same lowercase lexicon range
         # 'ha' does, never a silent zero-completion no-op
-        toks = tokenize_query(p)
-        if len(toks) != 1:
-            raise SystemExit(f"prefix must normalize to exactly one "
-                             f"token, got {toks!r} from {p!r}")
-        prefixes.append(toks[0])
+        prefixes.append(_one_token(p, "prefix"))
     if not prefixes:
         raise SystemExit("--prefix needs at least one non-empty prefix")
     out = completion_for_index(args.index, prefixes, args.k)

@@ -52,24 +52,89 @@ def varint_encode(values: np.ndarray) -> tuple[bytes, np.ndarray]:
     return out.tobytes(), nb
 
 
-def varint_decode(buf: bytes | memoryview | np.ndarray) -> np.ndarray:
-    """Decode a LEB128 byte stream back to a uint64 array (vectorized)."""
-    b = np.frombuffer(buf, dtype=np.uint8)
-    if len(b) == 0:
-        return np.zeros(0, dtype=np.uint64)
-    ends = (b & 0x80) == 0  # terminal byte of each value
-    end_idx = np.flatnonzero(ends)
-    n = len(end_idx)
-    # start index of the value each byte belongs to
-    vid = np.zeros(len(b), dtype=np.int64)
-    np.cumsum(ends[:-1], out=vid[1:])
-    starts = np.zeros(n, dtype=np.int64)
+def _varint_values(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(uint64 values, index of each value's terminal byte) of the
+    complete LEB128 values in the uint8 array ``b``: one pass per byte
+    position (<= 10), never per value. Bytes after the last terminal
+    byte belong to no value; callers reject them."""
+    end_idx = np.flatnonzero((b & 0x80) == 0)
+    starts = np.zeros(len(end_idx), dtype=np.int64)
     starts[1:] = end_idx[:-1] + 1
-    pos = (np.arange(len(b), dtype=np.int64) - starts[vid]).astype(np.uint64)
-    contrib = (b & 0x7F).astype(np.uint64) << (_SEVEN * pos)
-    vals = np.zeros(n, dtype=np.uint64)
-    np.bitwise_or.at(vals, vid, contrib)
-    return vals
+    vals = (b[starts] & 0x7F).astype(np.uint64)
+    nbytes = end_idx - starts + 1
+    more = np.flatnonzero(nbytes > 1)
+    p = 1
+    while len(more):
+        vals[more] |= ((b[starts[more] + p] & 0x7F).astype(np.uint64)
+                       << np.uint64(7 * p))
+        p += 1
+        more = more[nbytes[more] > p]
+    return vals, end_idx
+
+
+def varint_decode(buf: bytes | memoryview | np.ndarray) -> np.ndarray:
+    """Decode a LEB128 byte stream back to a uint64 array (vectorized).
+    A stream whose last byte still has the continuation bit set raises
+    ValueError."""
+    b = np.frombuffer(buf, dtype=np.uint8)
+    if len(b) and b[-1] & 0x80:
+        raise ValueError("varint stream ends inside a value")
+    return _varint_values(b)[0]
+
+
+def binary_column_bytes(arr) -> tuple[np.ndarray, np.ndarray]:
+    """(uint8 data, int64 row byte offsets of length n + 1 from 0) of a
+    binary or large_binary Array or ChunkedArray, honouring each chunk's
+    array offset: row i's bytes are data[off[i]:off[i + 1]]. A view of
+    the Arrow data buffer for one chunk, one concatenation for
+    several."""
+    import pyarrow as pa
+
+    datas, offs, base = [], [np.zeros(1, dtype=np.int64)], 0
+    for c in getattr(arr, "chunks", [arr]):
+        if len(c) == 0:
+            continue
+        _, obuf, dbuf = c.buffers()
+        odt = np.int64 if pa.types.is_large_binary(c.type) else np.int32
+        off = np.frombuffer(obuf, dtype=odt)[
+            c.offset: c.offset + len(c) + 1].astype(np.int64)
+        data = (np.frombuffer(dbuf, dtype=np.uint8) if dbuf is not None
+                else np.zeros(0, dtype=np.uint8))
+        datas.append(data[off[0]:off[-1]])
+        offs.append(off[1:] - off[0] + base)
+        base += int(off[-1] - off[0])
+    data = (datas[0] if len(datas) == 1 else
+            np.concatenate(datas) if datas else np.zeros(0, dtype=np.uint8))
+    return data, np.concatenate(offs)
+
+
+def varint_decode_rows(arr, delta: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Decode every row of a binary column (Array or ChunkedArray, one
+    LEB128 stream per row) in one varint pass over its data bytes.
+
+    Returns (flat int64 values, int64 row value offsets of length
+    n + 1): row i is values[off[i]:off[i + 1]], equal to
+    ``decode_doc_ids(row)`` when ``delta`` and ``decode_ints(row)``
+    otherwise. A row's value offset is the count of terminal bytes
+    before its first byte; with ``delta`` one cumsum over the column
+    runs the doc ids and each row subtracts its own base, so the delta
+    resets per row. A non-empty row whose last byte still has the
+    continuation bit set raises ValueError naming the row (its value
+    would otherwise run into the next row)."""
+    b, boff = binary_column_bytes(arr)
+    rows = np.flatnonzero(boff[1:] > boff[:-1])
+    bad = rows[(b[boff[rows + 1] - 1] & 0x80) != 0]
+    if len(bad):
+        raise ValueError(
+            f"row {int(bad[0])}: varint stream ends inside a value")
+    vals, end_idx = _varint_values(b)
+    voff = np.searchsorted(end_idx, boff).astype(np.int64)
+    if delta and len(vals):
+        run = np.cumsum(vals)  # uint64: wraps like the per-row decode
+        base = np.zeros(len(vals) + 1, dtype=np.uint64)
+        base[1:] = run
+        vals = run - np.repeat(base[voff[:-1]], np.diff(voff))
+    return vals.view(np.int64), voff
 
 
 def delta_encode(sorted_vals: np.ndarray) -> np.ndarray:
@@ -146,6 +211,10 @@ def decode_pos_runs(buf: bytes, counts: np.ndarray) -> np.ndarray:
     one cumsum with per-run base subtraction."""
     vals = varint_decode(buf).astype(np.int64)
     counts = np.asarray(counts, dtype=np.int64)
+    if len(vals) != counts.sum():
+        raise ValueError(
+            f"varint stream has {len(vals)} values, counts sum to "
+            f"{counts.sum()}")
     if len(vals) == 0:
         return vals
     starts = np.zeros(len(counts), dtype=np.int64)

@@ -45,7 +45,7 @@ import pyarrow.parquet as pq
 
 from raysearch import checkpoint
 from raysearch import stats as statsmod
-from raysearch.codec import decode_doc_ids
+from raysearch.codec import varint_decode_rows
 from raysearch.config import IndexConfig
 from raysearch.fanout import map_parts
 from raysearch.segments import (
@@ -160,8 +160,12 @@ def _compact_part(index_dir: str, part: int, deleted: np.ndarray,
     survivors' within-doc positions)."""
     part_dir = part_dirname(index_dir, part)
     post = read_postings(part_dir)
-    hit = np.array([not tombstone_mask(decode_doc_ids(b), deleted).all()
-                    for b in post["docs_enc"].to_pylist()], bool)
+    # a row is hit when one of its docs is tombstoned: one bulk decode
+    # of docs_enc, then each row's count of dead docs from one cumsum
+    docs, off = varint_decode_rows(post["docs_enc"], delta=True)
+    dead = np.zeros(len(docs) + 1, dtype=np.int64)
+    np.cumsum(~tombstone_mask(docs, deleted), out=dead[1:])
+    hit = dead[off[1:]] > dead[off[:-1]]
     pieces = []
     if not hit.all():
         pieces.append(post.filter(pa.array(~hit)))

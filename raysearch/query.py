@@ -29,11 +29,12 @@ same scorer to its resident actors. Both score a part through the one
 per-part method, SegmentScorer.score_part: load, then the keep
 filter, then SegmentScorer.score_loaded. They differ only in the
 loader: a task reads its part's postings for the query terms at call
-time through segments.part_postings (row groups picked from the
-footer's term min/max, an exact is_in filter, one decode per row; a
-part listed in stats.json but missing on disk raises rather than
-shrinking the top-k) and drops the tombstones read when the query was
-called; an actor loads through its LRU. The driver's df/cf come from
+time through segments.part_postings' read and decode (row groups
+picked from the footer's term min/max, an exact is_in filter, then one
+bulk varint pass per posting column that every row's arrays are views
+into; a part listed in stats.json but missing on disk raises rather
+than shrinking the top-k) and drops the tombstones read when the query
+was called; an actor loads through its LRU. The driver's df/cf come from
 the same footer-pruned term read (segments.read_term_rows) of the
 lexicon files. Tasks, actors and the driver all keep parsed footers
 in that read's per-process cache, each hit checked against the file's
@@ -82,9 +83,10 @@ from raysearch.score import (
     score_postings,
     topk,
 )
-from raysearch.segments import (SCORER_COLUMNS_BMW, has_block_meta,
-                                listed_part_dir, part_postings,
-                                read_postings, read_term_rows)
+from raysearch.segments import (SCORER_COLUMNS, SCORER_COLUMNS_BMW,
+                                decode_postings, has_block_meta,
+                                listed_part_dir, read_postings,
+                                read_term_rows)
 from raysearch.stats import load_stats
 from raysearch.wand import (DecodedPostings, LazyPostings,
                             pruned_topk_blockmax)
@@ -276,14 +278,17 @@ def keep_postings(decoded: tuple, keep: np.ndarray) -> tuple:
 def live_postings(index_dir: str, part: int, terms: list[str],
                   deleted: np.ndarray | None) -> tuple[dict, dict]:
     """(postings, max_tfs) of the ``terms`` segment ``part`` holds:
-    segments.part_postings with the tombstoned docs dropped. max_tf is
-    the unfiltered row's: for live docs it is still a valid UPPER
-    bound, which is all the pruner needs."""
-    postings, max_tfs = {}, {}
-    for t, decoded in part_postings(index_dir, part, terms).items():
-        max_tfs[t] = int(decoded[1].max())
-        postings[t] = (decoded if deleted is None
-                       else filter_postings(decoded, deleted))
+    segments.part_postings' one read and bulk decode, with the
+    tombstoned docs dropped. max_tf is the row's stored ``max_tf``:
+    for live docs it is still a valid UPPER bound, which is all the
+    pruner needs."""
+    tbl = read_postings(listed_part_dir(index_dir, part), terms,
+                        columns=SCORER_COLUMNS)
+    postings = decode_postings(tbl)
+    max_tfs = dict(zip(postings, tbl["max_tf"].to_pylist()))
+    if deleted is not None:
+        postings = {t: filter_postings(p, deleted)
+                    for t, p in postings.items()}
     return postings, max_tfs
 
 

@@ -40,11 +40,13 @@ import pyarrow.parquet as pq
 
 from raysearch import checkpoint
 from raysearch.codec import (
+    binary_column_bytes,
     binary_from_offsets,
     bulk_encode_segmented,
     decode_doc_ids,
     decode_ints,
     decode_pos_runs,
+    varint_decode_rows,
     varint_run_byte_offsets,
 )
 from raysearch.triples import KIND_DOCLEN, KIND_POSTING
@@ -96,31 +98,11 @@ POSTINGS_SCHEMA_POS = POSTINGS_SCHEMA.append(
     pa.field("pos_enc", pa.large_binary()))
 
 
-def _pos_value_offsets(arr: pa.Array) -> tuple[np.ndarray, memoryview]:
-    """(absolute value byte offsets, data buffer) of a large_binary
-    array, honoring a nonzero array offset."""
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
-    bufs = arr.buffers()
-    off = np.frombuffer(bufs[1], dtype=np.int64)[
-        arr.offset: arr.offset + len(arr) + 1]
-    data = memoryview(bufs[2]) if bufs[2] is not None else memoryview(b"")
-    return off, data
-
-
 def _concat_blob_runs(arr: pa.Array, bounds: np.ndarray) -> pa.Array:
     """Concatenate consecutive blob values into per-run blobs by byte
     slicing (zero-copy): run i = values [bounds[i], bounds[i+1])."""
-    off, data = _pos_value_offsets(arr)
-    b0 = off[bounds]
-    newoff = b0 - b0[0]
-    return pa.Array.from_buffers(
-        pa.large_binary(), len(b0) - 1,
-        [None, pa.py_buffer(newoff.astype(np.int64).tobytes()),
-         pa.py_buffer(bytes(data[b0[0]:b0[-1]]))])
-
-
-_binary_from_offsets = binary_from_offsets  # canonical impl: codec.py
+    data, off = binary_column_bytes(arr)
+    return binary_from_offsets(data, off[bounds])
 
 
 def postings_from_sorted_triples(
@@ -171,11 +153,11 @@ def postings_from_sorted_triples(
         "df": pa.array(df, pa.int64()),
         "cf": pa.array(cf.astype(np.int64), pa.int64()),
         "max_tf": pa.array(max_tf.astype(np.int32), pa.int32()),
-        "docs_enc": _binary_from_offsets(docs_buf, docs_off),
-        "tfs_enc": _binary_from_offsets(tfs_buf, tfs_off),
-        "dls_enc": _binary_from_offsets(dls_buf, dls_off),
-        "bfirst_enc": _binary_from_offsets(bfirst_buf, bfirst_off),
-        "bmax_enc": _binary_from_offsets(bmax_buf, bmax_off),
+        "docs_enc": binary_from_offsets(docs_buf, docs_off),
+        "tfs_enc": binary_from_offsets(tfs_buf, tfs_off),
+        "dls_enc": binary_from_offsets(dls_buf, dls_off),
+        "bfirst_enc": binary_from_offsets(bfirst_buf, bfirst_off),
+        "bmax_enc": binary_from_offsets(bmax_buf, bmax_off),
     }
     if pos is not None:
         cols["pos_enc"] = _concat_blob_runs(pos, bounds)
@@ -269,39 +251,31 @@ def rebuild_postings(tables: list[pa.Table], live=None) -> pa.Table:
     dl) triples and re-encode them through postings_from_sorted_triples
     — the rebuild merge and compaction share. Runs of one term from
     several tables combine (their doc sets must be disjoint). ``live``,
-    when given, maps a row's doc array to a keep mask; dropped docs
-    leave the rebuilt rows, and a term left with no docs leaves the
-    output. Per-doc position blobs are byte-sliced along the tf array
-    and ride their triples untouched (delta resets per doc, so a blob
-    is valid wherever it lands after the doc-order re-sort)."""
+    when given, maps a doc array to a keep mask; dropped docs leave the
+    rebuilt rows, and a term left with no docs leaves the output. Each
+    table decodes in bulk (decode_posting_columns). Per-doc position
+    blobs are byte-sliced along the flat tf array and ride their
+    triples untouched (delta resets per doc, so a blob is valid
+    wherever it lands after the doc-order re-sort)."""
     has_pos = "pos_enc" in tables[0].column_names
-    t_list, d_list, f_list, l_list, p_list = [], [], [], [], []
+    pieces = []
     for tbl in tables:
-        terms = tbl["term"].to_pylist()
-        for i, term in enumerate(terms):
-            docs, tfs, dls = decode_posting_row(tbl, i)
-            blobs = split_posting_positions(tbl, i, tfs) if has_pos else []
-            if live is not None:
-                keep = live(docs)
-                docs, tfs, dls = docs[keep], tfs[keep], dls[keep]
-                blobs = [b for b, k in zip(blobs, keep) if k]
-            t_list.append(np.full(len(docs), term, dtype=object))
-            d_list.append(docs)
-            f_list.append(tfs)
-            l_list.append(dls)
-            p_list.extend(blobs)
-    if not d_list:
-        return (POSTINGS_SCHEMA_POS if has_pos
-                else POSTINGS_SCHEMA).empty_table()
-    tcols = {
-        "term": pa.array(np.concatenate(t_list), pa.large_string()),
-        "doc_id": pa.array(np.concatenate(d_list), pa.int64()),
-        "tf": pa.array(np.concatenate(f_list), pa.int64()),
-        "dl": pa.array(np.concatenate(l_list), pa.int64()),
-    }
-    if has_pos:
-        tcols["pos"] = pa.array(p_list, pa.large_binary())
-    trip = pa.table(tcols).sort_by(
+        off, (docs, tfs, dls) = decode_posting_columns(tbl)
+        rows = np.repeat(np.arange(tbl.num_rows), np.diff(off))
+        tcols = {
+            "term": tbl["term"].take(rows),
+            "doc_id": pa.array(docs, pa.int64()),
+            "tf": pa.array(tfs, pa.int64()),
+            "dl": pa.array(dls, pa.int64()),
+        }
+        if has_pos:
+            pos, _ = binary_column_bytes(tbl["pos_enc"])
+            tcols["pos"] = binary_from_offsets(
+                pos, varint_run_byte_offsets(pos, tfs))
+        trip = pa.table(tcols)
+        pieces.append(trip if live is None
+                      else trip.filter(pa.array(live(docs))))
+    trip = pa.concat_tables(pieces).sort_by(
         [("term", "ascending"), ("doc_id", "ascending")])
     return postings_from_sorted_triples(
         trip["term"].combine_chunks(), trip["doc_id"].to_numpy(),
@@ -508,11 +482,47 @@ def read_doclens(part_dir: str, columns: list[str] | None = None) -> pa.Table:
                          columns=columns)
 
 
+def decode_posting_columns(tbl: pa.Table
+                           ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Every posting row of ``tbl`` decoded in bulk: (row value
+    offsets of length n + 1, [docs, tfs, dls] flat int64 arrays), one
+    varint pass per column (codec.varint_decode_rows). Row i is
+    ``col[off[i]:off[i + 1]]`` of each column; columns whose rows
+    disagree in length raise ValueError."""
+    docs, off = varint_decode_rows(tbl["docs_enc"], delta=True)
+    cols = [docs]
+    for name in ("tfs_enc", "dls_enc"):
+        vals, o = varint_decode_rows(tbl[name], delta=False)
+        if not np.array_equal(o, off):
+            raise ValueError(f"{name} rows disagree in length with docs_enc")
+        cols.append(vals)
+    return off, cols
+
+
 def decode_posting_row(tbl: pa.Table, i: int
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return (decode_doc_ids(tbl["docs_enc"][i].as_py()),
-            decode_ints(tbl["tfs_enc"][i].as_py()),
-            decode_ints(tbl["dls_enc"][i].as_py()))
+    """(docs, tfs, dls) of posting row i: a one-row slice through the
+    bulk decode."""
+    return tuple(decode_posting_columns(tbl.slice(i, 1))[1])
+
+
+def decode_postings(tbl: pa.Table) -> dict:
+    """``{term: (docs, tfs, dls)}`` for every row of ``tbl``, in row
+    order: views into one bulk decode per column
+    (decode_posting_columns). With a ``pos_enc`` column each row also
+    carries its flat absolute positions, ``(docs, tfs, dls, pos)``,
+    from one decode_pos_runs call over the whole column with the flat
+    tfs as run counts."""
+    off, (docs, tfs, dls) = decode_posting_columns(tbl)
+    terms, o = tbl["term"].to_pylist(), off.tolist()
+    rows = [(docs[a:z], tfs[a:z], dls[a:z]) for a, z in zip(o, o[1:])]
+    if "pos_enc" in tbl.column_names:
+        pos = decode_pos_runs(binary_column_bytes(tbl["pos_enc"])[0], tfs)
+        ctf = np.zeros(len(tfs) + 1, dtype=np.int64)
+        np.cumsum(tfs, out=ctf[1:])
+        p = ctf[off].tolist()
+        rows = [(*r, pos[a:z]) for r, a, z in zip(rows, p, p[1:])]
+    return dict(zip(terms, rows))
 
 
 def listed_part_dir(index_dir: str, part: int) -> str:
@@ -529,19 +539,13 @@ def listed_part_dir(index_dir: str, part: int) -> str:
 
 def part_postings(index_dir: str, part: int, terms: list[str],
                   columns: list[str] = SCORER_COLUMNS) -> dict:
-    """The one per-part posting read: ``{term: (docs, tfs, dls)}`` for
-    the ``terms`` segment ``part`` holds, in term order, from one
-    footer-pruned read. With ``pos_enc`` in ``columns`` each row also
+    """The one per-part posting read: decode_postings over one
+    footer-pruned read of the ``terms`` segment ``part`` holds, so
+    ``{term: (docs, tfs, dls)}`` in term order, views into one bulk
+    decode per column. With ``pos_enc`` in ``columns`` each row also
     carries its flat absolute positions: ``(docs, tfs, dls, pos)``."""
-    tbl = read_postings(listed_part_dir(index_dir, part), terms,
-                        columns=columns)
-    with_pos = "pos_enc" in tbl.column_names
-    out = {}
-    for i, t in enumerate(tbl["term"].to_pylist()):
-        row = decode_posting_row(tbl, i)
-        out[t] = ((*row, decode_posting_positions(tbl, i, row[1]))
-                  if with_pos else row)
-    return out
+    return decode_postings(read_postings(listed_part_dir(index_dir, part),
+                                         terms, columns=columns))
 
 
 def has_block_meta(part_dir: str) -> bool:
@@ -601,12 +605,3 @@ def decode_posting_positions(tbl: pa.Table, i: int,
     if tfs is None:
         tfs = decode_ints(tbl["tfs_enc"][i].as_py())
     return decode_pos_runs(tbl["pos_enc"][i].as_py(), tfs)
-
-
-def split_posting_positions(tbl: pa.Table, i: int,
-                            tfs: np.ndarray) -> list[bytes]:
-    """Per-doc ENCODED position blobs for posting row i (byte slices,
-    no decode) — the unit compaction/merge shuffles around."""
-    blob = tbl["pos_enc"][i].as_py()
-    boff = varint_run_byte_offsets(blob, tfs)
-    return [blob[boff[j]:boff[j + 1]] for j in range(len(tfs))]

@@ -100,8 +100,11 @@ class _SegmentServerImpl:
             self.misses += len(missing)
             found, found_max = live_postings(self.index_dir, part, missing,
                                              self.deleted)
+            # copies: a miss read's rows are views into its flat bulk
+            # decode, which a cached view would keep alive whole
             for t, decoded in found.items():
-                self._cache[(part, t)] = (decoded, found_max[t])
+                self._cache[(part, t)] = (tuple(a.copy() for a in decoded),
+                                          found_max[t])
             for t in missing:
                 if t not in found:
                     self._cache[(part, t)] = (None, None)

@@ -1,9 +1,41 @@
+import faulthandler
 import os
 import sys
 
 import pytest
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+
+# a copy of the run's stderr taken before any test captures it, so a
+# timed-out test's traceback reaches the terminal
+_STDERR = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    config.stash[_STDERR] = os.dup(2)
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[_STDERR])
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    """``@pytest.mark.timeout(seconds)`` bounds the test's call: past
+    it, faulthandler writes every thread's traceback to stderr and
+    exits the run, so a hung test fails at its own limit, not the
+    suite's."""
+    mark = item.get_closest_marker("timeout")
+    if mark is None:
+        yield
+        return
+    faulthandler.dump_traceback_later(mark.args[0], exit=True,
+                                      file=item.config.stash[_STDERR])
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(scope="session")

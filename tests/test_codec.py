@@ -1,4 +1,5 @@
 import numpy as np
+import pyarrow as pa
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from raysearch.codec import (
     delta_encode,
     encode_posting,
     varint_decode,
+    varint_decode_rows,
     varint_encode,
 )
 
@@ -80,3 +82,85 @@ def test_empty():
     buf, nb = varint_encode(np.zeros(0, dtype=np.uint64))
     assert buf == b"" and len(nb) == 0
     assert len(varint_decode(b"")) == 0
+
+
+# ---- bulk row decode (varint_decode_rows) vs the per-row reference ----
+
+_U64 = st.integers(min_value=0, max_value=2**64 - 1)
+# rows of values, with empty rows, one-value rows and 10-byte varints
+_ROWS = st.lists(st.lists(st.one_of(_U64, st.just(2**64 - 1),
+                                    st.integers(0, 300)), max_size=6),
+                 max_size=12)
+
+
+def _blob(vals, delta):
+    v = np.sort(np.array(vals, dtype=np.uint64)) if delta else vals
+    return varint_encode(delta_encode(v) if delta else
+                         np.array(v, dtype=np.uint64))[0]
+
+
+def _per_row(blobs, delta):
+    """The per-row reference: _py_varint_decode, then a running sum
+    (mod 2**64, as the uint64 decode wraps) for delta rows, as int64."""
+    out = []
+    for b in blobs:
+        vals = _py_varint_decode(b)
+        if delta:
+            vals = list(np.cumsum(np.array(vals, dtype=np.uint64),
+                                  dtype=np.uint64))
+        out.append([int(np.uint64(v).astype(np.int64)) for v in vals])
+    return out
+
+
+def _rows_of(arr, delta):
+    vals, off = varint_decode_rows(arr, delta)
+    assert vals.dtype == np.int64 and off.dtype == np.int64
+    assert len(off) == len(arr) + 1 and off[0] == 0
+    return [vals[off[i]:off[i + 1]].tolist() for i in range(len(arr))]
+
+
+@given(_ROWS, st.booleans(), st.integers(0, 12))
+@settings(max_examples=200, deadline=None)
+def test_decode_rows_matches_per_row(rows, delta, k):
+    blobs = [_blob(r, delta) for r in rows]
+    arr = pa.array(blobs, pa.large_binary())
+    assert _rows_of(arr, delta) == _per_row(blobs, delta)
+    # a slice with a nonzero array offset
+    k = min(k, len(blobs))
+    assert arr.slice(k).offset == k
+    assert _rows_of(arr.slice(k), delta) == _per_row(blobs[k:], delta)
+    # a ChunkedArray of several chunks, one of them empty and sliced
+    chunks = [arr.slice(0, k), arr.slice(k, 0), arr.slice(k)]
+    assert _rows_of(pa.chunked_array(chunks, pa.large_binary()),
+                    delta) == _per_row(blobs, delta)
+
+
+@pytest.mark.parametrize("delta", [False, True])
+def test_decode_rows_edges(delta):
+    big = [2**64 - 1] if not delta else [0, 2**64 - 1]
+    blobs = [b"", _blob([7], delta), _blob(big, delta), b""]
+    assert len(_blob(big, delta)) >= 10
+    want = _per_row(blobs, delta)
+    assert want[2][-1] == -1  # 2**64 - 1 as int64
+    assert _rows_of(pa.array(blobs, pa.large_binary()), delta) == want
+    assert _rows_of(pa.array(blobs, pa.binary()), delta) == want
+    for empty in ([b"", b"", b""], []):
+        assert _rows_of(pa.array(empty, pa.large_binary()), delta) == \
+            [[] for _ in empty]
+    assert _rows_of(pa.chunked_array([], pa.large_binary()), delta) == []
+
+
+@pytest.mark.parametrize("delta", [False, True])
+def test_decode_rows_truncated_row_raises(delta):
+    good = _blob([1, 300, 70000], delta)
+    # row 2 ends inside its last value; on its own the bytes would run
+    # into row 3 and decode without complaint
+    rows = [good, b"", good[:-1], good]
+    arr = pa.array(rows, pa.large_binary())
+    with pytest.raises(ValueError, match="row 2"):
+        varint_decode_rows(arr, delta)
+    with pytest.raises(ValueError, match="row 1"):
+        varint_decode_rows(arr.slice(1), delta)
+    with pytest.raises(ValueError):
+        varint_decode(good[:-1])
+    assert _rows_of(arr.slice(3), delta) == _per_row([good], delta)

@@ -87,6 +87,52 @@ def test_positional_build_matches_brute_force():
     assert {t: dict(v) for t, v in want.items()} == got
 
 
+def test_part_postings_bulk_equals_per_row(tmp_path):
+    """part_postings' bulk decode (flat columns, row views, one
+    decode_pos_runs over the whole pos_enc column) equals a per-row
+    decode of each blob on a positional segment of several row
+    groups."""
+    from raysearch.codec import decode_doc_ids, decode_ints
+    from raysearch.segments import (SCORER_COLUMNS, SCORER_COLUMNS_POS,
+                                    part_postings, write_segment_files)
+
+    rng = np.random.default_rng(5)
+    docs = [" ".join(f"w{int(x)}" for x in
+                     rng.zipf(1.3, rng.integers(1, 40)) % 3000)
+            for _ in range(400)]
+    ids = list(range(1000, 1400))
+    batch = pa.table({"doc_id": pa.array(ids, pa.int64()),
+                      "content": pa.array(docs, pa.large_string())})
+    trip = make_triple_fn(IndexConfig(num_parts=1, with_positions=True))(
+        batch)
+    postings, doclens = merge_partials(build_partials(trip))
+    idx = str(tmp_path / "idx")
+    write_segment_files(part_dirname(idx, 0), postings, doclens)
+    vocab = postings["term"].to_pylist()
+    assert len(vocab) > 1024  # more than one row group
+    for terms in (vocab, vocab[::7] + ["no-such-term"], vocab[-3:]):
+        tbl = read_postings(part_dirname(idx, 0), terms,
+                            columns=SCORER_COLUMNS_POS)
+        want = {}
+        for i, t in enumerate(tbl["term"].to_pylist()):
+            tfs = decode_ints(tbl["tfs_enc"][i].as_py())
+            want[t] = (decode_doc_ids(tbl["docs_enc"][i].as_py()), tfs,
+                       decode_ints(tbl["dls_enc"][i].as_py()),
+                       decode_posting_positions(tbl, i, tfs))
+        for cols in (SCORER_COLUMNS_POS, SCORER_COLUMNS):
+            got = part_postings(idx, 0, terms, cols)
+            assert list(got) == list(want)
+            for t, w in want.items():
+                w = w if cols is SCORER_COLUMNS_POS else w[:3]
+                assert len(got[t]) == len(w)
+                for g, e in zip(got[t], w):
+                    assert g.dtype == e.dtype == np.int64
+                    assert np.array_equal(g, e), t
+            assert [tuple(a.tolist() for a in decode_posting_row(tbl, i))
+                    for i in range(tbl.num_rows)] == \
+                [tuple(a.tolist() for a in w[:3]) for w in want.values()]
+
+
 def test_positional_resume_byte_identical(ray_session, small_corpus,
                                           tmp_path):
     import shutil
