@@ -29,12 +29,13 @@ same scorer to its resident actors. Both score a part through the one
 per-part method, SegmentScorer.score_part: load, then the keep
 filter, then SegmentScorer.score_loaded. They differ only in the
 loader: a task reads its part's postings for the query terms at call
-time through segments.part_postings' read and decode (row groups
-picked from the footer's term min/max, an exact is_in filter, then one
-bulk varint pass per posting column that every row's arrays are views
-into; a part listed in stats.json but missing on disk raises rather
-than shrinking the top-k) and drops the tombstones read when the query
-was called; an actor loads through its LRU. The driver's df/cf come from
+time through live_postings, the read and decode of
+segments.part_postings (row groups picked from the footer's term
+min/max, an exact is_in filter, then one bulk varint pass per posting
+column that every row's arrays are views into; a part listed in
+stats.json but missing on disk raises rather than shrinking the top-k)
+and drops the tombstones read when the query was called; an actor
+loads through its LRU. The driver's df/cf come from
 the same footer-pruned term read (segments.read_term_rows) of the
 lexicon files. Tasks, actors and the driver all keep parsed footers
 in that read's per-process cache, each hit checked against the file's
@@ -278,7 +279,7 @@ def keep_postings(decoded: tuple, keep: np.ndarray) -> tuple:
 def live_postings(index_dir: str, part: int, terms: list[str],
                   deleted: np.ndarray | None) -> tuple[dict, dict]:
     """(postings, max_tfs) of the ``terms`` segment ``part`` holds:
-    segments.part_postings' one read and bulk decode, with the
+    the read and bulk decode of segments.part_postings, with the
     tombstoned docs dropped. max_tf is the row's stored ``max_tf``:
     for live docs it is still a valid UPPER bound, which is all the
     pruner needs."""
