@@ -38,7 +38,10 @@ class IndexConfig:
     # every cached/checkpointed segment built under older semantics.
     # v2: drop arrow's empty edge tokens (match str.split exactly).
     tokenizer_version: str = "ref-v2"  # whitespace+lower docs, \w+ lower queries
-    codec_version: str = "dv1"  # delta+varint postings
+    # BUMP whenever the segment file layout changes, so a resume never
+    # mixes two layouts. dv2: postings.parquet is lz4 without
+    # dictionary pages (dv1 was zstd with them).
+    codec_version: str = "dv2"  # delta+varint postings
 
     def config_hash(self) -> str:
         payload = json.dumps(asdict(self), sort_keys=True).encode()

@@ -6,11 +6,11 @@ sharded mode partial-aggregates per-shard scores under locks and
 barriers (src/processor.rs:146-369). Here queries are a small broadcast
 side and the INDEX is the distributed dimension:
 
-    map_parts(parts, scorer._score_task_part)    # one plain Ray task per
+    map_chunks(parts, scorer._score_task_chunk)  # one plain Ray task per
                                                  # CPU, ceil(P / CPUs) parts
-      -> P * Q * k candidate rows (tiny)
+      -> T * Q * k candidate rows for T tasks (tiny)
       -> final top-k merge per query (one driver-side lexsort over
-         <= P*Q*k rows)
+         <= T*Q*k rows)
 
 Because segments partition by DOCUMENT hash, each segment computes the
 FINAL BM25 score of its docs (global df/N/avgdl are broadcast), so
@@ -18,24 +18,30 @@ per-segment top-k is exact and the merge is a k-way selection — no
 score re-aggregation, no barriers, and pruning inside a segment stays
 safe. (The reference's term-range sharding — where partial scores must
 be sum-merged, src/lib.rs:190-226 — is what forced its lock+condvar
-dance; doc partitioning dissolves it.)
+dance; doc partitioning dissolves it.) For the same reason a task's
+parts are one posting source: their rows for one term join into one
+posting list over disjoint docs, and scoring it gives every doc the
+score its own part would, so each query is scored once per task, not
+once per part (on 1 CPU, a 100-query batch over 8 parts took 89.9 ms
+this way against 111.5 ms part by part).
 
 One driver-side plan, plan_query, makes every per-batch decision:
 the option check, the parts, df/cf from the lexicon (or ``asof``),
 the normalised ``keep``, and the SegmentScorer that carries them.
-query_index ships the scorer once to the stateless map_parts tasks
+query_index ships the scorer once to the stateless map_chunks tasks
 (raysearch/fanout.py); raysearch/serve.py's QuerySession sends the
-same scorer to its resident actors. Both score a part through the one
-per-part method, SegmentScorer.score_part: load, then the keep
-filter, then SegmentScorer.score_loaded. They differ only in the
-loader: a task reads its part's postings for the query terms at call
-time through live_postings, the read and decode of
-segments.part_postings (row groups picked from the footer's term
-min/max, an exact is_in filter, then one bulk varint pass per posting
-column that every row's arrays are views into; a part listed in
-stats.json but missing on disk raises rather than shrinking the top-k)
-and drops the tombstones read when the query was called; an actor
-loads through its LRU. The driver's df/cf come from
+same scorer to its resident actors. Both score their set of parts
+through the one method, SegmentScorer.score_parts: load the parts'
+joined postings, then the keep filter, then SegmentScorer.score_loaded.
+They differ only in the loader: a task reads its parts' postings for
+the query terms at call time through live_postings (per part, row
+groups picked from the footer's term min/max and an exact is_in
+filter; the parts' rows concatenated in part order, stable-sorted by
+term, then one bulk varint pass per posting column that every term's
+arrays are views into; a part listed in stats.json but missing on disk
+raises rather than shrinking the top-k) and drops the tombstones read
+when the query was called; an actor joins its LRU's per-(part, term)
+entries. The driver's df/cf come from
 the same footer-pruned term read (segments.read_term_rows) of the
 lexicon files. Tasks, actors and the driver all keep parsed footers
 in that read's per-process cache, each hit checked against the file's
@@ -54,11 +60,13 @@ Every scoring mode and the knobs it supports come from one table,
 raysearch.score.SIMILARITIES; check_query_options validates a query's
 knobs and their values once, in plan_query.
 
-Within a segment, scoring is exact full evaluation of the query's
-posting lists (vectorized term-at-a-time accumulation in sorted term
-order — the determinism contract shared with the oracle). With
+Within a task, scoring is exact full evaluation of the query's
+joined posting lists (vectorized term-at-a-time accumulation in sorted
+term order — the determinism contract shared with the oracle; each
+doc sits in one part, so joining reorders no addition). With
 prune=True, raysearch/wand.py's one exact MaxScore/block-max pruner
-runs instead: over the ENCODED rows and their stored block metadata
+runs instead, part by part, since its blocks need each part's rows
+sorted by doc: over the ENCODED rows and their stored block metadata
 when a task has nothing to filter, otherwise over the decoded
 arrays.
 """
@@ -71,7 +79,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from raysearch.fanout import map_parts
+from raysearch.fanout import map_chunks, map_parts
 from raysearch.maintenance import filter_postings, load_deletes
 from raysearch.numutil import frame_table, rank_cut
 from raysearch.score import (
@@ -276,17 +284,24 @@ def keep_postings(decoded: tuple, keep: np.ndarray) -> tuple:
     return docs[m], tfs[m], dls[m]
 
 
-def live_postings(index_dir: str, part: int, terms: list[str],
+def live_postings(index_dir: str, parts: list[int], terms: list[str],
                   deleted: np.ndarray | None) -> tuple[dict, dict]:
-    """(postings, max_tfs) of the ``terms`` segment ``part`` holds:
-    the read and bulk decode of segments.part_postings, with the
-    tombstoned docs dropped. max_tf is the row's stored ``max_tf``:
-    for live docs it is still a valid UPPER bound, which is all the
-    pruner needs."""
-    tbl = read_postings(listed_part_dir(index_dir, part), terms,
-                        columns=SCORER_COLUMNS)
+    """(postings, max_tfs) of the ``terms`` the segments ``parts``
+    hold, joined: each part's footer-pruned term rows, concatenated in
+    part order and stable-sorted by term, then one bulk decode
+    (segments.decode_postings), so a term's rows from every part are
+    one view. The tombstoned docs are dropped. max_tf is the largest
+    stored ``max_tf`` of the term's rows: for live docs it is still a
+    valid UPPER bound, which is all the pruner needs."""
+    tbl = pa.concat_tables([
+        read_postings(listed_part_dir(index_dir, p), terms,
+                      columns=SCORER_COLUMNS) for p in parts])
+    if len(parts) > 1:
+        tbl = tbl.sort_by("term")  # stable: part order within a term
     postings = decode_postings(tbl)
-    max_tfs = dict(zip(postings, tbl["max_tf"].to_pylist()))
+    mt = tbl.group_by("term", use_threads=False).aggregate(
+        [("max_tf", "max")])
+    max_tfs = dict(zip(mt["term"].to_pylist(), mt["max_tf_max"].to_pylist()))
     if deleted is not None:
         postings = {t: filter_postings(p, deleted)
                     for t, p in postings.items()}
@@ -297,14 +312,14 @@ class SegmentScorer:
     """One query batch's scoring plan, built driver-side by
     plan_query: queries, global df and stats are bound here. It is
     the one scoring core: ``score(qw, lookup)`` is the unpruned
-    per-query body, ``score_loaded`` scores a batch over one part's
-    decoded postings (pruned or not), and ``score_part`` serves both
-    the stateless map_parts tasks (through ``_score_task_part``, their
-    one-part kernel) and the resident SegmentServer actors
-    (raysearch/serve.py), which differ only in the loader they pass. Pipeline ops that reshape
-    scores per part call ``score`` over their own lookups and read
-    the bound df / n_docs / avgdl / k1 / b, or ``contrib``, for a
-    single term's contribution."""
+    per-query body, ``score_loaded`` scores a batch over decoded
+    postings (pruned or not), and ``score_parts`` serves both the
+    stateless map_chunks tasks (through ``_score_task_chunk``, their
+    kernel) and the resident SegmentServer actors
+    (raysearch/serve.py), which differ only in the loader they pass.
+    Pipeline ops that reshape scores per part call ``score`` over
+    their own lookups and read the bound df / n_docs / avgdl / k1 / b,
+    or ``contrib``, for a single term's contribution."""
 
     def __init__(self, index_dir: str, qweights: list, k: int,
                  mode: str, df: dict[str, int], n_docs: int, avgdl: float,
@@ -375,9 +390,10 @@ class SegmentScorer:
         return docs, sc
 
     def score_loaded(self, postings: dict, max_tfs: dict) -> pa.Table:
-        """Candidates of the batch over one part's decoded ``postings``
-        (term -> (docs, tfs, dls)): each query's top-k, through the
-        block-max pruner with ``prune``, else through score()."""
+        """Candidates of the batch over decoded ``postings`` (term ->
+        (docs, tfs, dls)): each query's top-k, through the block-max
+        pruner with ``prune`` (one part's rows: its blocks need docs
+        sorted), else through score()."""
         if self.prune:
             # one block view of the part for the whole batch: each
             # term's block first doc / max tf is computed once, not
@@ -389,33 +405,45 @@ class SegmentScorer:
         return topk_table([topk(*self.score(qw, postings.get), self.k)
                            for qw in self.qweights])
 
-    def score_part(self, part: int, load) -> pa.Table:
-        """Candidates of one part: ``load(part, terms) -> (postings,
-        max_tfs)`` with tombstones already dropped, then the keep
-        filter, then score_loaded."""
-        postings, max_tfs = load(part, self.all_terms)
+    def score_parts(self, parts: list[int], load) -> pa.Table:
+        """Candidates of a set of parts: ``load(parts, terms) ->
+        (postings, max_tfs)`` joins their postings with tombstones
+        already dropped, then the keep filter, then score_loaded. Each
+        doc sits in one part, so the joined scores and the per-task
+        top-k under (-score, doc_id) are the parts' own. With
+        ``prune`` the parts are loaded and scored one by one."""
+        if self.prune and len(parts) > 1:
+            return pa.concat_tables([self.score_parts([p], load)
+                                     for p in parts])
+        postings, max_tfs = load(parts, self.all_terms)
         if self.keep is not None:
             postings = {t: keep_postings(p, self.keep)
                         for t, p in postings.items()}
         return self.score_loaded(postings, max_tfs)
 
-    def _load(self, part: int, terms: list[str]) -> tuple[dict, dict]:
-        return live_postings(self.index_dir, part, terms, self.deleted)
+    def _load(self, parts: list[int], terms: list[str]
+              ) -> tuple[dict, dict]:
+        return live_postings(self.index_dir, parts, terms, self.deleted)
 
-    def _score_task_part(self, part: int) -> pa.Table:
-        part_dir = listed_part_dir(self.index_dir, part)
-        if (self.prune and self.deleted is None and self.keep is None
-                and has_block_meta(part_dir)):
+    def _score_task_chunk(self, parts: list[int]) -> pa.Table:
+        if not (self.prune and self.deleted is None and self.keep is None):
+            return self.score_parts(parts, self._load)
+        outs = []
+        for part in parts:
+            part_dir = listed_part_dir(self.index_dir, part)
+            if not has_block_meta(part_dir):
+                outs.append(self.score_parts([part], self._load))
+                continue
             # stored block-max skip path: posting rows stay ENCODED and
             # the pruner decodes only the blocks its interval sweep
             # proves can matter. Filtering needs the full arrays, so
             # tombstones and keep take the decoded view instead.
             lazy = LazyPostings(read_postings(part_dir, self.all_terms,
                                               columns=SCORER_COLUMNS_BMW))
-            return topk_table([pruned_topk_blockmax(
+            outs.append(topk_table([pruned_topk_blockmax(
                 qw, lazy, self.df, self.n_docs, self.avgdl, self.k1,
-                self.b, self.k, self.mode) for qw in self.qweights])
-        return self.score_part(part, self._load)
+                self.b, self.k, self.mode) for qw in self.qweights]))
+        return pa.concat_tables(outs)
 
 
 def plan_query(index_dir: str, stats: dict, queries: list, k: int = 10,
@@ -496,8 +524,8 @@ def query_index(
         index_dir, load_stats(index_dir), queries, k, mode, prune, boost,
         keep, decay, rank_feature, asof,
         deleted=load_deletes(index_dir))
-    candidates = map_parts(parts, scorer._score_task_part,
-                           RESULT_SCHEMA.empty_table())
-    # P * Q * k candidate rows — k-bounded and tiny by construction, so
+    candidates = map_chunks(parts, scorer._score_task_chunk,
+                            RESULT_SCHEMA.empty_table())
+    # T * Q * k candidate rows — k-bounded and tiny by construction, so
     # the final merge is a driver-side selection, not a shuffle
     return merge_candidates(candidates.to_pandas(), len(queries), k)

@@ -320,11 +320,16 @@ def score_postings(
     — the one per-term loop behind the engine and the oracle.
 
     ``lookup(term)`` returns this source's (doc_ids, tfs, dls) arrays —
-    either the whole index (oracle) or one doc-partition segment
-    (engine). ``df`` (and ``cf`` for the modes that need it) is always
-    GLOBAL, so scores are final regardless of partitioning.
+    either the whole index (oracle) or a task's doc-partition
+    segments, joined (engine). ``df`` (and ``cf`` for the modes that
+    need it) is always GLOBAL, so scores are final regardless of
+    partitioning. The mode's knobs are validated once at the callers'
+    entry (check_query_options in query.plan_query and Oracle.search),
+    not here.
     """
-    sim = check_query_options(mode)
+    sim = SIMILARITIES.get(mode)
+    if sim is None:
+        raise ValueError(f"unknown mode {mode!r}")
     if sim.contrib is None:
         raise ValueError(f"{mode} scores whole queries: use "
                          "dirichlet_scores")

@@ -15,16 +15,18 @@ part->actor assignment:
   a part's cache entries are never duplicated).
 - Per (part, term) decoded postings live in a bounded LRU; repeat
   terms across query batches never touch parquet again. The one-shot
-  path's per-part read (query.live_postings: segments.part_postings
-  minus the tombstones) fetches ONLY the missing terms of a batch; a
-  part missing on disk raises.
+  path's read (query.live_postings: the footer-pruned term rows and
+  one bulk decode, minus the tombstones) fetches ONLY a part's missing
+  terms of a batch; a part missing on disk raises.
 - Each batch is planned once on the driver by query.plan_query (the
   option check, df/cf, the SegmentScorer) from the stats the session
   loaded at construction — the same plan query_index and the
   per-part pipeline ops use; every actor scores its parts through the
-  same SegmentScorer.score_part as the one-shot tasks, passing its LRU
-  as the loader, so a resident session returns bit-identical results
-  to ``query_index``. An actor takes one CPU; the Dirichlet prior is
+  same SegmentScorer.score_parts as the one-shot tasks, passing as the
+  loader the join of its parts' LRU entries (a term's arrays
+  concatenated in part order), so each query is scored once per actor
+  and a resident session returns bit-identical results to
+  ``query_index``. An actor takes one CPU; the Dirichlet prior is
   score.DIRICHLET_MU, as on every other path.
 - The driver merge is the same k-bounded selection as the batch path
   (doc-hash partitioning keeps per-segment scores final).
@@ -40,15 +42,11 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from raysearch.query import (
-    RESULT_SCHEMA,
-    live_postings,
-    merge_candidates,
-    plan_query,
-)
+from raysearch.query import live_postings, merge_candidates, plan_query
 from raysearch.stats import load_stats
 
 DEFAULT_CACHE_TERMS = 65536  # (part, term) LRU entries per actor
@@ -98,8 +96,8 @@ class _SegmentServerImpl:
                 missing.append(t)
         if missing:
             self.misses += len(missing)
-            found, found_max = live_postings(self.index_dir, part, missing,
-                                             self.deleted)
+            found, found_max = live_postings(self.index_dir, [part],
+                                             missing, self.deleted)
             # copies: a miss read's rows are views into its flat bulk
             # decode, which a cached view would keep alive whole
             for t, decoded in found.items():
@@ -114,15 +112,31 @@ class _SegmentServerImpl:
                 self._cache.popitem(last=False)
         return postings, max_tfs
 
+    def _load(self, parts: list[int], terms: list[str]
+              ) -> tuple[dict, dict]:
+        """(postings, max_tfs) of ``terms`` over ``parts``, joined from
+        each part's _ensure_terms: a term's arrays concatenated in part
+        order, its max_tf the largest of the parts'."""
+        loaded = [self._ensure_terms(p, terms) for p in parts]
+        if len(loaded) == 1:
+            return loaded[0]
+        postings, max_tfs = {}, {}
+        for t in terms:
+            got = [(post[t], mt[t]) for post, mt in loaded if t in post]
+            if got:
+                rows = [r for r, _ in got]
+                postings[t] = (rows[0] if len(rows) == 1 else
+                               tuple(map(np.concatenate, zip(*rows))))
+                max_tfs[t] = max(m for _, m in got)
+        return postings, max_tfs
+
     # -- serving --
 
     def query_batch(self, scorer) -> pa.Table:
         """Candidates of a driver-planned batch (query.plan_query) over
-        this actor's parts: the shared per-part method, loading
-        through the LRU."""
-        outs = [scorer.score_part(part, self._ensure_terms)
-                for part in self.parts]
-        return pa.concat_tables(outs) if outs else RESULT_SCHEMA.empty_table()
+        this actor's parts: the shared scoring method, loading through
+        the LRU."""
+        return scorer.score_parts(self.parts, self._load)
 
     def cache_stats(self) -> dict:
         return {"hits": self.hits, "misses": self.misses,

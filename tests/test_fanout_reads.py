@@ -6,7 +6,8 @@ a dataset-filtered ``pq.read_table`` returns, from a cold or a warm
 footer cache, and never from a stale footer; map_parts must run one
 task per CPU, keep part order and surface kernel errors; the lexicon
 lookup must agree with a
-dataset scan when the lexicon spans several files, part_postings must
+dataset scan when the lexicon spans several files, map_chunks must do
+the same for kernels that take a task's whole list of parts, part_postings must
 equal the read + decode it replaces, and a part missing from disk must
 raise, never shrink a top-k."""
 
@@ -19,7 +20,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from raysearch import segments
-from raysearch.fanout import map_parts
+from raysearch.fanout import map_chunks, map_parts
 from raysearch.segments import read_term_rows
 
 # 26 * 26 two-letter terms, sorted, 100 rows per row group: group
@@ -228,6 +229,58 @@ def test_map_parts_all_empty_results_give_empty(ray_session):
 def test_map_parts_raises_kernel_error(ray_session):
     with pytest.raises(ValueError, match="part 3 is corrupt"):
         map_parts(list(range(8)), _double_kernel(fail_on=3), EMPTY)
+
+
+def _chunk_kernel(fail_on=None):
+    # one row per part of the chunk, each naming the chunk's task and
+    # its size
+    def kern(chunk: list[int]) -> pa.Table:
+        import ray
+
+        if fail_on in chunk:
+            raise ValueError(f"part {fail_on} is corrupt")
+        task = ray.get_runtime_context().get_task_id()
+        return pa.table({"part": pa.array(chunk, pa.int64()),
+                         "task": pa.array([task] * len(chunk)),
+                         "size": pa.array([len(chunk)] * len(chunk))})
+    return kern
+
+
+def test_map_chunks_zero_parts_returns_empty():
+    assert map_chunks([], _chunk_kernel(), EMPTY) is EMPTY
+
+
+@pytest.mark.parametrize("n_parts,sizes", [(8, [2, 2, 2, 2]),
+                                           (75, [19, 19, 19, 18]),
+                                           (3, [1, 1, 1])])
+def test_map_chunks_one_task_per_cpu_in_part_order(ray_session, n_parts,
+                                                   sizes):
+    import itertools
+
+    parts = [7, 3, 11, 0, 5] + list(range(100, 170))
+    parts = parts[:n_parts]
+    out = map_chunks(parts, _chunk_kernel(), EMPTY)
+    assert out["part"].to_pylist() == parts
+    tasks = out["task"].to_pylist()
+    assert len(set(tasks)) == len(sizes)
+    assert [len(list(g)) for _, g in itertools.groupby(tasks)] == sizes
+    assert out["size"].to_pylist() == [n for n in sizes for _ in range(n)]
+
+
+def test_map_chunks_drops_empty_results(ray_session):
+    def some_chunks(chunk):
+        if chunk[0] % 4 == 0:
+            return pa.table({"x": pa.array([], pa.float64())})
+        return pa.table({"part": pa.array(chunk, pa.int64())})
+
+    assert map_chunks([0, 4, 8, 12], some_chunks, EMPTY) is EMPTY
+    out = map_chunks(list(range(8)), some_chunks, EMPTY)
+    assert out["part"].to_pylist() == [2, 3, 6, 7]  # chunks of 2 on 4 CPUs
+
+
+def test_map_chunks_raises_kernel_error(ray_session):
+    with pytest.raises(ValueError, match="part 3 is corrupt"):
+        map_chunks(list(range(8)), _chunk_kernel(fail_on=3), EMPTY)
 
 
 def test_lexicon_lookup_over_distributed_lexicon(ray_session, small_corpus,
